@@ -12,9 +12,9 @@
 #include "gc/ParallelScavenge.h"
 #include "gc/Roots.h"
 #include "gc/ScopedGeneration.h"
-#include "gc/Tconc.h"
 #include "gc/telemetry/Telemetry.h"
 #include "heap/SharedImmutableSpace.h"
+#include "support/MathExtras.h"
 
 using namespace gengc;
 
@@ -636,22 +636,13 @@ void Collector::sweepTypedAt(uintptr_t *Header, unsigned ContainerGen) {
 // Guardians (the Section 4 algorithm).
 //===----------------------------------------------------------------------===//
 
-unsigned Collector::entryListIndex(Value Obj, Value Tconc,
-                                   Value Agent) const {
-  unsigned Index = H.oldestGeneration();
-  // A shared participant's SharedGeneration (0xFF) loses the min against
-  // the oldest real generation, which is the right list for an entry
-  // that can only be reaped when everything else ages out.
-  for (Value V : {Obj, Tconc, Agent})
-    if (V.isHeapPointer())
-      Index = std::min(Index, static_cast<unsigned>(
-                                  H.segInfo(V.heapAddress()).Generation));
-  return Index;
-}
-
 void Collector::processGuardians(unsigned G) {
   using Entry = Heap::ProtectedEntry;
-  std::vector<Entry> PendHold, PendFinal;
+  // The paper's lists are heap-owned scratch: cleared, never rebuilt.
+  std::vector<Entry> &PendHold = H.PendHold, &PendFinal = H.PendFinal,
+                     &FinalList = H.FinalList;
+  PendHold.clear();
+  PendFinal.clear();
 
   // First block: separate accessible from inaccessible registered
   // objects. forwarded?(obj) covers both "copied this cycle" and
@@ -710,7 +701,7 @@ void Collector::processGuardians(unsigned G) {
   bool FaultDroppedOne = false;
   while (true) {
     ++S.GuardianLoopIterations;
-    std::vector<Entry> FinalList;
+    FinalList.clear();
     size_t Keep = 0;
     for (const Entry &E : PendFinal) {
       if (isForwarded(Value::fromBits(E.TconcBits)))
@@ -734,23 +725,7 @@ void Collector::processGuardians(unsigned G) {
       Ev.Detail = static_cast<uint16_t>(S.GuardianLoopIterations);
       H.Telemetry.emit(Ev);
     }
-    for (const Entry &E : FinalList) {
-      if (H.Cfg.InjectedFault == GcFaultInjection::DropFirstResurrection &&
-          !FaultDroppedOne) {
-        // Injected bug: silently lose one resurrection per collection.
-        // The agent is neither forwarded nor delivered, so an object the
-        // paper's algorithm would save is reclaimed instead.
-        FaultDroppedOne = true;
-        continue;
-      }
-      // Deliver the agent (== the object for plain registrations,
-      // saving it from destruction; a distinct Section 5 agent lets the
-      // object itself be discarded).
-      Value Agent = forward(Value::fromBits(E.AgentBits));
-      Value Tconc = forwardedAddress(Value::fromBits(E.TconcBits));
-      appendToTconc(Tconc, Agent);
-      ++S.GuardianObjectsSaved;
-    }
+    deliverToTconcs(FaultDroppedOne);
     kleeneSweep();
   }
   S.GuardianEntriesDropped += PendFinal.size();
@@ -775,36 +750,105 @@ void Collector::processGuardians(unsigned G) {
   }
 }
 
+void Collector::deliverToTconcs(bool &FaultDroppedOne) {
+  // Only stores into a tconc's pre-existing cells can need an entry in
+  // the remembered or escape sets. A fresh cell lives in the target
+  // generation and everything it points at is there or older, except an
+  // agent that stays younger under TenureCopies > 1, and the sweep after
+  // the round re-remembers that cell. While a scope is open or closing,
+  // though, an agent or a cell may sit in a scope, and only the escape
+  // sets see that edge, so every store then takes the bookkeeping.
+  const bool RecordEveryStore = !H.ScopeStack.empty();
+  H.TconcBatches.clear();
+  size_t IndexSlots = 16;
+  while (IndexSlots < 2 * H.FinalList.size())
+    IndexSlots *= 2;
+  H.TconcBatchIndex.assign(IndexSlots, 0);
+
+  for (const Heap::ProtectedEntry &E : H.FinalList) {
+    if (H.Cfg.InjectedFault == GcFaultInjection::DropFirstResurrection &&
+        !FaultDroppedOne) {
+      // Injected bug: silently lose one resurrection per collection.
+      // The agent is neither forwarded nor delivered, so an object the
+      // paper's algorithm would save is reclaimed instead.
+      FaultDroppedOne = true;
+      continue;
+    }
+    // Deliver the agent (== the object for plain registrations, saving
+    // it from destruction; a distinct Section 5 agent lets the object
+    // itself be discarded). Agents are forwarded in list order whatever
+    // tconc they go to, so each tconc receives them in that order too.
+    Value Agent = forward(Value::fromBits(E.AgentBits));
+    Value Tconc = forwardedAddress(Value::fromBits(E.TconcBits));
+    // Figure 3 with the fresh last pair allocated directly in the target
+    // generation (the enclosing extent during a scope close).
+    uintptr_t *Cell =
+        ClosingScope ? scopeAllocate(SpaceKind::Pair, 2)
+                     : H.allocateInGeneration(SpaceKind::Pair, T, /*Age=*/0, 2);
+    Cell[0] = Value::falseV().bits();
+    Cell[1] = Value::falseV().bits();
+    Value NewLast = Value::pair(reinterpret_cast<PairCell *>(Cell));
+    Heap::TconcBatch &B = batchFor(Tconc);
+    // Fill the tail cell: its car becomes the element, its cdr the new
+    // last pair. The mutator cannot see either store before the header's
+    // cdr moves past the cell.
+    if (RecordEveryStore || B.Tail == pairCdr(Tconc)) {
+      H.recordStore(B.Tail, Agent, /*WeakField=*/H.isWeakPair(B.Tail));
+      H.recordStore(B.Tail, NewLast, /*WeakField=*/false);
+    }
+    pairSetCarRaw(B.Tail, Agent);
+    pairSetCdrRaw(B.Tail, NewLast);
+    B.Tail = NewLast;
+    ++S.GuardianObjectsSaved;
+  }
+
+  // Figure 3's final store, once per tconc: the header's cdr publishes
+  // the whole batch.
+  for (const Heap::TconcBatch &B : H.TconcBatches) {
+    H.recordStore(B.Tconc, B.Tail, /*WeakField=*/false);
+    pairSetCdrRaw(B.Tconc, B.Tail);
+  }
+}
+
+Heap::TconcBatch &Collector::batchFor(Value Tconc) {
+  std::vector<uint32_t> &Index = H.TconcBatchIndex;
+  const size_t Mask = Index.size() - 1;
+  for (size_t I = hashPointerBits(Tconc.bits()) & Mask;; I = (I + 1) & Mask) {
+    if (Index[I] == 0) {
+      GENGC_ASSERT(Tconc.isPair() && pairCdr(Tconc).isPair(),
+                   "malformed tconc append");
+      H.TconcBatches.push_back({Tconc, pairCdr(Tconc)});
+      Index[I] = static_cast<uint32_t>(H.TconcBatches.size());
+      return H.TconcBatches.back();
+    }
+    Heap::TconcBatch &B = H.TconcBatches[Index[I] - 1];
+    if (B.Tconc == Tconc)
+      return B;
+  }
+}
+
 void Collector::parkProtectedEntry(Value Obj, Value Tconc, Value Agent) {
   // An entry with a scope participant parks on the deepest such scope's
   // list, so it is revisited no later than that scope's close; entries
   // whose participants are all ordinary heap objects use the paper's
-  // youngest-generation rule.
+  // youngest-generation rule. A shared participant's SharedGeneration
+  // (0xFF) loses the min against the oldest real generation, which is
+  // the right list for an entry that can only be reaped when everything
+  // else ages out.
   unsigned Deepest = 0;
-  for (Value V : {Obj, Tconc, Agent})
-    Deepest = std::max(Deepest, H.scopeDepthOf(V));
-  if (Deepest != 0) {
-    H.ScopeStack[Deepest - 1]->Protected.push_back(
-        {Obj.bits(), Tconc.bits(), Agent.bits()});
-    return;
+  unsigned Youngest = H.oldestGeneration();
+  for (Value V : {Obj, Tconc, Agent}) {
+    if (!V.isHeapPointer())
+      continue;
+    const SegmentInfo &Info = H.segInfo(V.heapAddress());
+    Deepest = std::max<unsigned>(Deepest, Info.ScopeDepth);
+    Youngest = std::min<unsigned>(Youngest, Info.Generation);
   }
-  unsigned Index = entryListIndex(Obj, Tconc, Agent);
-  H.Protected[Index].push_back({Obj.bits(), Tconc.bits(), Agent.bits()});
-}
-
-void Collector::appendToTconc(Value Tconc, Value Obj) {
-  // Figure 3, with the fresh last pair allocated directly in the target
-  // generation (the enclosing extent during a scope close). The stores
-  // go through the barriered setters: when the tconc lives in an older
-  // generation — or a shallower scope — linking in target cells creates
-  // edges that must be remembered or escape-recorded.
-  uintptr_t *NewCell =
-      ClosingScope ? scopeAllocate(SpaceKind::Pair, 2)
-                   : H.allocateInGeneration(SpaceKind::Pair, T, /*Age=*/0, 2);
-  NewCell[0] = Value::falseV().bits();
-  NewCell[1] = Value::falseV().bits();
-  Value NewLast = Value::pair(reinterpret_cast<PairCell *>(NewCell));
-  tconcAppendWithCell(H, Tconc, Obj, NewLast);
+  const Heap::ProtectedEntry Entry{Obj.bits(), Tconc.bits(), Agent.bits()};
+  if (Deepest != 0)
+    H.ScopeStack[Deepest - 1]->Protected.push_back(Entry);
+  else
+    H.Protected[Youngest].push_back(Entry);
 }
 
 //===----------------------------------------------------------------------===//

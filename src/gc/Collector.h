@@ -143,23 +143,25 @@ private:
   void forwardRememberedObject(Value Container);
   bool pointsBelowGeneration(Value Container, unsigned Generation) const;
   void processGuardians(unsigned G);
-  void appendToTconc(Value Tconc, Value Obj);
+  /// One fixpoint round's deliveries: forwards each H.FinalList agent in
+  /// list order and appends it to its tconc (Figure 3), batched per
+  /// tconc, publishing each header's cdr once per round (DESIGN.md §2,
+  /// "Batched tconc publication").
+  void deliverToTconcs(bool &FaultDroppedOne);
+  /// The round's batch for (forwarded) \p Tconc, opened on first use.
+  Heap::TconcBatch &batchFor(Value Tconc);
   void processFinalizeLists(unsigned G, std::vector<uint32_t> &RunQueue);
   void weakPairPass(unsigned G);
   void fixWeakCar(Value WeakPair);
   void updateSymbolTable();
   void freeFromSpace();
 
-  /// Protected-list index for an entry with the given (already
-  /// forwarded) participants: the youngest generation among them, so
-  /// the entry is revisited whenever any participant may move or die.
-  /// With TenureCopies == 1 this is always the target generation,
-  /// matching the paper.
-  unsigned entryListIndex(Value Obj, Value Tconc, Value Agent) const;
-
   /// Re-parks a surviving (already forwarded) guardian entry: on the
   /// protected list of the deepest open scope any participant lives in,
-  /// else on Protected[entryListIndex(...)].
+  /// else on the list of the youngest participant generation, so the
+  /// entry is revisited whenever any participant may move or die. With
+  /// TenureCopies == 1 that is always the target generation, matching
+  /// the paper.
   void parkProtectedEntry(Value Obj, Value Tconc, Value Agent);
 
   //===--- Request scopes (gc/ScopedGeneration.cpp) ----------------------===//
@@ -196,7 +198,7 @@ private:
   GcStats S;
   unsigned T = 0; ///< Target generation (the paper's min(g+1, n)).
   /// Non-null only during runScopeClose: the scope being closed. The
-  /// shared machinery (forward, kleeneSweep, appendToTconc,
+  /// shared machinery (forward, kleeneSweep, deliverToTconcs,
   /// processGuardians) branches on it to target the enclosing extent
   /// instead of the generation ladder.
   ScopedGeneration *ClosingScope = nullptr;

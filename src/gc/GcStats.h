@@ -134,7 +134,8 @@ struct GcStats {
   /// window that ends with this pause): stores that took the full
   /// writeBarrier path vs stores the compile-time elision pass (or a
   /// heap-internal fast path) proved barrier-free. Elided / (Executed +
-  /// Elided) is the store-tax reduction the static analysis bought.
+  /// Elided) is the store-tax reduction the static analysis bought. The
+  /// collector's own stores (guardian tconc delivery) are in neither.
   uint64_t BarriersExecuted = 0;
   uint64_t BarriersElided = 0;
 

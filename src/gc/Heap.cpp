@@ -410,9 +410,7 @@ Value Heap::makeList(const std::vector<Value> &Elements) {
 // Barriered mutation.
 //===----------------------------------------------------------------------===//
 
-void Heap::writeBarrier(Value Container, Value V, bool WeakField) {
-  checkOwner("barriered store");
-  ++BarriersExecutedTotal;
+void Heap::recordStore(Value Container, Value V, bool WeakField) {
   // Shared immutable containers (Generation == SharedGeneration) are
   // frozen: a store into one — even of an immediate — would be visible
   // to every shard with no synchronization and no remembered-set
@@ -438,6 +436,12 @@ void Heap::writeBarrier(Value Container, Value V, bool WeakField) {
     WeakRemembered[CInfo.Generation].insert(Container.bits());
   else
     Remembered[CInfo.Generation].insert(Container.bits());
+}
+
+void Heap::writeBarrier(Value Container, Value V, bool WeakField) {
+  checkOwner("barriered store");
+  ++BarriersExecutedTotal;
+  recordStore(Container, V, WeakField);
 }
 
 void Heap::scopeBarrier(Value Container, Value V, bool WeakField) {

@@ -173,8 +173,9 @@ public:
 
   /// Monotonic mutator store-tax counters: stores that took the full
   /// writeBarrier path vs stores a *Elided path proved barrier-free.
-  /// Per-collection window deltas land in GcStats::BarriersExecuted /
-  /// BarriersElided.
+  /// The collector's own stores (guardian tconc delivery) count in
+  /// neither. Per-collection window deltas land in
+  /// GcStats::BarriersExecuted / BarriersElided.
   uint64_t barriersExecuted() const { return BarriersExecutedTotal; }
   uint64_t barriersElided() const { return BarriersElidedTotal; }
 
@@ -545,6 +546,15 @@ private:
     uint32_t ThunkId;
   };
 
+  /// One tconc's deliveries within a guardian fixpoint round: the
+  /// (forwarded) header and the cell the next agent goes into. Until the
+  /// round publishes Tail, the header's cdr still names the tconc's
+  /// pre-existing last cell.
+  struct TconcBatch {
+    Value Tconc;
+    Value Tail;
+  };
+
   /// Allocation primitive: bump-allocates words in (Space, generation 0,
   /// age 0). Never collects; asserts the no-allocation rule inside
   /// finalizer thunks.
@@ -576,7 +586,13 @@ private:
   /// must find it to update or break it).
   void writeBarrier(Value Container, Value V, bool WeakField);
 
-  /// Slow tail of writeBarrier taken only while scopes are open: stores
+  /// The bookkeeping half of writeBarrier, without the owner check and
+  /// the mutator barrier count: the shared-space fatal check, then the
+  /// remembered-set or scope escape-set entry the store needs. The
+  /// collector calls it directly for the tconc stores it performs.
+  void recordStore(Value Container, Value V, bool WeakField);
+
+  /// Slow tail of recordStore taken only while scopes are open: stores
   /// of a deeper-scope value into a shallower container record the
   /// container in the deeper scope's escape set; everything else falls
   /// back to the generational logic.
@@ -629,6 +645,15 @@ private:
 
   /// The collector's protected lists, one per generation (Section 4).
   std::vector<ProtectedEntry> Protected[MaxGenerations];
+
+  /// Scratch of the guardian pass (Collector::processGuardians): the
+  /// paper's pend-hold, pend-final and final lists, the round's tconc
+  /// batches and their open-addressing index (batch number + 1; 0 is
+  /// empty). Owned here so every collection clears them rather than
+  /// growing fresh vectors; a warmed-up pass allocates nothing.
+  std::vector<ProtectedEntry> PendHold, PendFinal, FinalList;
+  std::vector<TconcBatch> TconcBatches;
+  std::vector<uint32_t> TconcBatchIndex;
 
   /// Adopted donation runs, per space: exchange-arena segments this heap
   /// received through adoptDonatedGraph, retagged to the oldest

@@ -38,10 +38,13 @@ inline bool tconcEmpty(Value Tconc) {
 }
 
 /// The Figure 3 insertion sequence, given a freshly allocated pair
-/// \p NewLast whose fields are don't-cares. Exposed so the mutator-side
-/// and collector-side appends (which differ only in where NewLast is
-/// allocated) share one implementation, and so tests can drive the
-/// protocol one published state at a time.
+/// \p NewLast whose fields are don't-cares. The mutator-side append
+/// uses it, and tests drive the protocol one published state at a time
+/// with it. The collector does not: Collector::deliverToTconcs appends a
+/// whole round's agents to a tconc as one batch, linking the fresh cells
+/// with plain stores and publishing the header's cdr once at the end.
+/// Under stop-the-world that is the same rule — nothing is visible to
+/// the mutator before the final header update.
 inline void tconcAppendWithCell(Heap &H, Value Tconc, Value Obj,
                                 Value NewLast) {
   GENGC_ASSERT(Tconc.isPair() && NewLast.isPair(), "malformed tconc append");
@@ -58,7 +61,7 @@ inline void tconcAppendWithCell(Heap &H, Value Tconc, Value Obj,
 
 /// Mutator-side append (allocates the fresh last pair normally). The
 /// collector-side equivalent allocates directly into the target
-/// generation; see Collector::appendToTconc.
+/// generation; see Collector::deliverToTconcs.
 void tconcAppend(Heap &H, Value Tconc, Value Obj);
 
 /// The Figure 4 retrieval sequence; returns #f if the tconc is empty.

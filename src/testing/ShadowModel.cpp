@@ -333,8 +333,9 @@ ShadowModel::collect(unsigned RequestedGeneration) {
       break;
     for (const SEntry &E : FinalList) {
       forwardVal(E.Agent);
-      // Collector::appendToTconc: fresh (#f . #f) cell in (target
-      // generation, age 0); fill the old last cell; publish.
+      // Collector::deliverToTconcs: fresh (#f . #f) cell in (target
+      // generation, age 0); fill the old last cell; publish. The heap
+      // publishes once per tconc per round; the end state is the same.
       ObjId NewCell = cons(SVal::immediate(Value::falseV()),
                            SVal::immediate(Value::falseV()));
       Objects[NewCell].Gen = static_cast<uint8_t>(T);
@@ -574,7 +575,7 @@ ShadowModel::ScopeCloseOutcome ShadowModel::closeScope() {
       break;
     for (const SEntry &E : FinalList) {
       forwardVal(E.Agent);
-      // Collector::appendToTconc in scope-close mode: the fresh cell
+      // Collector::deliverToTconcs in scope-close mode: the fresh cell
       // is born in the enclosing extent (depth D-1, generation 0).
       ObjId NewCell = cons(SVal::immediate(Value::falseV()),
                            SVal::immediate(Value::falseV()));

@@ -14,6 +14,9 @@
 
 #include <gtest/gtest.h>
 
+#include <memory>
+#include <vector>
+
 using namespace gengc;
 
 namespace {
@@ -186,21 +189,91 @@ TEST(GuardianTest, DroppingGuardianCancelsFinalization) {
 }
 
 TEST(GuardianTest, FifoOrderWithinACollection) {
-  Heap H(testConfig());
-  Guardian G(H);
-  for (int I = 0; I != 10; ++I) {
-    Root X(H, H.cons(Value::fixnum(I), Value::nil()));
-    G.protect(X.get());
+  // The collector appends to each tconc's tail in protected-list order,
+  // batched per tconc within a fixpoint round; the mutator retrieves
+  // from the front. Every case registers fixnum-tagged pairs and checks
+  // that each guardian hands them back in registration order.
+  struct Case {
+    const char *Name;
+    unsigned TenureCopies;
+    unsigned Guardians;
+    /// Guardian 0's header is promoted to an older generation, still
+    /// holding undrained elements, before the main registrations.
+    bool OldHeader;
+    /// The collection runs with a request scope open and delivers
+    /// in-scope Section 5 agents of ordinary objects; in-scope
+    /// registrations are then delivered by the scope's close.
+    bool ScopeOpen;
+  };
+  const Case Cases[] = {
+      {"one guardian", 1, 1, false, false},
+      {"three interleaved guardians", 1, 3, false, false},
+      {"promoted header with undrained elements", 1, 2, true, false},
+      {"TenureCopies = 3", 3, 3, false, false},
+      {"request scope open", 1, 3, false, true},
+  };
+  for (const Case &C : Cases) {
+    SCOPED_TRACE(C.Name);
+    HeapConfig Cfg = testConfig();
+    Cfg.TenureCopies = C.TenureCopies;
+    Heap H(Cfg);
+    std::vector<std::unique_ptr<Guardian>> Gs;
+    std::vector<std::vector<int>> Expected(C.Guardians);
+    for (unsigned I = 0; I != C.Guardians; ++I)
+      Gs.push_back(std::make_unique<Guardian>(H));
+    auto Register = [&](int Tag, unsigned Which) {
+      Root X(H, H.cons(Value::fixnum(Tag), Value::nil()));
+      Gs[Which]->protect(X.get());
+      Expected[Which].push_back(Tag);
+    };
+    auto RetrieveAll = [&] {
+      for (unsigned I = 0; I != C.Guardians; ++I) {
+        SCOPED_TRACE(I);
+        for (int Tag : Expected[I]) {
+          Root Y(H, Gs[I]->retrieve());
+          ASSERT_TRUE(Y.get().isPair());
+          EXPECT_EQ(pairCar(Y.get()).asFixnum(), Tag);
+        }
+        EXPECT_TRUE(Gs[I]->retrieve().isFalse());
+        Expected[I].clear();
+      }
+    };
+
+    if (C.OldHeader) {
+      for (int Tag = 100; Tag != 103; ++Tag)
+        Register(Tag, 0);
+      H.collectMinor(); // Delivered, left in the queue.
+      H.collect(1);
+      ASSERT_EQ(H.generationOf(Gs[0]->tconcValue()), 2u);
+    }
+    for (int Tag = 0; Tag != 12; ++Tag)
+      Register(Tag, static_cast<unsigned>(Tag) % C.Guardians);
+    if (C.ScopeOpen) {
+      // The tconc cells that receive these agents live outside the
+      // scope, so each one must be recorded as a scope escape.
+      RootVector Objects(H);
+      for (int I = 0; I != 6; ++I)
+        Objects.push_back(H.cons(Value::nil(), Value::nil()));
+      H.openScope();
+      for (int Tag = 12; Tag != 18; ++Tag) {
+        const unsigned Which = static_cast<unsigned>(Tag) % C.Guardians;
+        Root Agent(H, H.cons(Value::fixnum(Tag), Value::nil()));
+        Gs[Which]->protectWithAgent(Objects[Tag - 12], Agent.get());
+        Expected[Which].push_back(Tag);
+      }
+    }
+    H.collectMinor();
+    H.verifyHeap();
+    RetrieveAll();
+    if (C.ScopeOpen) {
+      for (int Tag = 20; Tag != 29; ++Tag)
+        Register(Tag, static_cast<unsigned>(Tag) % C.Guardians);
+      H.closeScope();
+      H.verifyHeap();
+      RetrieveAll();
+    }
+    H.verifyHeap();
   }
-  H.collectMinor();
-  // The collector appends to the tconc tail in protected-list order;
-  // the mutator retrieves from the front.
-  for (int I = 0; I != 10; ++I) {
-    Root Y(H, G.retrieve());
-    ASSERT_TRUE(Y.get().isPair());
-    EXPECT_EQ(pairCar(Y.get()).asFixnum(), I);
-  }
-  EXPECT_TRUE(G.retrieve().isFalse());
 }
 
 TEST(GuardianTest, SharedStructurePreservedInEntirety) {

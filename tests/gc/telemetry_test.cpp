@@ -618,6 +618,31 @@ TEST(GcTotalsTest, BarrierCountersWindowPerCollection) {
   EXPECT_EQ(H.barriersExecuted(), Exec + 3);
 }
 
+TEST(GcTotalsTest, GuardianDeliveryIsNotMutatorBarrierTraffic) {
+  // Appending resurrected objects to a guardian's tconc is collector
+  // work, not mutator store traffic: delivering k objects leaves the
+  // barrier counters where the mutator left them. The tconc is promoted
+  // past the target generation first, so linking fresh cells into it
+  // needs remembered-set entries, which verifyHeap checks.
+  Heap H(testConfig());
+  Root Tconc(H, H.makeGuardianTconc());
+  H.collect(1);
+  ASSERT_EQ(H.generationOf(Tconc.get()), 2u);
+  constexpr uint64_t K = 7;
+  for (uint64_t I = 0; I != K; ++I) {
+    Root X(H, H.cons(Value::fixnum(static_cast<intptr_t>(I)), Value::nil()));
+    H.guardianProtect(Tconc.get(), X.get());
+  }
+  const uint64_t Exec = H.barriersExecuted();
+  const uint64_t Elided = H.barriersElided();
+  H.collectMinor();
+  EXPECT_EQ(H.lastStats().GuardianObjectsSaved, K);
+  EXPECT_EQ(H.barriersExecuted(), Exec);
+  EXPECT_EQ(H.barriersElided(), Elided);
+  EXPECT_EQ(H.totals().BarriersExecuted, Exec);
+  H.verifyHeap();
+}
+
 TEST(GcTotalsTest, LiveHeapKeepsRunningTotals) {
   Heap H(testConfig());
   Root L(H, Value::nil());
