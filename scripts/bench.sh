@@ -13,6 +13,12 @@
 #                                    # whatever is in bench-results/
 #   BENCH_OUT=/tmp/run1 scripts/bench.sh
 #
+# Each microbenchmark runs 5 times through --benchmark_repetitions (run
+# a binary directly for another count); the summary reports the median
+# and its median absolute deviation per benchmark, stamped with the CPU
+# model, nproc, build type and git SHA, so two BENCH files can be
+# compared against their noise.
+#
 # Every invocation ends by aggregating the per-binary JSON files into a
 # single BENCH_<YYYY-MM-DD>.json at the repo root: one row per
 # benchmark with its timing plus any gc_* collector counters, and
@@ -39,7 +45,7 @@ OUT="${BENCH_OUT:-bench-results}"
 DIR="${BENCH_BUILD:-build-bench}"
 
 summarize() {
-  python3 scripts/bench_summarize.py "$OUT"
+  python3 scripts/bench_summarize.py "$OUT" --build-dir "$DIR"
 }
 
 if [ "${1:-}" = "--summarize" ]; then
@@ -115,7 +121,7 @@ for name in "${BENCHES[@]}"; do
   fi
   echo "==> $name"
   "$bin" --benchmark_format=json --benchmark_out="$OUT/$name.json" \
-         --benchmark_out_format=json
+         --benchmark_out_format=json --benchmark_repetitions=5
 done
 
 echo "==> results in $OUT/"

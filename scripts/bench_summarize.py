@@ -21,6 +21,15 @@ touching this script. Keys are classified by shape:
     ``*_workers``): dimensionless per-run values, listed per row only;
   - everything else numeric (counts of events: collections, bytes,
     tickets, violations, sampled ops): summed into ``totals``.
+
+Repetitions (``--benchmark_repetitions``, which scripts/bench.sh sets)
+fold into one row per benchmark: ``real_time``/``cpu_time`` are the
+median over repetitions, with the median absolute deviation beside them
+(``real_time_mad``, ``cpu_time_mad``) and the repetition count
+(``repetitions``); every counter is the median over repetitions, so a
+five-repetition run sums into ``totals`` like a single one. The summary
+is stamped with the machine and commit it measured (``machine``: CPU
+model, ``nproc``, build type, git SHA and dirty flag).
 """
 
 import argparse
@@ -29,6 +38,7 @@ import glob
 import json
 import os
 import re
+import subprocess
 import sys
 
 # Counter prefixes folded into the summary. Anything else in a
@@ -55,7 +65,92 @@ def classify(key):
     return "total"
 
 
-def summarize(out_dir):
+def median(vals):
+    vals = sorted(vals)
+    mid = len(vals) // 2
+    return vals[mid] if len(vals) % 2 else (vals[mid - 1] + vals[mid]) / 2
+
+
+def mad(vals):
+    """Median absolute deviation: the noise bar beside a median."""
+    m = median(vals)
+    return median([abs(v - m) for v in vals])
+
+
+def cpu_model():
+    try:
+        with open("/proc/cpuinfo") as f:
+            for line in f:
+                if line.startswith("model name"):
+                    return line.split(":", 1)[1].strip()
+    except OSError:
+        pass
+    return "unknown"
+
+
+def cmake_cache(build_dir, key):
+    try:
+        with open(os.path.join(build_dir, "CMakeCache.txt")) as f:
+            for line in f:
+                if line.startswith(key + ":"):
+                    return line.split("=", 1)[1].strip() or None
+    except (OSError, TypeError):
+        pass
+    return None
+
+
+def git_state(repo):
+    def git(*cmd):
+        return subprocess.run(["git", "-C", repo, *cmd], capture_output=True,
+                              text=True)
+    try:
+        head = git("rev-parse", "HEAD")
+        if head.returncode != 0:
+            return "unknown", None
+        dirty = git("status", "--porcelain", "--untracked-files=no")
+    except OSError:  # No git on PATH.
+        return "unknown", None
+    return head.stdout.strip(), bool(dirty.stdout.strip())
+
+
+def machine(build_dir):
+    """Fingerprint of what the numbers were measured on and with: the
+    commit is the one the build tree was configured from."""
+    source = (cmake_cache(build_dir, "CMAKE_HOME_DIRECTORY")
+              or os.path.dirname(os.path.abspath(__file__)))
+    sha, dirty = git_state(source)
+    return {
+        "cpu_model": cpu_model(),
+        "nproc": os.cpu_count(),
+        "build_type": cmake_cache(build_dir, "CMAKE_BUILD_TYPE") or "unknown",
+        "git_sha": sha,
+        "git_dirty": dirty,
+    }
+
+
+def fold_repetitions(name, file, runs):
+    """One row from every repetition of one benchmark."""
+    row = {
+        "file": file,
+        "name": name,
+        "repetitions": len(runs),
+        "time_unit": runs[0].get("time_unit"),
+        "iterations": median([r.get("iterations", 0) for r in runs]),
+    }
+    for key in ("real_time", "cpu_time"):
+        vals = [r[key] for r in runs if isinstance(r.get(key), (int, float))]
+        row[key] = median(vals) if vals else None
+        row[key + "_mad"] = mad(vals) if vals else None
+    for key in runs[0]:
+        if not key.startswith(PREFIXES):
+            continue
+        vals = [r[key] for r in runs if isinstance(r.get(key), (int, float))]
+        if vals:
+            row[key] = median(vals)
+    return row
+
+
+def summarize(out_dir, build_dir=None):
     rows, totals, dists = [], {}, {}
     files_read, files_bad = 0, 0
 
@@ -69,23 +164,19 @@ def summarize(out_dir):
             files_bad += 1
             continue
         files_read += 1
+        # Repetitions of one benchmark share its run_name; keep first-seen
+        # order so rows follow the binary's registration order.
+        groups = {}
         for b in data.get("benchmarks", []):
             if b.get("run_type") == "aggregate":
                 continue  # mean/median/stddev rows duplicate the raw runs
-            row = {
-                "file": os.path.splitext(os.path.basename(path))[0],
-                "name": b.get("name"),
-                "real_time": b.get("real_time"),
-                "cpu_time": b.get("cpu_time"),
-                "time_unit": b.get("time_unit"),
-                "iterations": b.get("iterations"),
-            }
-            for key, val in b.items():
+            groups.setdefault(b.get("run_name", b.get("name")), []).append(b)
+        file = os.path.splitext(os.path.basename(path))[0]
+        for name, runs in groups.items():
+            row = fold_repetitions(name, file, runs)
+            for key, val in row.items():
                 if not key.startswith(PREFIXES):
                     continue
-                if not isinstance(val, (int, float)):
-                    continue
-                row[key] = val
                 kind = classify(key)
                 if kind == "total":
                     totals[key] = totals.get(key, 0) + val
@@ -96,6 +187,7 @@ def summarize(out_dir):
     return {
         "date": datetime.date.today().isoformat(),
         "source": out_dir,
+        "machine": machine(build_dir),
         "files": files_read,
         "files_skipped": files_bad,
         "gc_totals": totals,
@@ -119,9 +211,12 @@ def main():
     ap.add_argument("out_dir", help="directory of per-binary benchmark JSON")
     ap.add_argument("--output", default=None,
                     help="summary path (default BENCH_<date>.json in cwd)")
+    ap.add_argument("--build-dir", default=None,
+                    help="build tree the benchmarks came from (its "
+                         "CMakeCache.txt names the build type)")
     args = ap.parse_args()
 
-    summary, files_read, files_bad = summarize(args.out_dir)
+    summary, files_read, files_bad = summarize(args.out_dir, args.build_dir)
     name = args.output or f"BENCH_{summary['date']}.json"
     with open(name, "w") as f:
         json.dump(summary, f, indent=2)

@@ -29,6 +29,9 @@ void Collector::run(unsigned G) {
   const unsigned Oldest = H.oldestGeneration();
   GENGC_ASSERT(G <= Oldest, "collected generation out of range");
   T = std::min(G + 1, Oldest);
+  if (H.Cfg.TenureCopies == 1)
+    for (unsigned Sp = 0; Sp != NumSpaces; ++Sp)
+      CopyTargets[Sp] = &H.Contexts[Sp][T][0];
   // Totals.Collections is bumped by accumulate() at the end, so the
   // in-flight collection — which events recorded mid-pause must name —
   // is one past it.
@@ -307,36 +310,57 @@ void Collector::targetFor(unsigned Gen, unsigned Age, unsigned &NewGen,
   NewAge = NextAge;
 }
 
-Value Collector::forward(Value V) {
+inline uintptr_t *Collector::allocateCopy(const SegmentInfo &Info,
+                                          size_t Words, uint64_t &Promoted) {
+  // The cached target: an inline bump in (space, T, age 0), the context
+  // targetFor() names under the paper's tenure policy. When its run is
+  // full, the general path below opens the next one.
+  if (SpaceContext *Ctx = CopyTargets[static_cast<unsigned>(Info.Space)])
+    if (uintptr_t *P = Ctx->tryBump(Words)) {
+      Promoted = T > Info.Generation ? 1 : 0;
+      return P;
+    }
+  return allocateCopySlow(Info, Words, Promoted);
+}
+
+uintptr_t *Collector::allocateCopySlow(const SegmentInfo &Info, size_t Words,
+                                       uint64_t &Promoted) {
+  // A scope close targets the enclosing extent, not the generation
+  // ladder; graduation is not a promotion.
+  if (ClosingScope) {
+    Promoted = 0;
+    return scopeAllocate(Info.Space, Words);
+  }
+  unsigned NewGen = 0, NewAge = 0;
+  targetFor(Info.Generation, Info.Age, NewGen, NewAge);
+  Promoted = NewGen > Info.Generation ? 1 : 0;
+  return H.allocateInGeneration(Info.Space, NewGen, NewAge, Words);
+}
+
+Value Collector::forwardFromSpace(Value V, const SegmentInfo *Info) {
+  if (!Info) {
+    // Outside the private arena: an adopted donation (from-space only
+    // in a full collection) or a shared immutable (never). Exchange
+    // infos are stable while the world is stopped, so workers of a
+    // parallel scavenge may read them too.
+    Info = &H.exchangeInfo(V.heapAddress());
+    if (!Info->isFromSpace())
+      return V;
+  }
   // During a parallel scavenge's worker fixpoint, forwarding must claim
   // the object with a CAS and copy into the calling worker's lane; the
   // serial path below would race. Redirecting here (rather than at the
   // call sites) lets every sweep/scan helper run on workers unchanged.
   if (Par)
-    return Par->forwardShared(V);
-  if (!V.isHeapPointer())
-    return V;
-  const SegmentInfo &Info = H.segInfo(V.heapAddress());
-  if (!Info.isFromSpace())
-    return V;
+    return Par->forwardShared(V, *Info);
 
-  // A scope close targets the enclosing extent, not the generation
-  // ladder; graduation is not a promotion.
-  unsigned NewGen = 0, NewAge = 0;
   uint64_t Promoted = 0;
-  if (!ClosingScope) {
-    targetFor(Info.Generation, Info.Age, NewGen, NewAge);
-    Promoted = NewGen > Info.Generation ? 1 : 0;
-  }
-
   if (V.isPair()) {
     PairCell *Cell = V.pairCell();
     if (Value::fromBits(Cell->Car).isForwardMarker())
       return Value::fromBits(Cell->Cdr);
     // Copy, preserving the pair's space (ordinary vs. weak).
-    uintptr_t *NewCell =
-        ClosingScope ? scopeAllocate(Info.Space, 2)
-                     : H.allocateInGeneration(Info.Space, NewGen, NewAge, 2);
+    uintptr_t *NewCell = allocateCopy(*Info, 2, Promoted);
     NewCell[0] = Cell->Car;
     NewCell[1] = Cell->Cdr;
     Value NewV = Value::pair(reinterpret_cast<PairCell *>(NewCell));
@@ -355,10 +379,7 @@ Value Collector::forward(Value V) {
     return Value::fromBits(Header[1]);
   const size_t Words = objectSizeInWords(*Header);
   const size_t AllocWords = objectAllocWords(*Header);
-  uintptr_t *NewObj =
-      ClosingScope
-          ? scopeAllocate(Info.Space, AllocWords)
-          : H.allocateInGeneration(Info.Space, NewGen, NewAge, AllocWords);
+  uintptr_t *NewObj = allocateCopy(*Info, AllocWords, Promoted);
   std::memcpy(NewObj, Header, Words * sizeof(uintptr_t));
   if (AllocWords > Words)
     NewObj[Words] = 0; // Deterministic padding for the verifier.
@@ -552,11 +573,14 @@ bool Collector::sweepContext(SpaceKind Space, unsigned Gen, unsigned Age) {
 bool Collector::sweepRange(Arena &A, SpaceContext &Ctx, SweepCursor &Cur,
                            SpaceKind Space, unsigned ContainerGen) {
   bool Progress = false;
-
   while (true) {
     const std::vector<SegmentRun> &Runs = Ctx.runs();
     if (Cur.RunIndex >= Runs.size())
       break;
+    // The frontier is read once per span: copies made while sweeping the
+    // span land past End (in this run or a later one), and the next pass
+    // of this loop picks them up, so objects are swept in allocation
+    // order.
     const size_t Used = Ctx.usedWordsOf(A, Cur.RunIndex);
     if (Cur.OffsetWords >= Used) {
       if (Cur.RunIndex + 1 < Runs.size()) {
@@ -568,18 +592,36 @@ bool Collector::sweepRange(Arena &A, SpaceContext &Ctx, SweepCursor &Cur,
     }
     // rootcheck:allow(segment-base) — the Cheney sweep is the allocation
     // walk itself.
-    uintptr_t *P = A.segmentBase(Runs[Cur.RunIndex].FirstSegment) +
-                   Cur.OffsetWords;
-    if (Space == SpaceKind::Pair || Space == SpaceKind::WeakPair) {
-      sweepPairAt(P, Space == SpaceKind::WeakPair, ContainerGen);
-      Cur.OffsetWords += 2;
-    } else {
-      sweepTypedAt(P, ContainerGen);
-      Cur.OffsetWords += objectAllocWords(*P);
-    }
+    uintptr_t *Base = A.segmentBase(Runs[Cur.RunIndex].FirstSegment);
+    sweepSpan(Base + Cur.OffsetWords, Base + Used, Space, ContainerGen);
+    Cur.OffsetWords = Used;
     Progress = true;
   }
   return Progress;
+}
+
+void Collector::sweepSpan(uintptr_t *P, uintptr_t *End, SpaceKind Space,
+                          unsigned ContainerGen) {
+  switch (Space) {
+  case SpaceKind::Pair:
+    for (; P < End; P += 2)
+      sweepPairAt(P, /*Weak=*/false, ContainerGen);
+    return;
+  case SpaceKind::WeakPair:
+    for (; P < End; P += 2)
+      sweepPairAt(P, /*Weak=*/true, ContainerGen);
+    return;
+  case SpaceKind::Typed:
+    while (P < End) {
+      const size_t Step = objectAllocWords(*P);
+      sweepTypedAt(P, ContainerGen);
+      P += Step;
+    }
+    return;
+  case SpaceKind::Data:
+    break;
+  }
+  GENGC_UNREACHABLE("the data space is pointerless and never swept");
 }
 
 void Collector::maybeReRemember(uintptr_t ContainerBits,
@@ -603,8 +645,8 @@ void Collector::maybeReRemember(uintptr_t ContainerBits,
   }
 }
 
-void Collector::sweepPairAt(uintptr_t *Cell, bool Weak,
-                            unsigned ContainerGen) {
+inline void Collector::sweepPairAt(uintptr_t *Cell, bool Weak,
+                                   unsigned ContainerGen) {
   // "When pairs found in the weak-pair space are traced during the
   // normal garbage collection, they are treated like normal pairs
   // except that the car field is not touched."
@@ -619,7 +661,8 @@ void Collector::sweepPairAt(uintptr_t *Cell, bool Weak,
   }
 }
 
-void Collector::sweepTypedAt(uintptr_t *Header, unsigned ContainerGen) {
+inline void Collector::sweepTypedAt(uintptr_t *Header,
+                                    unsigned ContainerGen) {
   GENGC_ASSERT(headerKind(*Header) != ObjectKind::Forward,
                "forwarding marker found in to-space");
   const size_t Fields = objectPointerFieldCount(*Header);

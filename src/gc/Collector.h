@@ -85,7 +85,40 @@ private:
   /// forwarding marker; returns the (possibly pre-existing) new
   /// location. Non-heap values and objects outside the from-space are
   /// returned unchanged.
-  Value forward(Value V);
+  Value forward(Value V) {
+    const SegmentInfo *Info = nullptr;
+    return mayMove(V, Info) ? forwardFromSpace(V, Info) : V;
+  }
+
+  /// The inline half of forward(): false for non-heap values and for
+  /// private-arena objects outside the from-space, which every sweep
+  /// meets far more often than objects it must copy. Otherwise sets
+  /// \p Info to the value's private-arena segment info, or to null for
+  /// an exchange-arena value (an adopted donation or a shared immutable),
+  /// which forwardFromSpace classifies out of line: that lookup needs
+  /// the exchange arena.
+  bool mayMove(Value V, const SegmentInfo *&Info) const {
+    if (!V.isHeapPointer())
+      return false;
+    Info = H.Segments.findInfo(V.heapAddress());
+    return !Info || Info->isFromSpace();
+  }
+
+  /// The out-of-line half of forward(), for a value mayMove() let
+  /// through: the parallel-scavenge redirect, the exchange-arena
+  /// classification, the forwarded test, and the copy.
+  Value forwardFromSpace(Value V, const SegmentInfo *Info);
+
+  /// Allocates \p Words for the copy of an object from a from-space
+  /// segment described by \p Info, in the tenure policy's target context
+  /// (or the enclosing extent during a scope close), and sets \p Promoted
+  /// when that context is in an older generation.
+  uintptr_t *allocateCopy(const SegmentInfo &Info, size_t Words,
+                          uint64_t &Promoted);
+  /// allocateCopy() past the cached target's bump: the one general
+  /// path, for a full run, TenureCopies > 1 and a scope close.
+  uintptr_t *allocateCopySlow(const SegmentInfo &Info, size_t Words,
+                              uint64_t &Promoted);
 
   /// Target (generation, age) for a survivor of (\p Gen, \p Age) under
   /// the tenure policy.
@@ -108,9 +141,18 @@ private:
   /// sampling never keeps an object alive).
   void sweepAllocProfiler();
 
-  void forwardSlot(Value *Slot) { *Slot = forward(*Slot); }
+  /// Forward one root slot / heap word in place. A value that cannot
+  /// move is left alone: no call, no store.
+  void forwardSlot(Value *Slot) {
+    const SegmentInfo *Info = nullptr;
+    if (mayMove(*Slot, Info))
+      *Slot = forwardFromSpace(*Slot, Info);
+  }
   void forwardWord(uintptr_t *Word) {
-    *Word = forward(Value::fromBits(*Word)).bits();
+    const Value V = Value::fromBits(*Word);
+    const SegmentInfo *Info = nullptr;
+    if (mayMove(V, Info))
+      *Word = forwardFromSpace(V, Info).bits();
   }
 
   //===--- Sweeping -------------------------------------------------------===//
@@ -128,6 +170,11 @@ private:
   /// Contexts[][][] array.
   bool sweepRange(Arena &A, SpaceContext &Ctx, SweepCursor &Cur,
                   SpaceKind Space, unsigned ContainerGen);
+  /// Sweeps the objects in [\p P, \p End) of one run of \p Space, in
+  /// address order. \p End must be an object boundary. The run loop of
+  /// sweepRange and the parallel scavenge's lane and stolen-range scans.
+  void sweepSpan(uintptr_t *P, uintptr_t *End, SpaceKind Space,
+                 unsigned ContainerGen);
   void sweepPairAt(uintptr_t *Cell, bool Weak, unsigned ContainerGen);
   void sweepTypedAt(uintptr_t *Header, unsigned ContainerGen);
   /// Re-records \p Container in the remembered set if \p FieldBits now
@@ -209,6 +256,11 @@ private:
   /// forward() and maybeReRemember() redirect through it so the serial
   /// sweep helpers above work unchanged on GC worker threads.
   ParallelScavenge *Par = nullptr;
+  /// The context every copy of a space lands in, when that is fixed for
+  /// the whole collection: the paper's tenure policy (TenureCopies == 1),
+  /// where it is (space, T, age 0). Set only by run(), so null during a
+  /// scope close. Null means allocateCopy takes the general path.
+  SpaceContext *CopyTargets[NumSpaces] = {};
 
   std::vector<SegmentRun> FromRuns[NumSpaces];
   /// From-space runs that live in the exchange arena rather than the

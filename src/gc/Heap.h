@@ -204,8 +204,8 @@ public:
   /// space). The single classification point every barrier/collector
   /// path routes through.
   const SegmentInfo &segInfo(uintptr_t Address) const {
-    if (Segments.containsAddress(Address))
-      return Segments.infoFor(Address);
+    if (const SegmentInfo *Info = Segments.findInfo(Address))
+      return *Info;
     return exchangeInfo(Address);
   }
   SegmentInfo &segInfo(uintptr_t Address) {

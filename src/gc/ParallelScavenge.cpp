@@ -240,16 +240,9 @@ bool ParallelScavenge::scanOwnLane(Worker &W, SpaceKind Space, unsigned Gen,
       break; // Caught up with the allocation frontier.
     }
     // rootcheck:allow(segment-base) — lane scan is the allocation walk.
-    uintptr_t *P = H.Segments.segmentBase(Runs[Cur.RunIndex].FirstSegment) +
-                   Cur.OffsetWords;
-    if (Space == SpaceKind::Pair || Space == SpaceKind::WeakPair) {
-      C.sweepPairAt(P, Space == SpaceKind::WeakPair, Gen);
-      Cur.OffsetWords += 2;
-    } else {
-      const size_t Step = objectAllocWords(*P);
-      C.sweepTypedAt(P, Gen);
-      Cur.OffsetWords += Step;
-    }
+    uintptr_t *Base = H.Segments.segmentBase(Runs[Cur.RunIndex].FirstSegment);
+    C.sweepSpan(Base + Cur.OffsetWords, Base + Used, Space, Gen);
+    Cur.OffsetWords = Used;
     Progress = true;
   }
   return Progress;
@@ -312,22 +305,8 @@ void ParallelScavenge::executeItem(const WorkItem &Item, Worker &W) {
     }
     break;
   case WorkKind::ScanRange:
-    scanRange(Item.ScanBegin, Item.ScanEnd, Item.Space, Item.Gen);
+    C.sweepSpan(Item.ScanBegin, Item.ScanEnd, Item.Space, Item.Gen);
     break;
-  }
-}
-
-void ParallelScavenge::scanRange(uintptr_t *P, uintptr_t *End,
-                                 SpaceKind Space, unsigned Gen) {
-  while (P < End) {
-    if (Space == SpaceKind::Pair || Space == SpaceKind::WeakPair) {
-      C.sweepPairAt(P, Space == SpaceKind::WeakPair, Gen);
-      P += 2;
-    } else {
-      const size_t Step = objectAllocWords(*P);
-      C.sweepTypedAt(P, Gen);
-      P += Step;
-    }
   }
 }
 
@@ -335,16 +314,7 @@ void ParallelScavenge::scanRange(uintptr_t *P, uintptr_t *End,
 // CAS forwarding.
 //===----------------------------------------------------------------------===//
 
-Value ParallelScavenge::forwardShared(Value V) {
-  if (!V.isHeapPointer())
-    return V;
-  // segInfo: adopted donation runs live in the exchange arena and are
-  // from-space during a full collection; their infos are stable while
-  // the world is stopped, so the unsynchronized read is safe.
-  const SegmentInfo &Info = H.segInfo(V.heapAddress());
-  if (!Info.isFromSpace())
-    return V;
-
+Value ParallelScavenge::forwardShared(Value V, const SegmentInfo &Info) {
   unsigned NewGen, NewAge;
   C.targetFor(Info.Generation, Info.Age, NewGen, NewAge);
   const uint64_t Promoted = NewGen > Info.Generation ? 1 : 0;

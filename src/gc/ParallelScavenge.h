@@ -68,10 +68,11 @@ public:
   /// serial Collector::run does.
   void run(uint64_t &PhaseCursor);
 
-  /// The parallel forward(obj): Collector::forward redirects here for
-  /// the duration of the worker fixpoint. CAS-claims the object and
-  /// copies it into the calling worker's lane.
-  Value forwardShared(Value V);
+  /// The parallel forward(obj): Collector::forwardFromSpace redirects
+  /// here, for a from-space \p V described by \p Info, for the duration
+  /// of the worker fixpoint. CAS-claims the object and copies it into
+  /// the calling worker's lane.
+  Value forwardShared(Value V, const SegmentInfo &Info);
 
   /// Collector::maybeReRemember redirects here: remembered-set inserts
   /// discovered while scanning are buffered per worker (PtrHashSet is
@@ -133,8 +134,6 @@ private:
   void publishRuns(Worker &W, const SpaceContext &Ctx, size_t BeginRun,
                    size_t EndRun, SpaceKind Space, unsigned Gen);
   void executeItem(const WorkItem &Item, Worker &W);
-  void scanRange(uintptr_t *P, uintptr_t *End, SpaceKind Space,
-                 unsigned Gen);
   /// Post-join: adopt worker lanes onto the canonical contexts, advance
   /// the collector's sweep cursors, merge statistics and buffered
   /// remembered-set inserts, and emit per-worker telemetry spans.

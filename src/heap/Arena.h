@@ -178,6 +178,17 @@ public:
     return Infos[SegmentIndex];
   }
 
+  /// Segment info for \p Address if it lies inside the arena, else null.
+  /// One unsigned compare is both the containment test and the index
+  /// bounds check (an address below Base wraps to a huge offset), so hot
+  /// paths that fall back to another arena pay for a single test.
+  const SegmentInfo *findInfo(uintptr_t Address) const {
+    const uintptr_t Offset = Address - Base;
+    if (Offset >= TotalSegments * SegmentBytes)
+      return nullptr;
+    return &Infos[Offset / SegmentBytes];
+  }
+
   /// Segment info for the segment containing \p Address.
   SegmentInfo &infoFor(uintptr_t Address) {
     return Infos[segmentIndexOf(Address)];

@@ -42,15 +42,23 @@ public:
   uintptr_t *allocate(Arena &A, SpaceKind Space, uint8_t Generation,
                       size_t Words, uint8_t Age = 0,
                       uint8_t ScopeDepth = 0, uint8_t ExtraFlags = 0) {
-    GENGC_ASSERT(Words >= 2, "objects must be at least two words");
-    if (Alloc + Words <= Limit) {
-      uintptr_t *P = Alloc;
-      Alloc += Words;
-      BytesAllocated += Words * sizeof(uintptr_t);
+    if (uintptr_t *P = tryBump(Words))
       return P;
-    }
     return allocateSlow(A, Space, Generation, Words, Age, ScopeDepth,
                         ExtraFlags);
+  }
+
+  /// The bump half of allocate(): \p Words from the current run, or null
+  /// when it has no room (allocate() would open a new run). Small enough
+  /// to inline into the collector's copy loop.
+  uintptr_t *tryBump(size_t Words) {
+    GENGC_ASSERT(Words >= 2, "objects must be at least two words");
+    if (Alloc + Words > Limit)
+      return nullptr;
+    uintptr_t *P = Alloc;
+    Alloc += Words;
+    BytesAllocated += Words * sizeof(uintptr_t);
+    return P;
   }
 
   const std::vector<SegmentRun> &runs() const { return Runs; }

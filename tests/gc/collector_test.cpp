@@ -8,6 +8,11 @@
 #include "gc/Heap.h"
 #include "gc/Roots.h"
 
+#include <map>
+#include <unordered_map>
+#include <unordered_set>
+#include <vector>
+
 #include <gtest/gtest.h>
 
 using namespace gengc;
@@ -271,6 +276,353 @@ TEST(CollectorTest, StrongSymbolTableKeepsSymbols) {
   EXPECT_EQ(H.lastStats().SymbolsDropped, 0u);
   Root S(H, H.intern("never-dropped"));
   EXPECT_EQ(H.symbolName(S.get()), "never-dropped");
+  H.verifyHeap();
+}
+
+//===----------------------------------------------------------------------===//
+// Scavenge order: the Cheney sweep copies objects in exactly the order a
+// breadth-first walk of the graph predicts, per to-space context.
+//===----------------------------------------------------------------------===//
+
+/// The from-space graph below a set of roots, read off the heap before a
+/// collection, and the copy order Section 4's algorithm predicts for it.
+class ScavengeModel {
+public:
+  struct Node {
+    SpaceKind Space = SpaceKind::Pair;
+    uint64_t Bytes = 0;
+    std::vector<uintptr_t> Kids; ///< Strong fields, in sweep order.
+    unsigned Ctx = 0; ///< Index of the to-space context, in sweep order.
+  };
+
+  /// Walks every object reachable from \p Roots through strong fields
+  /// that lives in a generation <= \p G and lies outside any scope.
+  ScavengeModel(Heap &H, const std::vector<Value> &Roots, unsigned G)
+      : H(H), G(G) {
+    for (Value R : Roots)
+      visit(R);
+  }
+
+  bool contains(uintptr_t Bits) const { return Nodes.count(Bits) != 0; }
+  size_t size() const { return Nodes.size(); }
+
+  /// Places every node reachable from \p From in to-space context \p Ctx.
+  void setContext(Value From, unsigned Ctx) {
+    std::vector<uintptr_t> Work{From.bits()};
+    std::unordered_set<uintptr_t> Seen;
+    while (!Work.empty()) {
+      const uintptr_t B = Work.back();
+      Work.pop_back();
+      if (!contains(B) || !Seen.insert(B).second)
+        continue;
+      Nodes[B].Ctx = Ctx;
+      for (uintptr_t K : Nodes[B].Kids)
+        Work.push_back(K);
+    }
+  }
+
+  uint64_t bytesOf(uintptr_t Bits) const { return Nodes.at(Bits).Bytes; }
+  uint64_t bytes() const {
+    uint64_t Sum = 0;
+    for (const auto &KV : Nodes)
+      Sum += KV.second.Bytes;
+    return Sum;
+  }
+  uint64_t countIf(bool (*Pred)(const Node &)) const {
+    uint64_t N = 0;
+    for (const auto &KV : Nodes)
+      N += Pred(KV.second) ? 1 : 0;
+    return N;
+  }
+
+  /// Cheney's algorithm over the model: forward the roots in order, then
+  /// sweep the contexts in order (pair, typed, weak-pair spaces within
+  /// each) to a fixpoint. Returns the bits of every copy, in copy order.
+  std::vector<uintptr_t> copyOrder(const std::vector<Value> &Roots) const {
+    std::map<std::pair<unsigned, unsigned>, std::vector<uintptr_t>> Queues;
+    std::unordered_set<uintptr_t> Copied;
+    std::vector<uintptr_t> Order;
+    unsigned NumCtx = 0;
+    for (const auto &KV : Nodes)
+      NumCtx = std::max(NumCtx, KV.second.Ctx + 1);
+    auto Forward = [&](uintptr_t B) {
+      if (!contains(B) || !Copied.insert(B).second)
+        return;
+      Order.push_back(B);
+      const Node &N = Nodes.at(B);
+      Queues[{N.Ctx, static_cast<unsigned>(N.Space)}].push_back(B);
+    };
+    for (Value R : Roots)
+      Forward(R.bits());
+    std::map<std::pair<unsigned, unsigned>, size_t> Cursors;
+    for (bool Progress = true; Progress;) {
+      Progress = false;
+      for (unsigned C = 0; C != NumCtx; ++C)
+        for (SpaceKind Sp :
+             {SpaceKind::Pair, SpaceKind::Typed, SpaceKind::WeakPair}) {
+          const std::pair<unsigned, unsigned> Key{C,
+                                                  static_cast<unsigned>(Sp)};
+          std::vector<uintptr_t> &Q = Queues[Key];
+          for (size_t &Cur = Cursors[Key]; Cur < Q.size(); Progress = true)
+            for (uintptr_t K : Nodes.at(Q[Cur++]).Kids)
+              Forward(K);
+        }
+    }
+    return Order;
+  }
+
+private:
+  void visit(Value Root) {
+    std::vector<Value> Work{Root};
+    while (!Work.empty()) {
+      const Value V = Work.back();
+      Work.pop_back();
+      if (!V.isHeapPointer() || contains(V.bits()) ||
+          H.generationOf(V) > G || H.scopeDepthOf(V) != 0)
+        continue;
+      Node N;
+      N.Space = H.spaceOf(V);
+      if (V.isPair()) {
+        N.Bytes = 2 * sizeof(uintptr_t);
+        // A weak pair's car is not traced by the sweep.
+        if (N.Space != SpaceKind::WeakPair)
+          N.Kids.push_back(pairCar(V).bits());
+        N.Kids.push_back(pairCdr(V).bits());
+      } else {
+        const uintptr_t Header = *V.objectHeader();
+        N.Bytes = objectAllocWords(Header) * sizeof(uintptr_t);
+        for (size_t I = 0, E = objectPointerFieldCount(Header); I != E; ++I)
+          N.Kids.push_back(V.objectHeader()[1 + I]);
+      }
+      for (auto It = N.Kids.rbegin(); It != N.Kids.rend(); ++It)
+        Work.push_back(Value::fromBits(*It));
+      Nodes.emplace(V.bits(), std::move(N));
+    }
+  }
+
+  Heap &H;
+  unsigned G;
+  std::unordered_map<uintptr_t, Node> Nodes;
+};
+
+/// Records the collector's copies through the forwarding witness.
+struct CopyLog {
+  std::vector<uintptr_t> Old;
+  std::unordered_map<uintptr_t, uintptr_t> NewOf;
+  static void witness(void *Ctx, uintptr_t OldBits, uintptr_t NewBits) {
+    auto *Log = static_cast<CopyLog *>(Ctx);
+    Log->Old.push_back(OldBits);
+    Log->NewOf[OldBits] = NewBits;
+  }
+};
+
+HeapConfig scavengeConfig(unsigned TenureCopies) {
+  HeapConfig C = testConfig();
+  // The predicted order is the serial Cheney order, and the counts are
+  // exact only if nothing collects while the graph is built.
+  C.GcThreads = 1;
+  C.StressGC = false;
+  C.TenureCopies = TenureCopies;
+  return C;
+}
+
+/// Builds the mixed graph every scavenge-order case collects, into the
+/// eight slots of \p RootVec:
+///   0: a 700-pair list (three segment runs of pairs) whose cars cycle
+///      through fixnums, strings, records and two-element vectors;
+///   1: a 600-element (> 4 KiB) vector of pairs sharing one record;
+///   2: a record whose fields hold a weak pair onto a live string, a
+///      weak pair onto a dead pair, and the 600-element vector again;
+///   3: a two-pair cycle;
+///   4: the live string the first weak pair points at;
+///   5-7: fixnums.
+void buildMixedGraph(Heap &H, Root &RootVec) {
+  RootVec = H.makeVector(8, Value::fixnum(0));
+  Root List(H, Value::nil());
+  for (int I = 0; I != 700; ++I) {
+    Root Car(H, Value::fixnum(I));
+    switch (I % 4) {
+    case 1:
+      Car = H.makeString("car");
+      break;
+    case 2:
+      Car = H.makeRecord(Value::fixnum(I), 2, Value::fixnum(I));
+      break;
+    case 3:
+      Car = H.makeVector(2, Value::nil());
+      break;
+    }
+    List = H.cons(Car.get(), List.get());
+  }
+  H.vectorSet(RootVec.get(), 0, List.get());
+
+  Root Shared(H, H.makeRecord(Value::fixnum(-1), 3, Value::nil()));
+  Root Big(H, H.makeVector(600, Value::nil()));
+  for (size_t I = 0; I != 600; ++I) {
+    Value P = H.cons(Shared.get(), Value::fixnum(static_cast<int64_t>(I)));
+    H.vectorSet(Big.get(), I, P);
+  }
+  H.vectorSet(RootVec.get(), 1, Big.get());
+
+  Root Live(H, H.makeString("weakly and strongly held"));
+  Root Rec(H, H.makeRecord(Value::fixnum(7), 3, Value::nil()));
+  {
+    Root Weak(H, H.weakCons(Live.get(), Value::fixnum(1)));
+    H.recordSet(Rec.get(), 0, Weak.get());
+  }
+  {
+    Root Dead(H, H.cons(Value::fixnum(2), Value::nil()));
+    Root Weak(H, H.weakCons(Dead.get(), Value::fixnum(2)));
+    H.recordSet(Rec.get(), 1, Weak.get());
+  }
+  H.recordSet(Rec.get(), 2, Big.get());
+  H.vectorSet(RootVec.get(), 2, Rec.get());
+
+  Root A(H, H.cons(Value::fixnum(3), Value::nil()));
+  Root B(H, H.cons(Value::fixnum(4), A.get()));
+  H.setCdr(A.get(), B.get());
+  H.vectorSet(RootVec.get(), 3, A.get());
+  H.vectorSet(RootVec.get(), 4, Live.get());
+}
+
+/// Collects generation \p G with the copy log attached and checks the
+/// copies against \p Model: the same objects, copied in the predicted
+/// order (globally, and so per space), with exact statistics.
+void expectScavengeMatchesModel(Heap &H, unsigned G,
+                                const ScavengeModel &Model,
+                                const std::vector<Value> &Roots,
+                                uint64_t ExpectPromoted) {
+  const std::vector<uintptr_t> Expected = Model.copyOrder(Roots);
+  ASSERT_EQ(Expected.size(), Model.size()) << "every node is reachable";
+  CopyLog Log;
+  H.setForwardWitness(&CopyLog::witness, &Log);
+  H.collect(G);
+  H.setForwardWitness(nullptr, nullptr);
+
+  EXPECT_EQ(Log.Old, Expected) << "copy order differs from the Cheney model";
+  // Each copy is bump-allocated right after the previous copy into the
+  // same (space, generation), or opens a new run at a segment boundary:
+  // to-space order is copy order.
+  std::map<std::pair<unsigned, unsigned>, uintptr_t> Frontier;
+  for (uintptr_t B : Log.Old) {
+    const Value New = Value::fromBits(Log.NewOf.at(B));
+    const uintptr_t Addr = New.heapAddress();
+    const std::pair<unsigned, unsigned> Key{
+        static_cast<unsigned>(H.spaceOf(New)), H.generationOf(New)};
+    auto It = Frontier.find(Key);
+    if (It != Frontier.end()) {
+      EXPECT_TRUE(Addr == It->second || Addr % SegmentBytes == 0)
+          << "copy of " << B << " is not at its context's frontier";
+    }
+    Frontier[Key] = Addr + Model.bytesOf(B);
+  }
+  const GcStats &S = H.lastStats();
+  EXPECT_EQ(S.ObjectsCopied, Model.size());
+  EXPECT_EQ(S.BytesCopied, Model.bytes());
+  EXPECT_EQ(S.ObjectsPromoted, ExpectPromoted);
+  H.verifyHeap();
+}
+
+TEST(ScavengeOrderTest, MinorAndFullCollectionsFollowTheCheneyOrder) {
+  Heap H(scavengeConfig(1));
+  {
+    // Leave a partly filled run in the oldest generation of every space,
+    // so a minor collection that copied into the wrong generation would
+    // find room there. The objects die before the full collection below.
+    Root Pair(H, H.cons(Value::fixnum(0), Value::nil()));
+    Root Weak(H, H.weakCons(Pair.get(), Value::nil()));
+    Root Rec(H, H.makeRecord(Value::fixnum(0), 1, Value::nil()));
+    Root Str(H, H.makeString("old"));
+    H.collect(H.oldestGeneration());
+  }
+  Root RootVec(H, Value::nil());
+  buildMixedGraph(H, RootVec);
+
+  {
+    const std::vector<Value> Roots{RootVec.get()};
+    ScavengeModel Model(H, Roots, 0);
+    expectScavengeMatchesModel(H, 0, Model, Roots, Model.size());
+    EXPECT_EQ(H.generationOf(RootVec.get()), 1u);
+  }
+  {
+    // Everything now sits in generation 1; a full collection copies it
+    // all again, into the oldest generation.
+    const std::vector<Value> Roots{RootVec.get()};
+    ScavengeModel Model(H, Roots, H.oldestGeneration());
+    expectScavengeMatchesModel(H, H.oldestGeneration(), Model, Roots,
+                               Model.size());
+    EXPECT_EQ(H.generationOf(RootVec.get()), H.oldestGeneration());
+  }
+  Value Cycle = objectField(RootVec.get(), 3);
+  EXPECT_EQ(pairCdr(pairCdr(Cycle)), Cycle);
+  Value Rec = objectField(RootVec.get(), 2);
+  EXPECT_EQ(pairCar(objectField(Rec, 0)), objectField(RootVec.get(), 4));
+  EXPECT_TRUE(pairCar(objectField(Rec, 1)).isFalse()) << "dead weak car";
+}
+
+TEST(ScavengeOrderTest, TenureAgesSweepEveryTargetContext) {
+  // TenureCopies = 3: the mixed graph survives two minor collections
+  // (age 2 in generation 0), then gains a young list. The next minor
+  // collection promotes the graph into generation 1 but ages the young
+  // list into (0, 1), so the graph's root vector ends up older than what
+  // it points at and the sweep must re-remember it.
+  Heap H(scavengeConfig(3));
+  Root RootVec(H, Value::nil());
+  buildMixedGraph(H, RootVec);
+  H.collectMinor();
+  H.collectMinor();
+  Root Young(H, Value::nil());
+  for (int I = 0; I != 300; ++I) {
+    Root Car(H, I % 2 ? H.makeString("young") : Value::fixnum(I));
+    Young = H.cons(Car.get(), Young.get());
+  }
+  H.vectorSet(RootVec.get(), 5, Young.get());
+
+  const std::vector<Value> Roots{RootVec.get(), Young.get()};
+  ScavengeModel Model(H, Roots, 0);
+  // Sweep order: (gen 0, age 1) is context 1, (gen 1, age 0) context 3.
+  Model.setContext(RootVec.get(), 3);
+  Model.setContext(Young.get(), 1);
+  expectScavengeMatchesModel(H, 0, Model, Roots,
+                             Model.countIf([](const ScavengeModel::Node &N) {
+                               return N.Ctx == 3;
+                             }));
+  EXPECT_EQ(H.generationOf(RootVec.get()), 1u);
+  EXPECT_EQ(H.generationOf(Young.get()), 0u);
+
+  // Only the re-remembered root vector keeps the young list alive now.
+  Young = Value::nil();
+  H.collectMinor();
+  size_t Length = 0;
+  for (Value P = objectField(RootVec.get(), 5); P.isPair(); P = pairCdr(P))
+    ++Length;
+  EXPECT_EQ(Length, 300u);
+  H.verifyHeap();
+}
+
+TEST(ScavengeOrderTest, OpenScopeObjectsAreRootsInScopeOrder) {
+  // With a scope open, scope objects are uncollected containers scanned
+  // right after the roots, in the scope's allocation order.
+  Heap H(scavengeConfig(1));
+  Root RootVec(H, Value::nil());
+  buildMixedGraph(H, RootVec);
+  Root OnlyFromScope(H, H.makeRecord(Value::fixnum(9), 2, Value::nil()));
+  {
+    Root Field(H, H.cons(Value::fixnum(1), Value::nil()));
+    H.recordSet(OnlyFromScope.get(), 0, Field.get());
+  }
+
+  H.openScope();
+  Root ScopeVec(H, H.makeVector(2, Value::nil()));
+  H.vectorSet(ScopeVec.get(), 0, OnlyFromScope.get());
+  H.vectorSet(ScopeVec.get(), 1, objectField(RootVec.get(), 2));
+  OnlyFromScope = Value::nil();
+
+  const std::vector<Value> Roots{RootVec.get(), objectField(ScopeVec.get(), 0),
+                                 objectField(ScopeVec.get(), 1)};
+  ScavengeModel Model(H, Roots, 0);
+  expectScavengeMatchesModel(H, 0, Model, Roots, Model.size());
+  H.closeScope();
   H.verifyHeap();
 }
 

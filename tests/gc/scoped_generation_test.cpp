@@ -402,12 +402,15 @@ TEST(ScopeDonationTest, OutboundEdgeVetoesWholesaleClose) {
   H.openDonationScope();
   // The cdr points out of the scope into the private heap: the
   // self-containment scan must refuse (that edge cannot be retagged).
-  Value Inner = H.cons(Value::fixnum(1), Old.get());
-  DonatedGraph G = H.tryCloseScopeDonating(Inner);
+  Value Msg = H.cons(Value::fixnum(1), Old.get());
+  DonatedGraph G = H.tryCloseScopeDonating(Msg);
   EXPECT_TRUE(G.empty());
   EXPECT_EQ(H.scopeDepth(), 1u);
+  // Rooted only now: a root into the scope would veto the handover by
+  // itself, and this test is about the outbound edge.
+  Root Inner(H, Msg);
   H.closeScope();
-  EXPECT_EQ(pairCar(pairCdr(Inner)).asFixnum(), 9)
+  EXPECT_EQ(pairCar(pairCdr(Inner.get())).asFixnum(), 9)
       << "fallback close still graduates the survivor intact";
   H.verifyHeap();
 }

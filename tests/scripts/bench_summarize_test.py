@@ -6,7 +6,9 @@ asserts the property the hand-maintained GC_KEYS list used to violate:
 every gc_*/latency_*/mmu_*/slo_*/alloc_*/executor_*/transfer_*/
 messages_* counter present in the input — including ones this repo has never seen before — appears in
 the summary, classified by shape (summed total, distribution, or
-per-row ratio).
+per-row ratio). Repetitions of one benchmark fold into one row: median
+time with its median absolute deviation, counters as medians. The
+summary carries the machine fingerprint.
 
 Usage: bench_summarize_test.py <repo_root>
 """
@@ -42,8 +44,35 @@ def main():
     assert files_bad == 1, files_bad
 
     rows = summary["benchmarks"]
-    assert len(rows) == 2, [r["name"] for r in rows]  # aggregate row dropped
+    # Aggregate rows dropped; gamma's three repetitions are one row.
+    assert [r["name"] for r in rows] == ["BM_Fixture/alpha",
+                                         "BM_Fixture/beta",
+                                         "BM_Fixture/gamma"], rows
     alpha = next(r for r in rows if r["name"] == "BM_Fixture/alpha")
+    assert alpha["repetitions"] == 1 and alpha["real_time_mad"] == 0, alpha
+
+    # Repetitions: times 10/30/12 -> median 12, deviations 2/18/0 -> MAD 2.
+    gamma = rows[2]
+    assert gamma["repetitions"] == 3, gamma
+    assert gamma["real_time"] == 12.0 and gamma["real_time_mad"] == 2.0, gamma
+    assert gamma["cpu_time"] == 11.0 and gamma["cpu_time_mad"] == 2.0, gamma
+    assert gamma["gc_pause_p99_ns"] == 120, gamma  # median, not max or sum
+
+    # The fingerprint of the machine and commit measured.
+    mach = summary["machine"]
+    assert mach["nproc"] == os.cpu_count(), mach
+    for key in ("cpu_model", "build_type", "git_sha", "git_dirty"):
+        assert key in mach, f"machine fingerprint missing {key}"
+    # No git on PATH: the stamp says so instead of aborting the summary.
+    path = os.environ.get("PATH")
+    os.environ["PATH"] = ""
+    try:
+        assert bench_summarize.git_state(REPO) == ("unknown", None)
+    finally:
+        if path is None:
+            del os.environ["PATH"]
+        else:
+            os.environ["PATH"] = path
 
     # Every tracked-prefix counter lands on the row, even ones no script
     # enumerates; untracked counters stay out.
@@ -58,7 +87,8 @@ def main():
     # Event counts sum across benchmarks — with no hand-kept key list,
     # the never-seen-before counter sums too.
     totals = summary["gc_totals"]
-    assert totals["gc_collections"] == 10, totals  # 4 + 6, aggregate excluded
+    # 4 + 6 + 5: aggregates excluded, gamma's repetitions counted once.
+    assert totals["gc_collections"] == 15, totals
     assert totals["gc_bytes_copied"] == 1500, totals
     assert totals["gc_novel_counter_added_later"] == 10, totals
     assert totals["latency_op_count"] == 3000, totals
@@ -81,8 +111,8 @@ def main():
                 "executor_max_pending"):
         assert key not in totals, f"{key} wrongly summed"
     dists = summary["distributions"]
-    assert dists["gc_pause_p99_ns"] == {"max": 90, "median": 90,
-                                        "benchmarks": 2}, dists
+    assert dists["gc_pause_p99_ns"] == {"max": 120, "median": 90,
+                                        "benchmarks": 3}, dists
     assert dists["gc_pause_p999_ns"]["benchmarks"] == 1, dists
     assert dists["latency_op_p99_ns"]["max"] == 600, dists
     assert dists["executor_max_pending"]["max"] == 30, dists
