@@ -16,10 +16,14 @@
 //   AllocationThroughput    -- raw bump-allocation rate.
 //   MinorVsFullPause        -- pause comparison on a mixed-age heap.
 //   ScavengeMixed           -- serial scavenge ns per copied object.
+//   MinorCollectWithSymbols/N -- minor GC time with N old interned
+//                              symbols alive (flat: a minor collection
+//                              visits only generation 0's symbol list).
 //
 //===----------------------------------------------------------------------===//
 
 #include <memory>
+#include <string>
 
 #include "BenchCommon.h"
 
@@ -182,6 +186,57 @@ void BM_ScavengeMixed(benchmark::State &State) {
   Pauses.addGcCounters(State);
 }
 BENCHMARK(BM_ScavengeMixed)->Unit(benchmark::kMicrosecond);
+
+// The weak symbol table in a minor collection: N interned symbols, all
+// alive and aged into the oldest generation, beside a small young heap
+// that holds one freshly interned, dead symbol per round. Only that one
+// is subject to the collection, so neither the pause nor the
+// symbol-table phase (symbol_table_ns_per_gc) should grow with N. One
+// old vector holds the symbols, so the root scan does not grow either.
+void BM_MinorCollectWithSymbols(benchmark::State &State) {
+  const int64_t Symbols = State.range(0);
+  HeapConfig Cfg = benchConfig();
+  Cfg.GcThreads = 1;
+  uint64_t SymbolNanos = 0; // Outlives H, whose hook adds.
+  Heap H(Cfg);
+  GcPauseRecorder Pauses(H);
+  Root Old(H, H.makeVector(static_cast<size_t>(Symbols), Value::nil()));
+  for (int64_t I = 0; I != Symbols; ++I) {
+    Root Sym(H, H.intern("old-symbol-" + std::to_string(I)));
+    H.vectorSet(Old.get(), static_cast<size_t>(I), Sym.get());
+  }
+  ageHeapFully(H);
+  H.addPostGcHook([&](Heap &, const GcStats &S) {
+    if (S.CollectedGeneration == 0)
+      SymbolNanos += S.Phases[GcPhase::SymbolTable];
+  });
+  Root Young(H, Value::nil());
+  int64_t Round = 0;
+  for (auto _ : State) {
+    State.PauseTiming();
+    // Every 256th round empties generation 1 of the promoted young
+    // lists, so the timed collections copy into pages already touched
+    // however many iterations the benchmark runs.
+    if (++Round % 256 == 0)
+      H.collect(1);
+    Young = Value::nil();
+    for (int64_t I = 0; I != 64; ++I)
+      Young = H.cons(Value::fixnum(I), Young.get());
+    H.intern("young-symbol");
+    State.ResumeTiming();
+    H.collectMinor();
+  }
+  State.counters["old_symbols"] =
+      benchmark::Counter(static_cast<double>(Symbols));
+  State.counters["symbol_table_ns_per_gc"] = benchmark::Counter(
+      static_cast<double>(SymbolNanos) /
+      static_cast<double>(State.iterations()));
+  Pauses.addGcCounters(State);
+}
+BENCHMARK(BM_MinorCollectWithSymbols)
+    ->Arg(256)
+    ->Arg(4096)
+    ->Unit(benchmark::kMicrosecond);
 
 // Work-stealing under deliberate imbalance: one root reaches a single
 // deep list (one worker's initial packet unfolds into almost all the

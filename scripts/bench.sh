@@ -4,6 +4,11 @@
 #
 #   scripts/bench.sh                 # all benchmarks, Release build
 #   scripts/bench.sh bench_tconc     # a subset, by target name
+#   scripts/bench.sh bench_gc_throughput -- \
+#       --benchmark_filter=BM_MinorCollect
+#                                    # arguments after -- go to every
+#                                    # binary run: rerun one benchmark
+#                                    # without the whole suite
 #   scripts/bench.sh --loadgen       # shard-count scaling sweep of the
 #                                    # runtime load driver (1..8 shards,
 #                                    # open-loop sessions); one JSON per
@@ -105,7 +110,13 @@ fi
 cmake -B "$DIR" -S . -DCMAKE_BUILD_TYPE=Release >/dev/null
 cmake --build "$DIR" -j >/dev/null
 
-BENCHES=("$@")
+BENCHES=()
+while [ $# -gt 0 ] && [ "$1" != "--" ]; do
+  BENCHES+=("$1")
+  shift
+done
+[ $# -gt 0 ] && shift # The "--" itself.
+EXTRA_ARGS=("$@")
 if [ ${#BENCHES[@]} -eq 0 ]; then
   for bin in "$DIR"/bench/bench_*; do
     [ -x "$bin" ] && BENCHES+=("$(basename "$bin")")
@@ -121,7 +132,8 @@ for name in "${BENCHES[@]}"; do
   fi
   echo "==> $name"
   "$bin" --benchmark_format=json --benchmark_out="$OUT/$name.json" \
-         --benchmark_out_format=json --benchmark_repetitions=5
+         --benchmark_out_format=json --benchmark_repetitions=5 \
+         ${EXTRA_ARGS[@]+"${EXTRA_ARGS[@]}"}
 done
 
 echo "==> results in $OUT/"

@@ -128,7 +128,7 @@ void Collector::run(unsigned G) {
   }
   {
     PhaseTimer PT(Tel, S, GcPhase::SymbolTable, PhaseCursor);
-    updateSymbolTable();
+    updateSymbolTable(G);
   }
   {
     PhaseTimer PT(Tel, S, GcPhase::Reclaim, PhaseCursor);
@@ -208,84 +208,67 @@ void Collector::run(unsigned G) {
 //===----------------------------------------------------------------------===//
 
 void Collector::detachFromSpace(unsigned G) {
-  for (unsigned Sp = 0; Sp != NumSpaces; ++Sp) {
-    for (unsigned I = 0; I <= G; ++I) {
-      for (unsigned Age = 0; Age != H.Cfg.TenureCopies; ++Age) {
-        std::vector<SegmentRun> Runs =
-            H.Contexts[Sp][I][Age].takeRuns(H.Segments);
-        for (const SegmentRun &R : Runs) {
-          for (uint32_t Seg = R.FirstSegment;
-               Seg != R.FirstSegment + R.SegmentCount; ++Seg)
-            H.Segments.infoAt(Seg).Flags |= SegmentInfo::FlagFromSpace;
-          // takeRuns sealed every run, so UsedWords is the occupied
-          // extent; the sum is the denominator of this collection's
-          // survival rate.
-          S.BytesInFromSpace +=
-              static_cast<uint64_t>(R.UsedWords) * sizeof(uintptr_t);
-        }
-        FromRuns[Sp].insert(FromRuns[Sp].end(), Runs.begin(), Runs.end());
-      }
-    }
-  }
+  GENGC_ASSERT(H.FromSpaceRuns.empty() && H.FromExchangeRuns.empty(),
+               "from-space left over from the previous collection");
+  for (unsigned Sp = 0; Sp != NumSpaces; ++Sp)
+    for (unsigned I = 0; I <= G; ++I)
+      for (unsigned Age = 0; Age != H.Cfg.TenureCopies; ++Age)
+        H.Contexts[Sp][I][Age].detachRuns(H.Segments, H.FromSpaceRuns);
+  markFromSpace(H.Segments, H.FromSpaceRuns);
 
   // Adopted donation runs live in the exchange arena, tagged with the
   // oldest generation: a full collection evacuates their survivors into
   // the private arena like any other old objects, after which the
   // exchange segments are returned to the process pool.
   if (G == H.oldestGeneration()) {
-    Arena &EA = H.Exchange->arena();
     for (unsigned Sp = 0; Sp != NumSpaces; ++Sp) {
-      for (const SegmentRun &R : H.AdoptedRuns[Sp]) {
-        for (uint32_t Seg = R.FirstSegment;
-             Seg != R.FirstSegment + R.SegmentCount; ++Seg)
-          EA.infoAt(Seg).Flags |= SegmentInfo::FlagFromSpace;
-        S.BytesInFromSpace +=
-            static_cast<uint64_t>(R.UsedWords) * sizeof(uintptr_t);
-      }
-      FromExchangeRuns[Sp].insert(FromExchangeRuns[Sp].end(),
-                                  H.AdoptedRuns[Sp].begin(),
-                                  H.AdoptedRuns[Sp].end());
+      H.FromExchangeRuns.insert(H.FromExchangeRuns.end(),
+                                H.AdoptedRuns[Sp].begin(),
+                                H.AdoptedRuns[Sp].end());
       H.AdoptedRuns[Sp].clear();
     }
+    markFromSpace(H.Exchange->arena(), H.FromExchangeRuns);
+  }
+}
+
+void Collector::markFromSpace(Arena &A, const std::vector<SegmentRun> &Runs) {
+  for (const SegmentRun &R : Runs) {
+    for (uint32_t Seg = R.FirstSegment;
+         Seg != R.FirstSegment + R.SegmentCount; ++Seg)
+      A.infoAt(Seg).Flags |= SegmentInfo::FlagFromSpace;
+    // Detached runs are sealed, so UsedWords is the occupied extent; the
+    // sum is the denominator of this collection's survival rate.
+    S.BytesInFromSpace +=
+        static_cast<uint64_t>(R.UsedWords) * sizeof(uintptr_t);
   }
 }
 
 void Collector::freeFromSpace() {
-  for (unsigned Sp = 0; Sp != NumSpaces; ++Sp)
-    for (const SegmentRun &R : FromRuns[Sp]) {
-      if (H.Cfg.PoisonFromSpace) {
-        // Overwrite the evacuated run so any stale pointer into it reads
-        // the poison pattern (an invalid Value tag and an unmapped
-        // address when dereferenced) instead of plausible dead objects.
-        // rootcheck:allow(segment-base) — collector owns from-space.
-        uintptr_t *Base = H.Segments.segmentBase(R.FirstSegment);
-        const size_t RunWords =
-            static_cast<size_t>(R.SegmentCount) * SegmentWords;
-        for (size_t I = 0; I != RunWords; ++I)
-          Base[I] = FromSpacePoisonPattern;
-      }
-      H.Segments.freeRun(R.FirstSegment, R.SegmentCount);
-      S.SegmentsFreed += R.SegmentCount;
-    }
-
+  releaseRuns(H.Segments, H.FromSpaceRuns);
   // Evacuated exchange-arena runs (adopted donations taken by
   // detachFromSpace, or a closing donation scope's segments) go back to
-  // the process-wide pool; Arena::freeRun is internally locked, so this
+  // the process-wide pool; Arena::freeRuns is internally locked, so this
   // is safe against other shards allocating donation segments.
-  Arena &EA = H.Exchange->arena();
-  for (unsigned Sp = 0; Sp != NumSpaces; ++Sp)
-    for (const SegmentRun &R : FromExchangeRuns[Sp]) {
-      if (H.Cfg.PoisonFromSpace) {
-        // rootcheck:allow(segment-base) — collector owns from-space.
-        uintptr_t *Base = EA.segmentBase(R.FirstSegment);
-        const size_t RunWords =
-            static_cast<size_t>(R.SegmentCount) * SegmentWords;
-        for (size_t I = 0; I != RunWords; ++I)
-          Base[I] = FromSpacePoisonPattern;
-      }
-      EA.freeRun(R.FirstSegment, R.SegmentCount);
-      S.SegmentsFreed += R.SegmentCount;
+  releaseRuns(H.Exchange->arena(), H.FromExchangeRuns);
+}
+
+void Collector::releaseRuns(Arena &A, std::vector<SegmentRun> &Runs) {
+  for (const SegmentRun &R : Runs) {
+    if (H.Cfg.PoisonFromSpace) {
+      // Overwrite the evacuated run so any stale pointer into it reads
+      // the poison pattern (an invalid Value tag and an unmapped
+      // address when dereferenced) instead of plausible dead objects.
+      // rootcheck:allow(segment-base) — collector owns from-space.
+      uintptr_t *Base = A.segmentBase(R.FirstSegment);
+      const size_t RunWords =
+          static_cast<size_t>(R.SegmentCount) * SegmentWords;
+      for (size_t I = 0; I != RunWords; ++I)
+        Base[I] = FromSpacePoisonPattern;
     }
+    S.SegmentsFreed += R.SegmentCount;
+  }
+  A.freeRuns(Runs);
+  Runs.clear();
 }
 
 //===----------------------------------------------------------------------===//
@@ -417,33 +400,6 @@ void Collector::sweepAllocProfiler() {
   Table.resize(Keep);
 }
 
-bool Collector::isForwarded(Value V) const {
-  if (!V.isHeapPointer())
-    return true;
-  const SegmentInfo &Info = H.segInfo(V.heapAddress());
-  if (!Info.isFromSpace())
-    return true;
-  if (V.isPair())
-    return Value::fromBits(V.pairCell()->Car).isForwardMarker();
-  return headerKind(*V.objectHeader()) == ObjectKind::Forward;
-}
-
-Value Collector::forwardedAddress(Value V) const {
-  if (!V.isHeapPointer())
-    return V;
-  const SegmentInfo &Info = H.segInfo(V.heapAddress());
-  if (!Info.isFromSpace())
-    return V;
-  if (V.isPair()) {
-    GENGC_ASSERT(Value::fromBits(V.pairCell()->Car).isForwardMarker(),
-                 "get-fwd-addr on unforwarded pair");
-    return Value::fromBits(V.pairCell()->Cdr);
-  }
-  GENGC_ASSERT(headerKind(*V.objectHeader()) == ObjectKind::Forward,
-               "get-fwd-addr on unforwarded object");
-  return Value::fromBits(V.objectHeader()[1]);
-}
-
 //===----------------------------------------------------------------------===//
 // Roots and remembered sets.
 //===----------------------------------------------------------------------===//
@@ -478,8 +434,11 @@ void Collector::forwardRoots() {
 }
 
 void Collector::processRememberedSets(unsigned G) {
+  std::vector<uintptr_t> &Snapshot = H.SetSnapshot;
   for (unsigned I = G + 1; I < H.Cfg.Generations; ++I) {
-    std::vector<uintptr_t> Snapshot = H.Remembered[I].takeSnapshot();
+    if (H.Remembered[I].empty())
+      continue;
+    H.Remembered[I].snapshotInto(Snapshot);
     H.Remembered[I].clear();
     for (uintptr_t Bits : Snapshot) {
       Value Container = Value::fromBits(Bits);
@@ -825,9 +784,7 @@ void Collector::deliverToTconcs(bool &FaultDroppedOne) {
     Value Tconc = forwardedAddress(Value::fromBits(E.TconcBits));
     // Figure 3 with the fresh last pair allocated directly in the target
     // generation (the enclosing extent during a scope close).
-    uintptr_t *Cell =
-        ClosingScope ? scopeAllocate(SpaceKind::Pair, 2)
-                     : H.allocateInGeneration(SpaceKind::Pair, T, /*Age=*/0, 2);
+    uintptr_t *Cell = allocateTconcCell();
     Cell[0] = Value::falseV().bits();
     Cell[1] = Value::falseV().bits();
     Value NewLast = Value::pair(reinterpret_cast<PairCell *>(Cell));
@@ -851,6 +808,17 @@ void Collector::deliverToTconcs(bool &FaultDroppedOne) {
     H.recordStore(B.Tconc, B.Tail, /*WeakField=*/false);
     pairSetCdrRaw(B.Tconc, B.Tail);
   }
+}
+
+uintptr_t *Collector::allocateTconcCell() {
+  if (ClosingScope)
+    return scopeAllocate(SpaceKind::Pair, 2);
+  // The cached copy target is this very context under the paper's
+  // tenure policy: an inline bump, with the general path to open a run.
+  if (SpaceContext *Ctx = CopyTargets[static_cast<unsigned>(SpaceKind::Pair)])
+    if (uintptr_t *P = Ctx->tryBump(2))
+      return P;
+  return H.allocateInGeneration(SpaceKind::Pair, T, /*Age=*/0, 2);
 }
 
 Heap::TconcBatch &Collector::batchFor(Value Tconc) {
@@ -964,8 +932,11 @@ void Collector::weakPairPass(unsigned G) {
   // (b) Older weak pairs whose car was mutated to point at a younger
   // generation. Only these can reference the from-space, so the pass
   // stays proportional to the collected work.
+  std::vector<uintptr_t> &Snapshot = H.SetSnapshot;
   for (unsigned I = G + 1; I < H.Cfg.Generations; ++I) {
-    std::vector<uintptr_t> Snapshot = H.WeakRemembered[I].takeSnapshot();
+    if (H.WeakRemembered[I].empty())
+      continue;
+    H.WeakRemembered[I].snapshotInto(Snapshot);
     H.WeakRemembered[I].clear();
     for (uintptr_t Bits : Snapshot) {
       Value P = Value::fromBits(Bits);
@@ -1021,9 +992,11 @@ void Collector::scanOpenScopes() {
 void Collector::fixupScopeEscapes() {
   for (auto &SG : H.ScopeStack) {
     for (PtrHashSet *Set : {&SG->Escapes, &SG->WeakEscapes}) {
-      std::vector<uintptr_t> Snapshot = Set->takeSnapshot();
+      if (Set->empty())
+        continue;
+      Set->snapshotInto(H.SetSnapshot);
       Set->clear();
-      for (uintptr_t Bits : Snapshot) {
+      for (uintptr_t Bits : H.SetSnapshot) {
         Value C = Value::fromBits(Bits);
         const SegmentInfo &Info = H.segInfo(C.heapAddress());
         if (!Info.isFromSpace()) {
@@ -1072,24 +1045,40 @@ void Collector::fixWeakCar(Value WeakPair) {
 // Symbol table.
 //===----------------------------------------------------------------------===//
 
-void Collector::updateSymbolTable() {
-  if (!H.Cfg.WeakSymbolTable)
-    return; // Handled as strong roots in forwardRoots().
-  // Friedman-Wise scatter-table collection: drop entries whose symbol
-  // died; update entries whose symbol moved.
-  for (auto It = H.SymbolTable.begin(); It != H.SymbolTable.end();) {
-    Value Sym = Value::fromBits(It->second);
-    const SegmentInfo &Info = H.segInfo(Sym.heapAddress());
-    if (!Info.isFromSpace()) {
-      ++It;
+void Collector::updateSymbolTable(unsigned G) {
+  // Friedman-Wise scatter-table collection, split by generation like the
+  // protected lists: only entries whose symbol was subject to this
+  // collection are visited. Under a strong table every symbol was
+  // forwarded as a root, so nothing drops and the pass only re-parks
+  // survivors; the lists stay exact either way.
+  if (ClosingScope) {
+    sweepSymbolList(ClosingScope->Symbols);
+    return;
+  }
+  // Oldest list first: a survivor lands in its own generation (another
+  // tenure round) or an older one, so whatever a visited list receives
+  // was either already visited or stays in place.
+  for (unsigned I = G + 1; I-- != 0;)
+    sweepSymbolList(H.SymbolLists[I]);
+}
+
+void Collector::sweepSymbolList(std::vector<Heap::SymbolEntry *> &List) {
+  size_t Keep = 0;
+  for (Heap::SymbolEntry *E : List) {
+    const Value Sym = Value::fromBits(E->second);
+    if (!isForwarded(Sym)) {
+      // Dead: the entry leaves the table (and with it this list).
+      H.SymbolTable.erase(H.SymbolTable.find(E->first));
+      ++S.SymbolsDropped;
       continue;
     }
-    if (isForwarded(Sym)) {
-      It->second = forwardedAddress(Sym).bits();
-      ++It;
-    } else {
-      It = H.SymbolTable.erase(It);
-      ++S.SymbolsDropped;
-    }
+    const Value NewSym = forwardedAddress(Sym);
+    E->second = NewSym.bits();
+    std::vector<Heap::SymbolEntry *> &Dest = H.symbolListFor(NewSym);
+    if (&Dest == &List)
+      List[Keep++] = E;
+    else
+      Dest.push_back(E);
   }
+  List.resize(Keep);
 }

@@ -128,11 +128,28 @@ private:
   /// The paper's forwarded?(obj): "true when obj has been forwarded
   /// during this collection or when it resides in a generation older
   /// than those being collected". Also true for non-heap values.
-  bool isForwarded(Value V) const;
+  bool isForwarded(Value V) const {
+    if (!V.isHeapPointer() || !H.segInfo(V.heapAddress()).isFromSpace())
+      return true;
+    if (V.isPair())
+      return Value::fromBits(V.pairCell()->Car).isForwardMarker();
+    return headerKind(*V.objectHeader()) == ObjectKind::Forward;
+  }
 
   /// The paper's get-fwd-addr(obj): the forwarding address, or the
   /// object itself when it was not subject to collection.
-  Value forwardedAddress(Value V) const;
+  Value forwardedAddress(Value V) const {
+    if (!V.isHeapPointer() || !H.segInfo(V.heapAddress()).isFromSpace())
+      return V;
+    if (V.isPair()) {
+      GENGC_ASSERT(Value::fromBits(V.pairCell()->Car).isForwardMarker(),
+                   "get-fwd-addr on unforwarded pair");
+      return Value::fromBits(V.pairCell()->Cdr);
+    }
+    GENGC_ASSERT(headerKind(*V.objectHeader()) == ObjectKind::Forward,
+                 "get-fwd-addr on unforwarded object");
+    return Value::fromBits(V.objectHeader()[1]);
+  }
 
   /// Survival sweep of the allocation-site profiler's sampled-object
   /// table: forwarded samples have their bits updated and credit
@@ -185,6 +202,9 @@ private:
   //===--- Phases ---------------------------------------------------------===//
 
   void detachFromSpace(unsigned G);
+  /// Flags every run of \p Runs (in arena \p A) as from-space and
+  /// counts its bytes.
+  void markFromSpace(Arena &A, const std::vector<SegmentRun> &Runs);
   void forwardRoots();
   void processRememberedSets(unsigned G);
   void forwardRememberedObject(Value Container);
@@ -200,8 +220,18 @@ private:
   void processFinalizeLists(unsigned G, std::vector<uint32_t> &RunQueue);
   void weakPairPass(unsigned G);
   void fixWeakCar(Value WeakPair);
-  void updateSymbolTable();
+  /// The weak symbol table's collection: visits the symbol lists of the
+  /// collected extent (generations 0..G, or the closing scope's list),
+  /// drops entries whose symbol died and re-parks the survivors.
+  void updateSymbolTable(unsigned G);
+  void sweepSymbolList(std::vector<Heap::SymbolEntry *> &List);
   void freeFromSpace();
+  /// Poisons (under HeapConfig::PoisonFromSpace), counts and frees the
+  /// from-space runs of one arena, then empties \p Runs.
+  void releaseRuns(Arena &A, std::vector<SegmentRun> &Runs);
+  /// A fresh tconc cell in the (pair, T, age 0) context, or the
+  /// enclosing extent during a scope close.
+  uintptr_t *allocateTconcCell();
 
   /// Re-parks a surviving (already forwarded) guardian entry: on the
   /// protected list of the deepest open scope any participant lives in,
@@ -262,13 +292,6 @@ private:
   /// scope close. Null means allocateCopy takes the general path.
   SpaceContext *CopyTargets[NumSpaces] = {};
 
-  std::vector<SegmentRun> FromRuns[NumSpaces];
-  /// From-space runs that live in the exchange arena rather than the
-  /// heap's private arena: adopted donation runs taken from
-  /// Heap::AdoptedRuns during a full collection, and the segments of a
-  /// closing donation scope that failed the wholesale-transfer check.
-  /// Freed through the exchange arena in freeFromSpace.
-  std::vector<SegmentRun> FromExchangeRuns[NumSpaces];
   SweepCursor Cursors[NumSpaces][MaxGenerations][MaxTenureCopies];
   /// Start positions of the weak-pair regions copied during this
   /// collection, for the second (weak) pass.

@@ -243,7 +243,7 @@ DonatedGraph Heap::donateGraph(Value Root) {
   // Seal and detach: the handle owns the runs outright from here.
   uint64_t Bytes = 0;
   for (unsigned Sp = 0; Sp != NumSpaces; ++Sp) {
-    G.Runs[Sp] = Ctxs[Sp].takeRuns(EA);
+    Ctxs[Sp].detachRuns(EA, G.Runs[Sp]);
     for (const SegmentRun &R : G.Runs[Sp])
       Bytes += static_cast<uint64_t>(R.UsedWords) * sizeof(uintptr_t);
   }
@@ -500,15 +500,10 @@ DonatedGraph Heap::tryCloseScopeDonating(Value Root) {
   // their storage leaves this heap with the donation, so the sender's
   // intern entries must go (semantically the symbols die here and would
   // be re-interned on demand, exactly as under a weak symbol table).
-  for (auto It = SymbolTable.begin(); It != SymbolTable.end();) {
-    Value Sym = Value::fromBits(It->second);
-    if (Sym.isHeapPointer() &&
-        !Segments.containsAddress(Sym.heapAddress()) &&
-        segInfo(Sym.heapAddress()).ScopeDepth == Depth)
-      It = SymbolTable.erase(It);
-    else
-      ++It;
-  }
+  // The scope's symbol list names exactly those entries.
+  for (SymbolEntry *E : Scope.Symbols)
+    SymbolTable.erase(SymbolTable.find(E->first));
+  Scope.Symbols.clear();
 
   for (const PendingFixup &F : Fixups) {
     G.Fixups.push_back({F.Slot, F.ContainerBits, F.WeakCar,
@@ -520,7 +515,7 @@ DonatedGraph Heap::tryCloseScopeDonating(Value Root) {
   // (Generation == InFlightGeneration, ScopeDepth 0, FlagDonated).
   uint64_t Bytes = 0;
   for (unsigned Sp = 0; Sp != NumSpaces; ++Sp) {
-    G.Runs[Sp] = Scope.Contexts[Sp].takeRuns(EA);
+    Scope.Contexts[Sp].detachRuns(EA, G.Runs[Sp]);
     for (const SegmentRun &R : G.Runs[Sp]) {
       for (uint32_t Seg = R.FirstSegment;
            Seg != R.FirstSegment + R.SegmentCount; ++Seg) {

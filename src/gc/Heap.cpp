@@ -380,7 +380,10 @@ Value Heap::intern(std::string_view Name) {
   // cannot move before the symbol captures it.
   Value Str = makeStringRaw(Name);
   Value Sym = makeSymbolRaw(Str);
-  SymbolTable.emplace(std::string(Name), Sym.bits());
+  SymbolEntry &Entry =
+      *SymbolTable.emplace(std::string(Name), Sym.bits()).first;
+  // Generation 0, or the innermost scope the symbol was just allocated in.
+  symbolListFor(Sym).push_back(&Entry);
   return Sym;
 }
 

@@ -546,6 +546,12 @@ private:
     uint32_t ThunkId;
   };
 
+  /// The intern table, and one of its entries. Entries are reached from
+  /// the per-generation symbol lists by address, which rehashing does
+  /// not change.
+  using SymbolMap = std::unordered_map<std::string, uintptr_t>;
+  using SymbolEntry = SymbolMap::value_type;
+
   /// One tconc's deliveries within a guardian fixpoint round: the
   /// (forwarded) header and the cell the next agent goes into. Until the
   /// round publishes Tail, the header's cdr still names the tconc's
@@ -604,6 +610,11 @@ private:
   /// generation (collector re-parking computes that itself).
   std::vector<ProtectedEntry> &protectedListFor(Value Obj, Value Tconc,
                                                 Value Agent);
+
+  /// The symbol list an intern-table entry for \p Sym sits on: the list
+  /// of the open scope that owns the symbol, else the list of its
+  /// generation.
+  std::vector<SymbolEntry *> &symbolListFor(Value Sym);
 
   /// Bookkeeping shared by every *Elided store: counts the elision and,
   /// under HeapConfig::VerifyElision, re-checks \p Claim against the
@@ -684,7 +695,25 @@ private:
   std::vector<FinalizeEntry> FinalizeLists[MaxGenerations];
   std::vector<FinalizerThunk> FinalizerThunks;
 
-  std::unordered_map<std::string, uintptr_t> SymbolTable;
+  SymbolMap SymbolTable;
+  /// Every SymbolTable entry, split by its symbol's generation the way
+  /// Protected[] splits guardian entries (an entry whose symbol lives in
+  /// an open scope sits on ScopedGeneration::Symbols instead). A
+  /// collection of generation g visits only lists 0..g, so the weak
+  /// table costs what the collected generations hold, not the whole
+  /// table.
+  std::vector<SymbolEntry *> SymbolLists[MaxGenerations];
+
+  /// From-space of the collection or scope close in progress: the runs
+  /// detached from the private arena and those to return to the
+  /// exchange arena (adopted donations, a donation scope's segments).
+  /// Owned here and cleared after every free, like the buffers below,
+  /// so a warmed-up collection allocates nothing for its bookkeeping.
+  std::vector<SegmentRun> FromSpaceRuns;
+  std::vector<SegmentRun> FromExchangeRuns;
+  /// The keys of the remembered or escape set being processed: a set is
+  /// copied out before processing because processing may insert into it.
+  std::vector<uintptr_t> SetSnapshot;
 
   std::function<void(Heap &)> CollectRequestHandler;
   std::vector<std::function<void(Heap &, const GcStats &)>> PostGcHooks;

@@ -131,9 +131,11 @@ void ParallelScavenge::buildRememberedPackets() {
   // per-container keep/drop decision is made by whichever worker scans
   // the container and replayed into the sets after the join.
   for (unsigned I = G + 1; I < H.Cfg.Generations; ++I) {
-    std::vector<uintptr_t> Snapshot = H.Remembered[I].takeSnapshot();
+    if (H.Remembered[I].empty())
+      continue;
+    H.Remembered[I].snapshotInto(H.SetSnapshot);
     H.Remembered[I].clear();
-    for (uintptr_t Bits : Snapshot)
+    for (uintptr_t Bits : H.SetSnapshot)
       RememberedItems.push_back({Bits, I});
   }
   for (size_t B = 0, E = RememberedItems.size(); B < E;

@@ -61,6 +61,8 @@ void Heap::closeScope() {
     Collector C(*this);
     C.runScopeClose(*ScopeStack.back(), Out);
   }
+  GENGC_ASSERT(ScopeStack.back()->Symbols.empty(),
+               "a closed scope still lists interned symbols");
   LastScopeClose = Out;
   ScopeTotalsRec.accumulate(Out);
   ScopeStack.pop_back();
@@ -86,6 +88,15 @@ Heap::protectedListFor(Value Obj, Value Tconc, Value Agent) {
   if (Deepest != 0)
     return ScopeStack[Deepest - 1]->Protected;
   return Protected[0];
+}
+
+std::vector<Heap::SymbolEntry *> &Heap::symbolListFor(Value Sym) {
+  const SegmentInfo &Info = segInfo(Sym.heapAddress());
+  if (Info.ScopeDepth != 0)
+    return ScopeStack[Info.ScopeDepth - 1]->Symbols;
+  GENGC_ASSERT(Info.Generation < Cfg.Generations,
+               "interned symbol outside the generations");
+  return SymbolLists[Info.Generation];
 }
 
 //===----------------------------------------------------------------------===//
@@ -116,23 +127,15 @@ Arena &Collector::scopeTargetArena() {
 
 void Collector::scopeDetachFromSpace(ScopedGeneration &Scope) {
   // Donation scopes live in the exchange arena; their dead segments are
-  // freed back there (FromExchangeRuns), never into the private arena's
-  // free list.
+  // freed back there (Heap::FromExchangeRuns), never into the private
+  // arena's free list.
   Arena &A = *Scope.ScopeArena;
-  const bool Exchange = &A != &H.Segments;
-  for (unsigned Sp = 0; Sp != NumSpaces; ++Sp) {
-    std::vector<SegmentRun> Runs = Scope.Contexts[Sp].takeRuns(A);
-    for (const SegmentRun &R : Runs) {
-      for (uint32_t Seg = R.FirstSegment;
-           Seg != R.FirstSegment + R.SegmentCount; ++Seg)
-        A.infoAt(Seg).Flags |= SegmentInfo::FlagFromSpace;
-      S.BytesInFromSpace +=
-          static_cast<uint64_t>(R.UsedWords) * sizeof(uintptr_t);
-    }
-    std::vector<SegmentRun> &Dst = Exchange ? FromExchangeRuns[Sp]
-                                            : FromRuns[Sp];
-    Dst.insert(Dst.end(), Runs.begin(), Runs.end());
-  }
+  std::vector<SegmentRun> &Dst =
+      &A != &H.Segments ? H.FromExchangeRuns : H.FromSpaceRuns;
+  GENGC_ASSERT(Dst.empty(), "from-space left over from the last collection");
+  for (unsigned Sp = 0; Sp != NumSpaces; ++Sp)
+    Scope.Contexts[Sp].detachRuns(A, Dst);
+  markFromSpace(A, Dst);
 }
 
 void Collector::scopeForwardEscapeRoots(ScopedGeneration &Scope) {
@@ -142,7 +145,8 @@ void Collector::scopeForwardEscapeRoots(ScopedGeneration &Scope) {
   // whose into-scope field was later overwritten is scanned harmlessly.
   bool LeakOne = H.Cfg.InjectedFault == GcFaultInjection::LeakScopeEscape &&
                  !H.ScopeLeakFired;
-  for (uintptr_t Bits : Scope.Escapes.takeSnapshot()) {
+  Scope.Escapes.snapshotInto(H.SetSnapshot);
+  for (uintptr_t Bits : H.SetSnapshot) {
     Value C = Value::fromBits(Bits);
     if (LeakOne) {
       // Injected bug: lose this escape record, exactly as if the write
@@ -210,7 +214,8 @@ void Collector::scopeWeakPairPass(ScopedGeneration &Scope) {
   // may point into it. fixWeakCar updates-or-breaks and re-records the
   // generational WeakRemembered edge itself; the scope analogue (car
   // graduated into a still-open enclosing scope) is re-recorded here.
-  for (uintptr_t Bits : Scope.WeakEscapes.takeSnapshot()) {
+  Scope.WeakEscapes.snapshotInto(H.SetSnapshot);
+  for (uintptr_t Bits : H.SetSnapshot) {
     Value W = Value::fromBits(Bits);
     fixWeakCar(W);
     Value Car = pairCar(W);
@@ -243,7 +248,8 @@ void Collector::propagateScopeEscapes(ScopedGeneration &Scope) {
       H.Remembered[CInfo.Generation].insert(C.bits());
     }
   };
-  for (uintptr_t Bits : Scope.Escapes.takeSnapshot()) {
+  Scope.Escapes.snapshotInto(H.SetSnapshot);
+  for (uintptr_t Bits : H.SetSnapshot) {
     Value C = Value::fromBits(Bits);
     const SegmentInfo &CInfo = H.segInfo(C.heapAddress());
     if (C.isPair()) {
@@ -305,7 +311,7 @@ void Collector::runScopeClose(ScopedGeneration &Scope, ScopeCloseStats &Out) {
   std::vector<uint32_t> ThunkQueue;
   processFinalizeLists(0, ThunkQueue);
   scopeWeakPairPass(Scope);
-  updateSymbolTable();
+  updateSymbolTable(0);
   propagateScopeEscapes(Scope);
 
   // The profiler sweep must read forwarding markers, so it runs while

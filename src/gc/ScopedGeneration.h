@@ -86,6 +86,12 @@ struct ScopedGeneration {
   /// collected generations may die) and by the Section 4 fixpoint at
   /// this scope's close.
   std::vector<Heap::ProtectedEntry> Protected;
+
+  /// Intern-table entries of the symbols that live in this scope (those
+  /// interned while it was innermost, plus graduates of inner scopes).
+  /// Visited at this scope's close and by a wholesale donation, never
+  /// by an ordinary collection, which does not collect scopes.
+  std::vector<Heap::SymbolEntry *> Symbols;
 };
 
 /// RAII dynamic-extent handle: opens a scope on construction, closes it

@@ -25,6 +25,7 @@
 #include <cinttypes>
 #include <cstdio>
 #include <string>
+#include <unordered_map>
 #include <vector>
 
 #include "gc/Heap.h"
@@ -399,21 +400,52 @@ void Heap::verifyHeap() {
     CheckProtected(SG->Protected);
     // Escape-set containers must themselves be live objects: dead ones
     // are dropped by the collector's fixup at every collection.
-    for (uintptr_t Bits : SG->Escapes.takeSnapshot())
+    std::vector<uintptr_t> Keys;
+    SG->Escapes.snapshotInto(Keys);
+    for (uintptr_t Bits : Keys)
       V.checkValue(Value::fromBits(Bits),
                    "escape set references a reclaimed container");
-    for (uintptr_t Bits : SG->WeakEscapes.takeSnapshot())
+    SG->WeakEscapes.snapshotInto(Keys);
+    for (uintptr_t Bits : Keys)
       V.checkValue(Value::fromBits(Bits),
                    "weak escape set references a reclaimed container");
   }
 
-  // Symbol-table entries must be live symbols.
-  for (auto &Entry : SymbolTable) {
+  // The symbol lists partition the intern table: each entry sits on
+  // exactly one list, the one symbolListFor names for its symbol. List
+  // members are only compared as addresses here, never read, since an
+  // erased entry would dangle.
+  std::unordered_map<const SymbolEntry *, const std::vector<SymbolEntry *> *>
+      ListOf;
+  auto IndexList = [&](const std::vector<SymbolEntry *> &List) {
+    for (const SymbolEntry *E : List)
+      if (!ListOf.emplace(E, &List).second)
+        V.fail("symbol table entry sits on two symbol lists");
+  };
+  for (unsigned G = 0; G != Cfg.Generations; ++G)
+    IndexList(SymbolLists[G]);
+  for (const auto &SG : ScopeStack)
+    IndexList(SG->Symbols);
+
+  // Symbol-table entries must be live symbols, each on its list.
+  size_t Listed = 0;
+  for (SymbolEntry &Entry : SymbolTable) {
     Value Sym = Value::fromBits(Entry.second);
     V.checkValue(Sym, "symbol table entry references a reclaimed object");
-    if (Sym.isObject() && V.ValidBits.contains(Sym.bits()) && !isSymbol(Sym))
+    const bool Live = Sym.isObject() && V.ValidBits.contains(Sym.bits());
+    if (Live && !isSymbol(Sym))
       V.fail("symbol table entry is not a symbol");
+    auto It = ListOf.find(&Entry);
+    if (It == ListOf.end()) {
+      V.fail("symbol table entry is on no symbol list");
+      continue;
+    }
+    ++Listed;
+    if (Live && It->second != &symbolListFor(Sym))
+      V.fail("symbol table entry sits on the wrong symbol list");
   }
+  if (Listed != ListOf.size())
+    V.fail("a symbol list holds an erased symbol table entry");
 
   V.finish();
 }

@@ -71,41 +71,60 @@ uint32_t Arena::allocateRun(uint32_t NumSegments, SpaceKind Space,
                     "requested size");
 }
 
-void Arena::freeRun(uint32_t FirstSegment, uint32_t NumSegments) {
-  GENGC_ASSERT(FirstSegment + NumSegments <= TotalSegments,
-               "freeing segments outside the arena");
+void Arena::freeRuns(std::vector<SegmentRun> &Runs) {
+  if (Runs.empty())
+    return;
   std::lock_guard<std::mutex> Guard(RunLock);
-  if (Observer) {
-    // Report before the entries are cleared so the observer still sees
-    // the run's space and generation tags.
-    const SegmentInfo &Info = Infos[FirstSegment];
-    Observer(ObserverCtx, /*IsAlloc=*/false, FirstSegment, NumSegments,
-             Info.Space, Info.Generation);
+  for (const SegmentRun &R : Runs) {
+    GENGC_ASSERT(R.SegmentCount > 0 &&
+                     R.FirstSegment + R.SegmentCount <= TotalSegments,
+                 "freeing segments outside the arena");
+    if (Observer) {
+      // Report before the entries are cleared so the observer still sees
+      // the run's space and generation tags.
+      const SegmentInfo &Info = Infos[R.FirstSegment];
+      Observer(ObserverCtx, /*IsAlloc=*/false, R.FirstSegment,
+               R.SegmentCount, Info.Space, Info.Generation);
+    }
+    for (uint32_t S = R.FirstSegment; S != R.FirstSegment + R.SegmentCount;
+         ++S) {
+      SegmentInfo &Info = Infos[S];
+      GENGC_ASSERT(Info.inUse(), "double free of segment");
+      Info = SegmentInfo();
+    }
+    InUseCount -= R.SegmentCount;
   }
-  for (uint32_t S = FirstSegment; S != FirstSegment + NumSegments; ++S) {
-    SegmentInfo &Info = Infos[S];
-    GENGC_ASSERT(Info.inUse(), "double free of segment");
-    Info = SegmentInfo();
-  }
-  InUseCount -= NumSegments;
 
-  // Insert sorted and merge with neighbors.
-  FreeRun NewRun{FirstSegment, NumSegments};
-  auto It = std::lower_bound(
-      FreeRuns.begin(), FreeRuns.end(), NewRun,
-      [](const FreeRun &A, const FreeRun &B) { return A.First < B.First; });
-  It = FreeRuns.insert(It, NewRun);
-  // Merge with successor.
-  if (It + 1 != FreeRuns.end() && It->First + It->Count == (It + 1)->First) {
-    It->Count += (It + 1)->Count;
-    FreeRuns.erase(It + 1);
-  }
-  // Merge with predecessor.
-  if (It != FreeRuns.begin()) {
-    auto Prev = It - 1;
-    if (Prev->First + Prev->Count == It->First) {
-      Prev->Count += It->Count;
-      FreeRuns.erase(It);
+  // One sorted merge of the batch into the free list, coalescing every
+  // run that touches its predecessor.
+  std::sort(Runs.begin(), Runs.end(),
+            [](const SegmentRun &A, const SegmentRun &B) {
+              return A.FirstSegment < B.FirstSegment;
+            });
+  MergedRuns.clear();
+  MergedRuns.reserve(FreeRuns.size() + Runs.size());
+  auto Append = [this](uint32_t First, uint32_t Count) {
+    if (!MergedRuns.empty()) {
+      FreeRun &Last = MergedRuns.back();
+      GENGC_ASSERT(Last.First + Last.Count <= First,
+                   "freed run overlaps a free run");
+      if (Last.First + Last.Count == First) {
+        Last.Count += Count;
+        return;
+      }
+    }
+    MergedRuns.push_back({First, Count});
+  };
+  size_t I = 0, J = 0;
+  while (I != FreeRuns.size() || J != Runs.size()) {
+    if (J == Runs.size() ||
+        (I != FreeRuns.size() && FreeRuns[I].First < Runs[J].FirstSegment)) {
+      Append(FreeRuns[I].First, FreeRuns[I].Count);
+      ++I;
+    } else {
+      Append(Runs[J].FirstSegment, Runs[J].SegmentCount);
+      ++J;
     }
   }
+  FreeRuns.swap(MergedRuns);
 }

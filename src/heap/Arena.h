@@ -116,6 +116,15 @@ struct SegmentInfo {
   bool isDonated() const { return Flags & FlagDonated; }
 };
 
+/// A run of contiguous segments holding objects in allocation order.
+struct SegmentRun {
+  uint32_t FirstSegment = 0;
+  uint32_t SegmentCount = 0;
+  /// Words of the run occupied by objects. For the run currently being
+  /// bumped into, SpaceContext::usedWordsOf() computes this live.
+  uint32_t UsedWords = 0;
+};
+
 /// Reserves a contiguous virtual region and manages it as runs of
 /// segments with a first-fit free list.
 class Arena {
@@ -154,9 +163,13 @@ public:
                        uint8_t Generation, uint8_t Age = 0,
                        uint8_t ScopeDepth = 0, uint8_t ExtraFlags = 0);
 
-  /// Returns a run to the free list and clears its segment entries.
-  /// Thread-safe, like allocateRun.
-  void freeRun(uint32_t FirstSegment, uint32_t NumSegments);
+  /// Returns every run of \p Runs to the free list and clears their
+  /// segment entries, under one lock acquisition: the observer sees the
+  /// runs in the given order, then the batch is sorted in place and
+  /// merged into the free list in one pass, coalescing adjacent runs. A
+  /// collection frees its whole from-space this way. Thread-safe, like
+  /// allocateRun; freeing a segment that is not in use asserts.
+  void freeRuns(std::vector<SegmentRun> &Runs);
 
   /// True if \p Address lies inside the arena reservation.
   bool containsAddress(uintptr_t Address) const {
@@ -213,7 +226,7 @@ private:
     uint32_t Count;
   };
 
-  /// Serializes allocateRun/freeRun (free list + SegmentInfo tagging +
+  /// Serializes allocateRun/freeRuns (free list + SegmentInfo tagging +
   /// observer). Never contended outside a parallel scavenge.
   std::mutex RunLock;
   uintptr_t Base = 0;
@@ -224,6 +237,9 @@ private:
   std::vector<SegmentInfo> Infos;
   /// Sorted by First; adjacent runs are merged on free.
   std::vector<FreeRun> FreeRuns;
+  /// freeRuns() builds the merged list here and swaps it in, so both
+  /// vectors keep their capacity across batches.
+  std::vector<FreeRun> MergedRuns;
 };
 
 } // namespace gengc

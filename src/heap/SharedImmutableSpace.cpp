@@ -23,8 +23,7 @@ using namespace gengc;
 void DonatedGraph::release() {
   if (Domain && !LeakOnDrop)
     for (unsigned S = 0; S != NumSpaces; ++S)
-      for (const SegmentRun &R : Runs[S])
-        Domain->Exchange.freeRun(R.FirstSegment, R.SegmentCount);
+      Domain->Exchange.freeRuns(Runs[S]);
   for (unsigned S = 0; S != NumSpaces; ++S)
     Runs[S].clear();
   Fixups.clear();

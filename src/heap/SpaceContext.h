@@ -16,22 +16,12 @@
 #ifndef GENGC_HEAP_SPACECONTEXT_H
 #define GENGC_HEAP_SPACECONTEXT_H
 
-#include <utility>
 #include <vector>
 
 #include "heap/Arena.h"
 #include "support/MathExtras.h"
 
 namespace gengc {
-
-/// A run of contiguous segments holding objects in allocation order.
-struct SegmentRun {
-  uint32_t FirstSegment = 0;
-  uint32_t SegmentCount = 0;
-  /// Words of the run occupied by objects. For the run currently being
-  /// bumped into, SpaceContext::usedWordsOf() computes this live.
-  uint32_t UsedWords = 0;
-};
 
 /// Bump-allocation state for one (space, generation).
 class SpaceContext {
@@ -91,15 +81,16 @@ public:
 
   bool empty() const { return Runs.empty(); }
 
-  /// Detaches the run list (for use as a collection's from-space) and
-  /// resets the context to empty.
-  std::vector<SegmentRun> takeRuns(const Arena &A) {
+  /// Detaches the run list, sealed, by appending it to \p Out (a
+  /// collection's from-space, a donation handle, another context), and
+  /// resets the context to empty. Both vectors keep their capacity, so a
+  /// warmed-up collection detaches without allocating.
+  void detachRuns(const Arena &A, std::vector<SegmentRun> &Out) {
     sealCurrentRun(A);
-    std::vector<SegmentRun> Out = std::move(Runs);
+    Out.insert(Out.end(), Runs.begin(), Runs.end());
     Runs.clear();
     Alloc = Limit = nullptr;
     BytesAllocated = 0;
-    return Out;
   }
 
   /// Records the final used size of the run being bumped into. Called
@@ -122,9 +113,7 @@ public:
     sealCurrentRun(A);
     Alloc = Limit = nullptr;
     uint64_t DonorBytes = Donor.BytesAllocated;
-    std::vector<SegmentRun> Adopted = Donor.takeRuns(A);
-    for (const SegmentRun &R : Adopted)
-      Runs.push_back(R);
+    Donor.detachRuns(A, Runs);
     BytesAllocated += DonorBytes;
   }
 

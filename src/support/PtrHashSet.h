@@ -66,19 +66,20 @@ public:
 
   /// Removes all keys but keeps the backing storage.
   void clear() {
+    if (Count == 0)
+      return;
     std::fill(Slots.begin(), Slots.end(), 0);
     Count = 0;
   }
 
-  /// Copies the keys into a vector. The collector snapshots remembered
-  /// sets before processing them because processing may insert new keys.
-  std::vector<uintptr_t> takeSnapshot() const {
-    std::vector<uintptr_t> Keys;
-    Keys.reserve(Count);
+  /// Replaces the contents of \p Keys with this set's keys. The
+  /// collector snapshots remembered sets before processing them because
+  /// processing may insert new keys; it passes one reused buffer.
+  void snapshotInto(std::vector<uintptr_t> &Keys) const {
+    Keys.clear();
     for (uintptr_t S : Slots)
       if (S != 0)
         Keys.push_back(S);
-    return Keys;
   }
 
   /// Replaces the contents with \p Keys (deduplicating).

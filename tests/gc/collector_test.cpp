@@ -7,6 +7,7 @@
 
 #include "gc/Heap.h"
 #include "gc/Roots.h"
+#include "heap/SharedImmutableSpace.h"
 
 #include <map>
 #include <unordered_map>
@@ -254,16 +255,147 @@ TEST(CollectorTest, CollectRequestHandlerRunsAfterAutoGc) {
   EXPECT_GT(Calls, 0);
 }
 
+/// True if interning \p Name finds a symbol already in the table: a
+/// found symbol costs no allocation, a fresh one a string and a symbol.
+bool internFinds(Heap &H, const char *Name) {
+  const uint64_t Before = H.totalBytesAllocated();
+  H.intern(Name);
+  return H.totalBytesAllocated() == Before;
+}
+
 TEST(CollectorTest, WeakSymbolTableDropsDeadSymbols) {
+  // Each collection drops exactly the dead symbols of the generations it
+  // collects, and re-interning returns the same symbol while it lives.
   Heap H(testConfig());
-  Root Kept(H, H.intern("kept-symbol"));
+  Root Alpha(H, H.intern("alpha"));
+  Root Epsilon(H, H.intern("epsilon"));
   H.makeUninternedSymbol("scratch");
-  H.intern("dropped-symbol");
+  H.intern("beta");
+  H.intern("gamma");
+  H.collectMinor();
+  EXPECT_EQ(H.lastStats().SymbolsDropped, 2u);
+  EXPECT_EQ(H.generationOf(Alpha.get()), 1u);
+  EXPECT_TRUE(internFinds(H, "alpha"));
+  EXPECT_EQ(H.intern("alpha"), Alpha.get());
+  EXPECT_FALSE(internFinds(H, "beta")) << "a dropped symbol is minted anew";
+  H.verifyHeap();
+
+  // Epsilon dies in generation 1, which a minor collection leaves alone.
+  Epsilon = Value::falseV();
+  H.collectMinor();
+  EXPECT_EQ(H.lastStats().SymbolsDropped, 1u) << "only the fresh beta";
+  EXPECT_TRUE(internFinds(H, "epsilon"));
+  H.verifyHeap();
+
   H.collectFull();
-  EXPECT_GT(H.lastStats().SymbolsDropped, 0u);
-  // Re-interning produces a fresh symbol object; the kept one is stable.
-  Root Kept2(H, H.intern("kept-symbol"));
-  EXPECT_EQ(Kept.get(), Kept2.get());
+  EXPECT_EQ(H.lastStats().SymbolsDropped, 1u) << "epsilon";
+  EXPECT_FALSE(internFinds(H, "epsilon"));
+  EXPECT_EQ(H.intern("alpha"), Alpha.get());
+  H.verifyHeap();
+}
+
+TEST(CollectorTest, WeakSymbolTableUnderTenureCopies) {
+  // With TenureCopies = 3 a surviving symbol is copied within generation
+  // 0 twice before promotion; its entry must follow it every time.
+  HeapConfig C = testConfig();
+  C.TenureCopies = 3;
+  Heap H(C);
+  Root Kept(H, H.intern("kept"));
+  Root Aging(H, H.intern("aging"));
+  H.intern("dropped");
+  H.collectMinor();
+  EXPECT_EQ(H.lastStats().SymbolsDropped, 1u);
+  EXPECT_EQ(H.generationOf(Kept.get()), 0u) << "age 1, still generation 0";
+  EXPECT_TRUE(internFinds(H, "kept"));
+  H.verifyHeap();
+
+  Aging = Value::falseV(); // Dies at age 1 of generation 0.
+  H.collectMinor();
+  EXPECT_EQ(H.lastStats().SymbolsDropped, 1u);
+  EXPECT_FALSE(internFinds(H, "aging"));
+  H.verifyHeap();
+
+  H.collectMinor(); // Kept ages out into generation 1; the fresh aging dies.
+  EXPECT_EQ(H.lastStats().SymbolsDropped, 1u);
+  EXPECT_EQ(H.generationOf(Kept.get()), 1u);
+  EXPECT_EQ(H.intern("kept"), Kept.get());
+  H.verifyHeap();
+
+  Kept = Value::falseV();
+  H.collectMinor();
+  EXPECT_EQ(H.lastStats().SymbolsDropped, 0u);
+  EXPECT_TRUE(internFinds(H, "kept"));
+  H.collect(1);
+  EXPECT_EQ(H.lastStats().SymbolsDropped, 1u);
+  EXPECT_FALSE(internFinds(H, "kept"));
+  H.verifyHeap();
+}
+
+TEST(CollectorTest, WeakSymbolTableAtScopeClose) {
+  Heap H(testConfig());
+  H.openScope();
+  Root Escapes(H, H.intern("escapes"));
+  H.intern("dies-in-scope");
+  Root Box(H, H.cons(Value::nil(), Value::nil())); // In the outer scope.
+  // An ordinary collection does not collect scopes: the dead in-scope
+  // symbol keeps its entry.
+  H.collectMinor();
+  EXPECT_EQ(H.lastStats().SymbolsDropped, 0u);
+  EXPECT_TRUE(internFinds(H, "dies-in-scope"));
+  H.verifyHeap();
+
+  H.openScope();
+  {
+    Root Sym(H, H.intern("to-outer"));
+    H.setCar(Box.get(), Sym.get());
+  }
+  H.intern("dies-in-inner");
+  H.closeScope();
+  EXPECT_EQ(H.lastScopeClose().SymbolsDropped, 1u);
+  EXPECT_EQ(H.scopeDepthOf(pairCar(Box.get())), 1u)
+      << "the escaping symbol graduated into the enclosing scope";
+  EXPECT_TRUE(internFinds(H, "to-outer"));
+  EXPECT_FALSE(internFinds(H, "dies-in-inner"));
+  H.verifyHeap();
+
+  H.setCar(Box.get(), Value::falseV());
+  H.closeScope();
+  // dies-in-scope, to-outer, and the fresh dies-in-inner.
+  EXPECT_EQ(H.lastScopeClose().SymbolsDropped, 3u);
+  EXPECT_EQ(H.scopeDepthOf(Escapes.get()), 0u);
+  EXPECT_EQ(H.generationOf(Escapes.get()), 0u);
+  EXPECT_EQ(H.intern("escapes"), Escapes.get());
+  EXPECT_FALSE(internFinds(H, "to-outer"));
+  H.verifyHeap();
+
+  H.collectMinor();
+  EXPECT_EQ(H.lastStats().SymbolsDropped, 1u) << "the fresh to-outer";
+  EXPECT_EQ(H.generationOf(Escapes.get()), 1u);
+  EXPECT_EQ(H.intern("escapes"), Escapes.get());
+  H.verifyHeap();
+}
+
+TEST(CollectorTest, WeakSymbolTableDonationScopeSymbolsLeave) {
+  SharedImmutableSpace X(16u * 1024 * 1024);
+  HeapConfig C = testConfig();
+  C.Exchange = &X;
+  Heap H(C);
+  Root Outside(H, H.intern("outside"));
+  H.openDonationScope();
+  H.intern("scoped-unused");
+  Value Sym = H.intern("scoped-sent");
+  Value Msg = H.cons(Sym, Value::nil());
+  DonatedGraph G = H.tryCloseScopeDonating(Msg);
+  ASSERT_FALSE(G.empty());
+  EXPECT_EQ(H.scopeDepth(), 0u);
+  // The scope's entries left with its segments; the rest stay.
+  H.verifyHeap();
+  EXPECT_FALSE(internFinds(H, "scoped-unused"));
+  EXPECT_FALSE(internFinds(H, "scoped-sent"));
+  EXPECT_TRUE(internFinds(H, "outside"));
+  H.collectFull();
+  EXPECT_EQ(H.lastStats().SymbolsDropped, 2u) << "the two fresh symbols";
+  EXPECT_EQ(H.intern("outside"), Outside.get());
   H.verifyHeap();
 }
 
@@ -272,10 +404,22 @@ TEST(CollectorTest, StrongSymbolTableKeepsSymbols) {
   C.WeakSymbolTable = false;
   Heap H(C);
   H.intern("never-dropped");
+  H.collectMinor();
+  EXPECT_EQ(H.lastStats().SymbolsDropped, 0u);
+  H.verifyHeap();
+  H.openScope();
+  H.intern("scoped");
+  H.closeScope();
+  EXPECT_EQ(H.lastScopeClose().SymbolsDropped, 0u);
+  EXPECT_EQ(H.generationOf(H.intern("scoped")), 0u);
+  H.verifyHeap();
   H.collectFull();
   EXPECT_EQ(H.lastStats().SymbolsDropped, 0u);
+  EXPECT_TRUE(internFinds(H, "never-dropped"));
+  EXPECT_TRUE(internFinds(H, "scoped"));
   Root S(H, H.intern("never-dropped"));
   EXPECT_EQ(H.symbolName(S.get()), "never-dropped");
+  EXPECT_EQ(H.generationOf(S.get()), H.oldestGeneration());
   H.verifyHeap();
 }
 

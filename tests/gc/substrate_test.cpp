@@ -103,7 +103,8 @@ TEST(PtrHashSetTest, SnapshotRoundTrip) {
   PtrHashSet S;
   for (uintptr_t I = 1; I <= 100; ++I)
     S.insert(I * 8);
-  std::vector<uintptr_t> Snap = S.takeSnapshot();
+  std::vector<uintptr_t> Snap = {42}; // Replaced, not appended to.
+  S.snapshotInto(Snap);
   EXPECT_EQ(Snap.size(), 100u);
   PtrHashSet T;
   T.assign(Snap);
@@ -114,6 +115,31 @@ TEST(PtrHashSetTest, SnapshotRoundTrip) {
 //===----------------------------------------------------------------------===//
 // Arena.
 //===----------------------------------------------------------------------===//
+
+/// Frees one run as a batch of one.
+void freeOne(Arena &A, uint32_t First, uint32_t Count) {
+  std::vector<SegmentRun> Batch{{First, Count, 0}};
+  A.freeRuns(Batch);
+}
+
+/// Every call an Arena makes to its segment observer.
+struct ObservedRun {
+  bool IsAlloc;
+  uint32_t First;
+  uint32_t Count;
+  SpaceKind Space;
+  uint8_t Generation;
+  bool operator==(const ObservedRun &O) const {
+    return IsAlloc == O.IsAlloc && First == O.First && Count == O.Count &&
+           Space == O.Space && Generation == O.Generation;
+  }
+};
+
+void observeRun(void *Ctx, bool IsAlloc, uint32_t First, uint32_t Count,
+                SpaceKind Space, uint8_t Generation) {
+  static_cast<std::vector<ObservedRun> *>(Ctx)->push_back(
+      {IsAlloc, First, Count, Space, Generation});
+}
 
 TEST(ArenaTest, AllocateAndTag) {
   Arena A(16 * 1024 * 1024);
@@ -138,9 +164,9 @@ TEST(ArenaTest, FreeAndCoalesce) {
   uint32_t R2 = A.allocateRun(4, SpaceKind::Pair, 0);
   uint32_t R3 = A.allocateRun(4, SpaceKind::Pair, 0);
   EXPECT_EQ(A.segmentsInUse(), 12u);
-  A.freeRun(R1, 4);
-  A.freeRun(R3, 4);
-  A.freeRun(R2, 4); // Middle free must merge all three.
+  freeOne(A, R1, 4);
+  freeOne(A, R3, 4);
+  freeOne(A, R2, 4); // Middle free must merge all three.
   EXPECT_EQ(A.segmentsInUse(), 0u);
   // After coalescing, a run spanning all twelve segments must fit where
   // the three smaller ones were.
@@ -152,9 +178,96 @@ TEST(ArenaTest, FirstFitReusesFreedSpace) {
   Arena A(4 * 1024 * 1024);
   uint32_t R1 = A.allocateRun(2, SpaceKind::Pair, 0);
   A.allocateRun(2, SpaceKind::Pair, 0);
-  A.freeRun(R1, 2);
+  freeOne(A, R1, 2);
   uint32_t R3 = A.allocateRun(1, SpaceKind::Typed, 0);
   EXPECT_EQ(R3, R1) << "first fit should reuse the earliest hole";
+}
+
+TEST(ArenaTest, BatchFreeSortsAndCoalesces) {
+  Arena A(16 * 1024 * 1024);
+  std::vector<ObservedRun> Seen;
+  A.setSegmentObserver(observeRun, &Seen);
+  // Five adjacent runs of mixed tags, then a guard run that stays live.
+  uint32_t R[5];
+  for (unsigned I = 0; I != 5; ++I)
+    R[I] = A.allocateRun(I + 1, static_cast<SpaceKind>(I % NumSpaces),
+                         static_cast<uint8_t>(I));
+  const uint32_t Guard = A.allocateRun(1, SpaceKind::Data, 7);
+  EXPECT_EQ(A.segmentsInUse(), 16u);
+  Seen.clear();
+
+  // Out of order, with a hole (R[2]) that keeps two merged groups apart.
+  std::vector<SegmentRun> Batch{
+      {R[4], 5, 0}, {R[0], 1, 0}, {R[3], 4, 0}, {R[1], 2, 0}};
+  A.freeRuns(Batch);
+  EXPECT_EQ(A.segmentsInUse(), 16u - 12u);
+  // One observer call per run, in the order given, with the run's tags.
+  const std::vector<ObservedRun> Want{
+      {false, R[4], 5, SpaceKind::Pair, 4},
+      {false, R[0], 1, SpaceKind::Pair, 0},
+      {false, R[3], 4, SpaceKind::Data, 3},
+      {false, R[1], 2, SpaceKind::WeakPair, 1}};
+  EXPECT_EQ(Seen, Want);
+  for (uint32_t S = R[0]; S != R[2]; ++S)
+    EXPECT_FALSE(A.infoAt(S).inUse());
+  EXPECT_TRUE(A.infoAt(R[2]).inUse());
+  EXPECT_TRUE(A.infoAt(Guard).inUse());
+
+  // R[0..1] merged into one free run of 3 and R[3..4] into one of 9: a
+  // 9-segment request fits only in the second group, and a 3-segment one
+  // lands at the start of the first.
+  EXPECT_EQ(A.allocateRun(9, SpaceKind::Pair, 0), R[3]);
+  EXPECT_EQ(A.allocateRun(3, SpaceKind::Pair, 0), R[0]);
+}
+
+TEST(ArenaTest, BatchFreeMergesWithExistingFreeRuns) {
+  Arena A(16 * 1024 * 1024);
+  uint32_t R[6];
+  for (unsigned I = 0; I != 6; ++I)
+    R[I] = A.allocateRun(2, SpaceKind::Pair, 0);
+  const uint32_t Guard = A.allocateRun(1, SpaceKind::Pair, 0);
+  // Free runs already on the list at R[1] and R[4].
+  freeOne(A, R[1], 2);
+  freeOne(A, R[4], 2);
+  EXPECT_EQ(A.segmentsInUse(), 9u);
+  // One batch touching both free runs from either side: R[0] and R[2]
+  // around R[1], R[3] and R[5] around R[4]. All six runs must end up one
+  // free run of 12 segments.
+  std::vector<SegmentRun> Batch{
+      {R[5], 2, 0}, {R[2], 2, 0}, {R[0], 2, 0}, {R[3], 2, 0}};
+  A.freeRuns(Batch);
+  EXPECT_EQ(A.segmentsInUse(), 1u);
+  EXPECT_EQ(A.allocateRun(12, SpaceKind::Typed, 1), R[0]);
+  EXPECT_TRUE(A.infoAt(Guard).inUse());
+  // An empty batch changes nothing.
+  std::vector<SegmentRun> Empty;
+  A.freeRuns(Empty);
+  EXPECT_EQ(A.segmentsInUse(), 13u);
+}
+
+class ArenaDeathTest : public ::testing::Test {
+protected:
+  ArenaDeathTest() { ::testing::FLAGS_gtest_death_test_style = "threadsafe"; }
+};
+
+TEST_F(ArenaDeathTest, DoubleFreeAsserts) {
+  ASSERT_DEATH(
+      {
+        Arena A(4 * 1024 * 1024);
+        uint32_t R1 = A.allocateRun(2, SpaceKind::Pair, 0);
+        freeOne(A, R1, 2);
+        freeOne(A, R1, 2);
+      },
+      "double free of segment");
+  // The same run twice within one batch is a double free too.
+  ASSERT_DEATH(
+      {
+        Arena A(4 * 1024 * 1024);
+        uint32_t R1 = A.allocateRun(2, SpaceKind::Pair, 0);
+        std::vector<SegmentRun> Batch(2, SegmentRun{R1, 2, 0});
+        A.freeRuns(Batch);
+      },
+      "double free of segment");
 }
 
 //===----------------------------------------------------------------------===//
@@ -200,17 +313,26 @@ TEST(SpaceContextTest, LargeObjectGetsDedicatedRun) {
   EXPECT_EQ(C.runs().size(), 3u);
 }
 
-TEST(SpaceContextTest, TakeRunsResets) {
+TEST(SpaceContextTest, DetachRunsResets) {
   Arena A(16 * 1024 * 1024);
   SpaceContext C;
   C.allocate(A, SpaceKind::Pair, 1, 2);
   C.allocate(A, SpaceKind::Pair, 1, 2);
-  std::vector<SegmentRun> Runs = C.takeRuns(A);
-  ASSERT_EQ(Runs.size(), 1u);
-  EXPECT_EQ(Runs[0].UsedWords, 4u) << "current run sealed on detach";
+  // Detaching appends to what the buffer already holds.
+  std::vector<SegmentRun> Runs{{A.allocateRun(1, SpaceKind::Data, 1), 1, 2}};
+  C.detachRuns(A, Runs);
+  ASSERT_EQ(Runs.size(), 2u);
+  EXPECT_EQ(Runs[1].UsedWords, 4u) << "current run sealed on detach";
   EXPECT_TRUE(C.empty());
   EXPECT_EQ(C.usedWords(A), 0u);
-  A.freeRun(Runs[0].FirstSegment, Runs[0].SegmentCount);
+  EXPECT_EQ(C.bytesAllocated(), 0u);
+  // The emptied context opens a fresh run on its next allocation.
+  C.allocate(A, SpaceKind::Pair, 1, 2);
+  EXPECT_EQ(C.runs().size(), 1u);
+  EXPECT_EQ(C.usedWords(A), 2u);
+  C.detachRuns(A, Runs);
+  A.freeRuns(Runs);
+  EXPECT_EQ(A.segmentsInUse(), 0u);
 }
 
 } // namespace
