@@ -71,15 +71,6 @@ public:
     // otherwise be invisible (manual-collect benches may never GC).
     State.counters["gc_barriers_executed"] = C(H.barriersExecuted());
     State.counters["gc_barriers_elided"] = C(H.barriersElided());
-    // Parallel-scavenge counters: worker width actually used, cumulative
-    // steal traffic, and the last collection's copy imbalance (1.0 means
-    // perfectly balanced lanes; equals 1.0 on a serial heap).
-    State.counters["gc_parallel_workers"] = C(T.GcWorkersUsed);
-    State.counters["gc_parallel_steal_attempts"] = C(T.StealAttempts);
-    State.counters["gc_parallel_steal_hits"] = C(T.StealHits);
-    State.counters["gc_parallel_max_worker_bytes"] = C(T.MaxWorkerBytesCopied);
-    State.counters["gc_parallel_imbalance"] =
-        benchmark::Counter(H.lastStats().workerImbalanceRatio());
     if (Pauses.count() == 0)
       return;
     for (const auto &KV : latencyCounters("gc_pause", Pauses))

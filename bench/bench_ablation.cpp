@@ -319,7 +319,7 @@ BENCHMARK(BM_TenurePolicyMediumLived)
     ->Arg(3)
     ->Unit(benchmark::kMicrosecond);
 
-//===--- Request-scoped ephemeral generations (DESIGN.md §13) --------------===//
+//===--- Request-scoped ephemeral generations (DESIGN.md §12) --------------===//
 
 // The request-churn ablation: a server-shaped workload where each
 // "request" builds a few hundred objects, publishes one result into a

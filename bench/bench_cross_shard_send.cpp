@@ -13,7 +13,7 @@
 // list, manually timed so payload construction and receiver reclamation
 // stay out of the measurement, N swept from one segment (4 KiB) to
 // 1 MiB, once per transfer mechanism. The headline claim (DESIGN.md
-// §14) is wholesale donation >= 10x deep copy at 64 KiB and above.
+// §13) is wholesale donation >= 10x deep copy at 64 KiB and above.
 //
 //===----------------------------------------------------------------------===//
 

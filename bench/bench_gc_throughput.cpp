@@ -22,7 +22,6 @@
 //
 //===----------------------------------------------------------------------===//
 
-#include <memory>
 #include <string>
 
 #include "BenchCommon.h"
@@ -118,15 +117,10 @@ void BM_MinorPauseMixedHeap(benchmark::State &State) {
 }
 BENCHMARK(BM_MinorPauseMixedHeap)->Unit(benchmark::kMicrosecond);
 
-// Worker sweep: the same full-collection pause at 1/2/4/8 scavenge
-// workers. The copy phase fans out across worker lanes; guardians,
-// weak pairs, and finalizers stay on the coordinator, so the floor is
-// the serial fixpoint. On a single-core host the >1 widths measure
-// pure coordination overhead (see EXPERIMENTS.md).
+// The reference full-collection pause: every iteration copies a
+// 262,144-pair list that lives in the oldest generation.
 void BM_FullPauseMixedHeap(benchmark::State &State) {
-  HeapConfig Cfg = benchConfig();
-  Cfg.GcThreads = static_cast<unsigned>(State.range(0));
-  Heap H(Cfg);
+  Heap H(benchConfig());
   GcPauseRecorder Pauses(H);
   Root OldList(H, Value::nil());
   for (int64_t I = 0; I != 262144; ++I)
@@ -135,16 +129,9 @@ void BM_FullPauseMixedHeap(benchmark::State &State) {
   for (auto _ : State)
     H.collectFull();
   State.counters["old_pairs"] = benchmark::Counter(262144);
-  State.counters["gc_threads"] =
-      benchmark::Counter(static_cast<double>(H.gcThreads()));
   Pauses.addGcCounters(State);
 }
-BENCHMARK(BM_FullPauseMixedHeap)
-    ->Arg(1)
-    ->Arg(2)
-    ->Arg(4)
-    ->Arg(8)
-    ->Unit(benchmark::kMicrosecond);
+BENCHMARK(BM_FullPauseMixedHeap)->Unit(benchmark::kMicrosecond);
 
 // Serial scavenge cost per copied object on a mixed graph: 16,384
 // records, each holding a 4-element vector, a string and a weak pair
@@ -154,10 +141,8 @@ BENCHMARK(BM_FullPauseMixedHeap)
 // ns_per_object_copied is their time over the objects copied; the
 // phases after it (weak pairs, reclaim, ...) are not per-copy work.
 void BM_ScavengeMixed(benchmark::State &State) {
-  HeapConfig Cfg = benchConfig();
-  Cfg.GcThreads = 1;
   uint64_t ScavengeNanos = 0, Copied = 0; // Outlive H, whose hook adds.
-  Heap H(Cfg);
+  Heap H(benchConfig());
   GcPauseRecorder Pauses(H);
   Root Graph(H, Value::nil());
   for (int64_t I = 0; I != 16384; ++I) {
@@ -195,10 +180,8 @@ BENCHMARK(BM_ScavengeMixed)->Unit(benchmark::kMicrosecond);
 // old vector holds the symbols, so the root scan does not grow either.
 void BM_MinorCollectWithSymbols(benchmark::State &State) {
   const int64_t Symbols = State.range(0);
-  HeapConfig Cfg = benchConfig();
-  Cfg.GcThreads = 1;
   uint64_t SymbolNanos = 0; // Outlives H, whose hook adds.
-  Heap H(Cfg);
+  Heap H(benchConfig());
   GcPauseRecorder Pauses(H);
   Root Old(H, H.makeVector(static_cast<size_t>(Symbols), Value::nil()));
   for (int64_t I = 0; I != Symbols; ++I) {
@@ -236,37 +219,6 @@ void BM_MinorCollectWithSymbols(benchmark::State &State) {
 BENCHMARK(BM_MinorCollectWithSymbols)
     ->Arg(256)
     ->Arg(4096)
-    ->Unit(benchmark::kMicrosecond);
-
-// Work-stealing under deliberate imbalance: one root reaches a single
-// deep list (one worker's initial packet unfolds into almost all the
-// copy work) while the remaining roots hold a handful of shallow
-// pairs. Without stealing, one lane would copy everything while the
-// others idle; the publish-on-seal protocol lets finished workers pull
-// sealed runs of the big list instead. gc_parallel_steal_hits and
-// gc_parallel_imbalance are the counters to read.
-void BM_ParallelSweepImbalance(benchmark::State &State) {
-  HeapConfig Cfg = benchConfig();
-  Cfg.GcThreads = static_cast<unsigned>(State.range(0));
-  Heap H(Cfg);
-  GcPauseRecorder Pauses(H);
-  Root Deep(H, Value::nil());
-  for (int64_t I = 0; I != 131072; ++I)
-    Deep = H.cons(Value::fixnum(I), Deep.get());
-  std::vector<std::unique_ptr<Root>> Shallow;
-  for (int I = 0; I != 512; ++I)
-    Shallow.push_back(std::make_unique<Root>(
-        H, H.cons(Value::fixnum(I), Value::nil())));
-  ageHeapFully(H);
-  for (auto _ : State)
-    H.collectFull();
-  State.counters["deep_pairs"] = benchmark::Counter(131072);
-  State.counters["shallow_roots"] = benchmark::Counter(512);
-  Pauses.addGcCounters(State);
-}
-BENCHMARK(BM_ParallelSweepImbalance)
-    ->Arg(1)
-    ->Arg(4)
     ->Unit(benchmark::kMicrosecond);
 
 } // namespace

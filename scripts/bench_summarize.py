@@ -17,8 +17,8 @@ touching this script. Keys are classified by shape:
     independent runs can't be summed, so the summary reports the max
     and median across benchmarks instead, under
     ``distributions``;
-  - ratio keys (``mmu_*``, ``*_imbalance``, ``slo_pass``,
-    ``*_workers``): dimensionless per-run values, listed per row only;
+  - ratio keys (``mmu_*``, ``slo_pass``): dimensionless per-run values,
+    listed per row only;
   - everything else numeric (counts of events: collections, bytes,
     tickets, violations, sampled ops): summed into ``totals``.
 
@@ -50,11 +50,11 @@ PREFIXES = ("gc_", "latency_", "mmu_", "slo_", "alloc_", "executor_",
 # gc_scope_max_depth is max-merged at the source (deepest nesting seen),
 # so it aggregates the same way.
 DISTRIBUTION_RE = re.compile(
-    r"_(p\d+|max)_ns$|_max_pending$|_max_worker_bytes$|_max_depth$")
+    r"_(p\d+|max)_ns$|_max_pending$|_max_depth$")
 
 # Dimensionless ratios/flags: meaningless to sum or take medians of
 # across heterogeneous benchmarks; kept per-row only.
-RATIO_RE = re.compile(r"^mmu_|_imbalance$|^slo_pass$|_workers$")
+RATIO_RE = re.compile(r"^mmu_|^slo_pass$")
 
 
 def classify(key):

@@ -173,41 +173,6 @@ run_suite() {
   fi
   # Summarizer key-derivation fixture (also runs inside CTest).
   python3 tests/scripts/bench_summarize_test.py .
-  # Parallel-scavenge determinism canary: the same guardian-heavy
-  # program at 1 and 4 scavenge workers must print byte-identical
-  # output — resurrection order and every schedule-independent
-  # collector counter. (Schedule-dependent keys like steal counts and
-  # worker width are deliberately not printed.) Backed by the fuzz
-  # corpus re-run at 4 workers, where the schedule-blind shadow model
-  # is the oracle.
-  echo "==> [$name] parallel determinism canary"
-  local det_prog='(begin
-    (define g (make-guardian))
-    (define (reg n) (if (= n 0) #t (begin (g (cons n n)) (reg (- n 1)))))
-    (reg 64)
-    (collect (collect-maximum-generation))
-    (collect (collect-maximum-generation))
-    (define (drain acc) (let ((x (g))) (if x (drain (cons (car x) acc)) acc)))
-    (display (drain (quote ()))) (newline)
-    (define s (gc-stats))
-    (define (show k) (display (assq k s)) (newline))
-    (show (quote collections))
-    (show (quote total-objects-copied))
-    (show (quote total-bytes-copied))
-    (show (quote total-objects-promoted))
-    (show (quote total-guardian-objects-saved))
-    (show (quote total-weak-pointers-broken))
-    (show (quote total-finalizer-thunks-run)))'
-  GENGC_GC_THREADS=1 "$dir/examples/scheme_repl" -e "$det_prog" \
-    > "$dir/det-serial.txt"
-  GENGC_GC_THREADS=4 "$dir/examples/scheme_repl" -e "$det_prog" \
-    > "$dir/det-parallel.txt"
-  if ! diff -u "$dir/det-serial.txt" "$dir/det-parallel.txt"; then
-    echo "[$name] parallel scavenge diverged from serial" >&2
-    exit 1
-  fi
-  rm -f "$dir/det-serial.txt" "$dir/det-parallel.txt"
-  "$dir/tools/gcfuzz/gcfuzz" --seed-corpus --gc-threads 4 --out "$dir"
 }
 
 # The rootcheck lint needs no build at all; fail fast on it.

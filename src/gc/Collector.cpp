@@ -9,7 +9,6 @@
 
 #include <cstring>
 
-#include "gc/ParallelScavenge.h"
 #include "gc/Roots.h"
 #include "gc/ScopedGeneration.h"
 #include "gc/telemetry/Telemetry.h"
@@ -81,36 +80,19 @@ void Collector::run(unsigned G) {
     }
   }
 
-  // Open request scopes force the exact serial path: scope objects are
-  // scanned as uncollected roots and the escape sets are plain
-  // PtrHashSets, neither of which is prepared for worker concurrency.
-  // Request extents are short-lived, so a scope rarely spans an
-  // automatic collection in the first place.
-  const unsigned Workers = H.ScopeStack.empty() ? H.gcThreads() : 1;
-  if (Workers >= 2) {
-    // Multi-worker scavenge: roots, remembered sets, and the Cheney
-    // sweep run as a work-stealing fixpoint over per-worker to-space
-    // lanes. Everything after it (guardians, finalizers, weak pairs,
-    // symbol table) stays serial on this thread, over merged state, so
-    // resurrection order and tconc contents are schedule-independent.
-    ParallelScavenge PS(*this, G, Workers);
-    PS.run(PhaseCursor);
-  } else {
-    S.GcWorkersUsed = 1;
-    {
-      PhaseTimer PT(Tel, S, GcPhase::Roots, PhaseCursor);
-      forwardRoots();
-      if (!H.ScopeStack.empty())
-        scanOpenScopes();
-    }
-    {
-      PhaseTimer PT(Tel, S, GcPhase::RememberedSets, PhaseCursor);
-      processRememberedSets(G);
-    }
-    {
-      PhaseTimer PT(Tel, S, GcPhase::Copy, PhaseCursor);
-      kleeneSweep();
-    }
+  {
+    PhaseTimer PT(Tel, S, GcPhase::Roots, PhaseCursor);
+    forwardRoots();
+    if (!H.ScopeStack.empty())
+      scanOpenScopes();
+  }
+  {
+    PhaseTimer PT(Tel, S, GcPhase::RememberedSets, PhaseCursor);
+    processRememberedSets(G);
+  }
+  {
+    PhaseTimer PT(Tel, S, GcPhase::Copy, PhaseCursor);
+    kleeneSweep();
   }
   {
     PhaseTimer PT(Tel, S, GcPhase::Guardians, PhaseCursor);
@@ -150,12 +132,6 @@ void Collector::run(unsigned G) {
   S.FinalizerThunksRun = ThunkQueue.size();
   S.DurationNanos = Tel.now() - StartNanos;
   Tel.recordPause({StartNanos, S.DurationNanos});
-
-  // A serial scavenge is one worker copying everything: report it as
-  // perfectly balanced so workerImbalanceRatio() reads 1.0, matching
-  // what the parallel accounting would say about a one-lane run.
-  if (S.GcWorkersUsed <= 1)
-    S.MaxWorkerBytesCopied = S.BytesCopied;
 
   // Mutator barrier traffic in the window since the previous
   // collection: deltas of the heap's monotonic counters.
@@ -323,20 +299,11 @@ uintptr_t *Collector::allocateCopySlow(const SegmentInfo &Info, size_t Words,
 Value Collector::forwardFromSpace(Value V, const SegmentInfo *Info) {
   if (!Info) {
     // Outside the private arena: an adopted donation (from-space only
-    // in a full collection) or a shared immutable (never). Exchange
-    // infos are stable while the world is stopped, so workers of a
-    // parallel scavenge may read them too.
+    // in a full collection) or a shared immutable (never).
     Info = &H.exchangeInfo(V.heapAddress());
     if (!Info->isFromSpace())
       return V;
   }
-  // During a parallel scavenge's worker fixpoint, forwarding must claim
-  // the object with a CAS and copy into the calling worker's lane; the
-  // serial path below would race. Redirecting here (rather than at the
-  // call sites) lets every sweep/scan helper run on workers unchanged.
-  if (Par)
-    return Par->forwardShared(V, *Info);
-
   uint64_t Promoted = 0;
   if (V.isPair()) {
     PairCell *Cell = V.pairCell();
@@ -594,14 +561,8 @@ void Collector::maybeReRemember(uintptr_t ContainerBits,
   Value Field = Value::fromBits(FieldBits);
   if (!Field.isHeapPointer())
     return;
-  if (H.segInfo(Field.heapAddress()).Generation < ContainerGen) {
-    // PtrHashSet is not thread-safe; workers buffer the insert and the
-    // coordinator replays the buffers in worker order after the join.
-    if (Par)
-      Par->bufferReRemember(ContainerGen, ContainerBits);
-    else
-      H.Remembered[ContainerGen].insert(ContainerBits);
-  }
+  if (H.segInfo(Field.heapAddress()).Generation < ContainerGen)
+    H.Remembered[ContainerGen].insert(ContainerBits);
 }
 
 inline void Collector::sweepPairAt(uintptr_t *Cell, bool Weak,

@@ -47,7 +47,6 @@
 
 namespace gengc {
 
-class ParallelScavenge;
 struct ScopedGeneration;
 
 class Collector {
@@ -66,12 +65,6 @@ public:
   void runScopeClose(ScopedGeneration &Scope, ScopeCloseStats &Out);
 
 private:
-  /// The parallel scavenge reuses the serial scan/sweep helpers on
-  /// worker threads by redirecting forward() and maybeReRemember()
-  /// through Par while the worker fixpoint runs (see
-  /// gc/ParallelScavenge.h).
-  friend class ParallelScavenge;
-
   /// Position within a SpaceContext's run list, in allocation order.
   struct SweepCursor {
     size_t RunIndex = 0;
@@ -105,8 +98,8 @@ private:
   }
 
   /// The out-of-line half of forward(), for a value mayMove() let
-  /// through: the parallel-scavenge redirect, the exchange-arena
-  /// classification, the forwarded test, and the copy.
+  /// through: the exchange-arena classification, the forwarded test,
+  /// and the copy.
   Value forwardFromSpace(Value V, const SegmentInfo *Info);
 
   /// Allocates \p Words for the copy of an object from a from-space
@@ -189,7 +182,7 @@ private:
                   SpaceKind Space, unsigned ContainerGen);
   /// Sweeps the objects in [\p P, \p End) of one run of \p Space, in
   /// address order. \p End must be an object boundary. The run loop of
-  /// sweepRange and the parallel scavenge's lane and stolen-range scans.
+  /// sweepRange.
   void sweepSpan(uintptr_t *P, uintptr_t *End, SpaceKind Space,
                  unsigned ContainerGen);
   void sweepPairAt(uintptr_t *Cell, bool Weak, unsigned ContainerGen);
@@ -246,8 +239,7 @@ private:
   /// Ordinary collections with scopes open treat every scope object as
   /// an uncollected root container: one full scan of each open scope's
   /// contexts, forwarding strong fields (weak cars are left for
-  /// scopeWeakContextPass). Runs in the Roots phase; scopes force the
-  /// serial path, so no worker coordination is needed.
+  /// scopeWeakContextPass). Runs in the Roots phase.
   void scanOpenScopes();
   /// Weak-car pass over every open scope's weak-pair context (their cars
   /// may point into the collected generations).
@@ -282,10 +274,6 @@ private:
   /// Enclosing scope survivors graduate into; null when the closing
   /// scope is outermost (survivors go to the ordinary generation 0).
   ScopedGeneration *TargetScope = nullptr;
-  /// Non-null only while a parallel scavenge's worker fixpoint runs;
-  /// forward() and maybeReRemember() redirect through it so the serial
-  /// sweep helpers above work unchanged on GC worker threads.
-  ParallelScavenge *Par = nullptr;
   /// The context every copy of a space lands in, when that is fixed for
   /// the whole collection: the paper's tenure policy (TenureCopies == 1),
   /// where it is (space, T, age 0). Set only by run(), so null during a

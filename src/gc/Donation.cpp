@@ -7,7 +7,7 @@
 ///
 /// \file
 /// The heap-level primitives of zero-copy inter-shard transfer
-/// (DESIGN.md §14): copy-out donation (Heap::donateGraph), adoption
+/// (DESIGN.md §13): copy-out donation (Heap::donateGraph), adoption
 /// (Heap::adoptDonatedGraph), wholesale donation-scope transfer
 /// (Heap::openDonationScope / Heap::tryCloseScopeDonating), and the
 /// freeze half of the shared immutable space's freeze-and-publish

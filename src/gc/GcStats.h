@@ -139,30 +139,14 @@ struct GcStats {
   uint64_t BarriersExecuted = 0;
   uint64_t BarriersElided = 0;
 
-  /// Parallel-scavenge bookkeeping (zero in serial collections except
-  /// GcWorkersUsed, which is 1). StealHits <= StealAttempts; a steal is
-  /// popping a scan range or work packet another worker published.
-  uint64_t GcWorkersUsed = 0;       ///< Workers that ran this scavenge.
-  uint64_t StealAttempts = 0;       ///< Shared-queue pops while starving.
-  uint64_t StealHits = 0;           ///< Pops that yielded foreign work.
-  /// Largest per-worker BytesCopied of this scavenge. The imbalance
-  /// ratio is MaxWorkerBytesCopied * GcWorkersUsed / BytesCopied:
-  /// 1.0 means a perfectly even split, GcWorkersUsed means one worker
-  /// copied everything.
-  uint64_t MaxWorkerBytesCopied = 0;
+  /// Kept only until the benchmark drops gc.collect.workers and
+  /// gc.collect.steal_hit_frac: the scavenge is serial, so always 1, 0, 0.
+  uint64_t GcWorkersUsed = 1;
+  uint64_t StealAttempts = 0;
+  uint64_t StealHits = 0;
 
   /// Where the pause went, phase by phase.
   GcPhaseBreakdown Phases;
-
-  /// Per-worker copy imbalance of this scavenge (see
-  /// MaxWorkerBytesCopied); 1.0 when nothing was copied.
-  double workerImbalanceRatio() const {
-    if (BytesCopied == 0 || GcWorkersUsed == 0)
-      return 1.0;
-    return static_cast<double>(MaxWorkerBytesCopied) *
-           static_cast<double>(GcWorkersUsed) /
-           static_cast<double>(BytesCopied);
-  }
 };
 
 /// Running totals across all collections of a heap. Every GcStats
@@ -191,14 +175,11 @@ struct GcTotals {
   uint64_t DurationNanos = 0;
   uint64_t BarriersExecuted = 0;
   uint64_t BarriersElided = 0;
-  /// Peak workers seen in any one scavenge (max-merged, not summed:
-  /// "this heap has run 4-wide" is the useful fleet fact, not a
-  /// meaningless worker-collection product).
+  /// See GcStats: kept until the benchmark stops reading them. Workers
+  /// max-merge, steals sum.
   uint64_t GcWorkersUsed = 0;
-  uint64_t StealAttempts = 0; ///< Summed across collections.
-  uint64_t StealHits = 0;     ///< Summed across collections.
-  /// Worst per-worker copy share of any one scavenge (max-merged).
-  uint64_t MaxWorkerBytesCopied = 0;
+  uint64_t StealAttempts = 0;
+  uint64_t StealHits = 0;
   GcPhaseBreakdown Phases;
 
   void accumulate(const GcStats &S, unsigned OldestGeneration) {
@@ -228,8 +209,6 @@ struct GcTotals {
       GcWorkersUsed = S.GcWorkersUsed;
     StealAttempts += S.StealAttempts;
     StealHits += S.StealHits;
-    if (S.MaxWorkerBytesCopied > MaxWorkerBytesCopied)
-      MaxWorkerBytesCopied = S.MaxWorkerBytesCopied;
     Phases.accumulate(S.Phases);
   }
 
@@ -262,8 +241,6 @@ struct GcTotals {
       GcWorkersUsed = O.GcWorkersUsed;
     StealAttempts += O.StealAttempts;
     StealHits += O.StealHits;
-    if (O.MaxWorkerBytesCopied > MaxWorkerBytesCopied)
-      MaxWorkerBytesCopied = O.MaxWorkerBytesCopied;
     Phases.accumulate(O.Phases);
   }
 };

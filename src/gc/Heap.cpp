@@ -12,7 +12,6 @@
 #include <cstring>
 
 #include "gc/Collector.h"
-#include "gc/GcWorkerPool.h"
 #include "gc/Roots.h"
 #include "gc/ScopedGeneration.h"
 #include "gc/Tconc.h"
@@ -39,24 +38,6 @@ void applyStressEnvironment(HeapConfig &Cfg) {
   }
 }
 
-/// Resolves HeapConfig::GcThreads to the width collections actually run
-/// at. An explicit config value always wins; GcThreads == 0 (auto)
-/// consults GENGC_GC_THREADS, then the hardware. Clamped to
-/// [1, MaxGcThreads] either way.
-unsigned resolveGcThreads(const HeapConfig &Cfg) {
-  unsigned N = Cfg.GcThreads;
-  if (N == 0) {
-    if (const char *Env = std::getenv("GENGC_GC_THREADS"))
-      N = static_cast<unsigned>(std::atoi(Env));
-    if (N == 0) {
-      N = std::thread::hardware_concurrency();
-      if (N == 0)
-        N = 1;
-    }
-  }
-  return std::min(std::max(N, 1u), HeapConfig::MaxGcThreads);
-}
-
 } // namespace
 
 Heap::Heap(HeapConfig Config)
@@ -71,7 +52,6 @@ Heap::Heap(HeapConfig Config)
                "tenure copy count out of range");
   GENGC_ASSERT(Cfg.StressInterval >= 1, "stress interval must be >= 1");
   applyStressEnvironment(Cfg);
-  GcThreadsResolved = resolveGcThreads(Cfg);
   initTelemetry(Telemetry, Cfg);
   Profiler.init(Cfg);
   if (Telemetry.TraceEnabled) {
@@ -105,19 +85,6 @@ Heap::~Heap() {
     dumpChromeTraceToFile(Telemetry, Telemetry.TraceDumpPath);
   if (Profiler.enabled() && !Profiler.dumpPath().empty())
     Profiler.dumpToFile(Profiler.dumpPath());
-}
-
-GcWorkerPool &Heap::gcWorkerPool() {
-  if (!GcWorkers)
-    GcWorkers = std::make_unique<GcWorkerPool>();
-  return *GcWorkers;
-}
-
-void Heap::runOnGcWorker(const std::function<void()> &Fn) {
-  gcWorkerPool().runJob(2, [&Fn](unsigned Index) {
-    if (Index == 1)
-      Fn();
-  });
 }
 
 //===----------------------------------------------------------------------===//

@@ -49,9 +49,7 @@
 namespace gengc {
 
 class Collector;
-class GcWorkerPool;
 class NoGcScope;
-class ParallelScavenge;
 class RootVector;
 class SharedImmutableSpace;
 struct DonatedGraph;
@@ -218,7 +216,7 @@ public:
   SharedImmutableSpace &exchange() const { return *Exchange; }
 
   //===------------------------------------------------------------------===//
-  // Zero-copy segment donation (gc/Donation.cpp; DESIGN.md §14). The
+  // Zero-copy segment donation (gc/Donation.cpp; DESIGN.md §13). The
   // heap-level primitives under runtime/SegmentTransfer.h's protocol.
   //===------------------------------------------------------------------===//
 
@@ -315,7 +313,7 @@ public:
 
   //===------------------------------------------------------------------===//
   // Request-scoped ephemeral generations (gc/ScopedGeneration.h,
-  // DESIGN.md §13). Scopes nest LIFO: openScope() redirects all mutator
+  // DESIGN.md §12). Scopes nest LIFO: openScope() redirects all mutator
   // allocation into a fresh scope-private nursery, closeScope() runs the
   // scope-local evacuation — escaping objects graduate into the
   // enclosing extent, the rest die untraced.
@@ -383,17 +381,6 @@ public:
   const GcStats &lastStats() const { return LastStats; }
   const GcTotals &totals() const { return Totals; }
   uint64_t collectionCount() const { return Totals.Collections; }
-
-  /// Parallel-scavenge width for this heap: HeapConfig::GcThreads
-  /// resolved against GENGC_GC_THREADS and the hardware at
-  /// construction, clamped to [1, HeapConfig::MaxGcThreads]. 1 means
-  /// every collection runs the exact serial path.
-  unsigned gcThreads() const { return GcThreadsResolved; }
-
-  /// Test hook: runs \p Fn synchronously on a GC worker-pool thread
-  /// (never the heap owner). Lets tests prove the owner-affinity check
-  /// still rejects mutator access from GC workers.
-  void runOnGcWorker(const std::function<void()> &Fn);
 
   //===------------------------------------------------------------------===//
   // Observability (gc/telemetry/).
@@ -523,7 +510,6 @@ public:
 private:
   friend class Collector;
   friend class NoGcScope;
-  friend class ParallelScavenge;
   friend class RootVector;
   friend struct ScopedGeneration;
 
@@ -582,10 +568,6 @@ private:
   /// and the calling thread is not the heap's owner.
   void checkOwner(const char *Op) const;
 
-  /// The persistent GC worker pool backing parallel scavenges, created
-  /// on first use (a GcThreads == 1 heap never spawns a thread).
-  GcWorkerPool &gcWorkerPool();
-
   /// Write barrier for a store of \p V into \p Container. \p WeakField
   /// marks stores into a weak pair's car, which go to the weak remembered
   /// set (the pointer is weak, so it is not a root, but the collector
@@ -629,10 +611,6 @@ private:
   Arena Segments;
   /// The exchange domain (never null after construction).
   SharedImmutableSpace *Exchange = nullptr;
-  /// Resolved parallel-scavenge width (gcThreads()).
-  unsigned GcThreadsResolved = 1;
-  /// Lazily-created worker threads (gcWorkerPool()).
-  std::unique_ptr<GcWorkerPool> GcWorkers;
   /// Allocation contexts, indexed by space, generation, and tenure age.
   /// Mutator allocation uses age 0; the collector copies survivors into
   /// age Age+1 of the same generation until the tenure policy promotes

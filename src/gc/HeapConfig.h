@@ -120,33 +120,15 @@ struct HeapConfig {
   /// aborts at the faulting call instead of corrupting a heap.
   bool CheckThreadAffinity = true;
 
-  /// GC worker threads for the stop-the-world scavenge (the parallel
-  /// Cheney copy loop; DESIGN.md §11). 0 picks the hardware concurrency,
-  /// clamped to [1, MaxGcThreads] — the per-shard default, so a fleet of
-  /// shards does not oversubscribe the machine. 1 runs the exact serial
-  /// collector (bit-for-bit the pre-parallel behavior, no pool, no
-  /// atomics). N >= 2 scavenges with N workers: the heap's owner thread
-  /// acts as worker 0 and N-1 pool threads join it for the roots /
-  /// remembered-set / copy phases only; guardians, finalizers, weak
-  /// pairs and the symbol table always run on the owner thread so
-  /// resurrection order is schedule-independent. The GENGC_GC_THREADS
-  /// environment variable overrides an *auto* (0) setting at Heap
-  /// construction; an explicit 1 or N in the config always wins, so
-  /// tests that pin a worker count stay pinned under CI env overrides.
-  unsigned GcThreads = 0;
-
-  /// Upper clamp for GcThreads auto-detection.
-  static constexpr unsigned MaxGcThreads = 16;
-
   /// Maximum nesting depth of request-scoped ephemeral generations
-  /// (Heap::openScope / DESIGN.md §13). Scope depth is tracked per
+  /// (Heap::openScope / DESIGN.md §12). Scope depth is tracked per
   /// segment in a uint8_t, so the hard ceiling is 255; the default is a
   /// sanity bound — scopes model request extents, not recursion.
   unsigned MaxScopeDepth = 8;
 
   //===------------------------------------------------------------------===//
   // Zero-copy inter-shard transfer (heap/SharedImmutableSpace.h,
-  // runtime/SegmentTransfer.h; DESIGN.md §14).
+  // runtime/SegmentTransfer.h; DESIGN.md §13).
   //===------------------------------------------------------------------===//
 
   /// Cross-shard payloads at least this large are transferred by segment

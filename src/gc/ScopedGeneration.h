@@ -7,7 +7,7 @@
 ///
 /// \file
 /// A ScopedGeneration is a dynamically created ephemeral generation
-/// opened per dynamic extent (DESIGN.md §13): Heap::openScope() pushes
+/// opened per dynamic extent (DESIGN.md §12): Heap::openScope() pushes
 /// one, all mutator allocation then bump-allocates into the scope's own
 /// segments (tagged Generation 0 / ScopeDepth d in the segment table),
 /// and Heap::closeScope() runs a scope-local evacuation — objects

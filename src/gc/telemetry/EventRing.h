@@ -48,12 +48,6 @@ enum class GcEventType : uint8_t {
                        ///< space kind. Fires from the arena, including
                        ///< for mutator allocation between collections.
   SegmentFree,         ///< A = first segment, B = run length.
-  GcWorkerSpan,        ///< One parallel-scavenge worker's active span.
-                       ///< Detail = worker index, A = bytes copied by
-                       ///< the worker, B = steal hits, DurNanos = time
-                       ///< from job start to the worker going idle for
-                       ///< good. Emitted by the coordinator after the
-                       ///< workers join (the ring is single-writer).
   MessageSend,         ///< Cross-shard send (runtime tier). A = trace
                        ///< id, B = span id, Detail = destination shard.
                        ///< Emitted on the sending shard's own ring —
@@ -85,8 +79,6 @@ constexpr const char *gcEventTypeName(GcEventType T) {
     return "segment-alloc";
   case GcEventType::SegmentFree:
     return "segment-free";
-  case GcEventType::GcWorkerSpan:
-    return "gc-worker";
   case GcEventType::MessageSend:
     return "msg-send";
   case GcEventType::MessageReceive:

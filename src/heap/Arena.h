@@ -152,11 +152,11 @@ public:
   /// Allocates a run of \p NumSegments contiguous segments, tagging each
   /// with \p Space and \p Generation. Returns the index of the first
   /// segment. Aborts if the arena is exhausted (the reservation is the
-  /// heap-size limit). Thread-safe: GC workers of a parallel scavenge
-  /// grab fresh to-space runs concurrently, so the free list, the
-  /// affected SegmentInfo entries, and the observer callback are all
-  /// updated under one internal lock (runs, not objects — the
-  /// allocation fast path never comes here).
+  /// heap-size limit). Thread-safe: the process-wide exchange arena
+  /// (SharedImmutableSpace::process()) is shared by every shard thread,
+  /// so the free list, the affected SegmentInfo entries, and the
+  /// observer callback are all updated under one internal lock (runs,
+  /// not objects — the allocation fast path never comes here).
   /// \p ExtraFlags is OR'd into every segment's flags beyond FlagInUse —
   /// FlagShared for shared-immutable runs, FlagDonated for donation runs.
   uint32_t allocateRun(uint32_t NumSegments, SpaceKind Space,
@@ -227,7 +227,7 @@ private:
   };
 
   /// Serializes allocateRun/freeRuns (free list + SegmentInfo tagging +
-  /// observer). Never contended outside a parallel scavenge.
+  /// observer). Contended only on the exchange arena shard threads share.
   std::mutex RunLock;
   uintptr_t Base = 0;
   size_t TotalSegments = 0;

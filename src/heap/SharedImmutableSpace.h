@@ -7,7 +7,7 @@
 ///
 /// \file
 /// The process-wide exchange domain backing zero-copy inter-shard
-/// transfer (DESIGN.md §14). One arena, distinct from every shard's
+/// transfer (DESIGN.md §13). One arena, distinct from every shard's
 /// private arena, serves two kinds of segments:
 ///
 ///  - **Shared immutable segments** (SegmentInfo::FlagShared, Generation

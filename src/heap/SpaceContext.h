@@ -100,23 +100,6 @@ public:
       Runs.back().UsedWords = static_cast<uint32_t>(usedWordsOf(A, Runs.size() - 1));
   }
 
-  /// Adopts another context's sealed runs (a parallel-scavenge worker
-  /// lane) onto the end of this context's run list, in the donor's run
-  /// order. Seals this context's live run first and drops the bump
-  /// pointer, so the next allocation opens a fresh run after the adopted
-  /// ones — the run list stays "allocation order per run" even though
-  /// the donor's objects interleave in time with ours. The donor is left
-  /// empty.
-  void adoptRuns(const Arena &A, SpaceContext &Donor) {
-    if (Donor.Runs.empty() && Donor.BytesAllocated == 0)
-      return;
-    sealCurrentRun(A);
-    Alloc = Limit = nullptr;
-    uint64_t DonorBytes = Donor.BytesAllocated;
-    Donor.detachRuns(A, Runs);
-    BytesAllocated += DonorBytes;
-  }
-
 private:
   uintptr_t *allocateSlow(Arena &A, SpaceKind Space, uint8_t Generation,
                           size_t Words, uint8_t Age, uint8_t ScopeDepth,

@@ -6,7 +6,7 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// The cross-shard transfer protocol (DESIGN.md §14): which of the two
+/// The cross-shard transfer protocol (DESIGN.md §13): which of the two
 /// transfer mechanisms a payload takes, and the send/receive halves of
 /// the donation path.
 ///

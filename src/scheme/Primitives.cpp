@@ -220,16 +220,7 @@ void Interpreter::installPrimitives() {
     Add("last-bytes-copied", Fix(Last.BytesCopied));
     Add("last-bytes-in-from-space", Fix(Last.BytesInFromSpace));
     Add("last-segments-freed", Fix(Last.SegmentsFreed));
-    // Parallel-scavenge counters: the heap's resolved worker width, the
-    // last scavenge's worker count and copy imbalance, and cumulative
-    // steal traffic. All zero/1/1.0 on a serial heap.
-    Add("gc-threads", Fix(H.gcThreads()));
-    Add("last-gc-workers", Fix(Last.GcWorkersUsed));
-    Add("last-max-worker-bytes-copied", Fix(Last.MaxWorkerBytesCopied));
-    Add("last-worker-imbalance", H.makeFlonum(Last.workerImbalanceRatio()));
-    Add("total-steal-attempts", Fix(Tot.StealAttempts));
-    Add("total-steal-hits", Fix(Tot.StealHits));
-    // Request-scope ledger (DESIGN.md §13): opens/closes, nesting, and
+    // Request-scope ledger (DESIGN.md §12): opens/closes, nesting, and
     // the bytes reclaimed at scope exits without ever being traced.
     Add("scope-opens", Fix(ScopeTot.ScopesOpened));
     Add("scope-closes", Fix(ScopeTot.ScopesClosed));
@@ -647,7 +638,7 @@ void Interpreter::installPrimitives() {
       CallArgs.push_back(pairCar(L));
     return I.applyProcedure(Proc, CallArgs);
   });
-  // Runs a thunk inside a fresh request scope (DESIGN.md §13): every
+  // Runs a thunk inside a fresh request scope (DESIGN.md §12): every
   // allocation in its dynamic extent lands in the scope's private
   // nursery, and at extent exit only values reachable from outside the
   // scope graduate out; the rest is reclaimed without being traced.

@@ -745,7 +745,7 @@ ModelCensus ShadowModel::censusExpect() const {
 }
 
 //===----------------------------------------------------------------------===//
-// Segment donation (DESIGN.md §14).
+// Segment donation (DESIGN.md §13).
 //===----------------------------------------------------------------------===//
 
 ShadowModel::GraphSnapshot ShadowModel::snapshotGraph(SVal Root) const {

@@ -201,7 +201,7 @@ public:
   bool guardianHasPending(ObjId Tconc) const;
 
   //===------------------------------------------------------------------===//
-  // Request scopes (DESIGN.md §13).
+  // Request scopes (DESIGN.md §12).
   //===------------------------------------------------------------------===//
 
   void openScope();
@@ -248,7 +248,7 @@ public:
   ModelCensus censusExpect() const;
 
   //===------------------------------------------------------------------===//
-  // Segment donation (DESIGN.md §14). The model mirror of
+  // Segment donation (DESIGN.md §13). The model mirror of
   // Heap::donateGraph / Heap::adoptDonatedGraph: a GraphSnapshot is a
   // heap-independent structural copy of a donated graph (the shadow of
   // a DonatedGraph handle), and adoptGraph instantiates it as fresh

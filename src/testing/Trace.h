@@ -58,13 +58,13 @@ enum class Op : uint8_t {
   Retrieve,
   Drain,
   Collect,
-  // Scoped ops (DESIGN.md §13). Appended after the unscoped alphabet so
+  // Scoped ops (DESIGN.md §12). Appended after the unscoped alphabet so
   // unscoped generation, which draws over the first NumUnscopedOps
   // entries only, reproduces historical traces byte-for-byte.
   ScopeOpen,    ///< openScope(), bounded nesting.
   ScopeClose,   ///< closeScope(): evacuate escapes, cross-check.
   AllocInScope, ///< A garbage-heavy pair chain in the current extent.
-  // Donation ops (DESIGN.md §14). Appended after the scoped alphabet so
+  // Donation ops (DESIGN.md §13). Appended after the scoped alphabet so
   // scoped generation, which draws over the first NumScopedOps entries
   // only, reproduces historical traces byte-for-byte.
   DonateSend,    ///< donateGraph(slot): snapshot + park in flight.

@@ -772,7 +772,7 @@ private:
       return;
     }
     case Op::DonateSend: {
-      // Snapshot-then-donate (DESIGN.md §14): the model records the
+      // Snapshot-then-donate (DESIGN.md §13): the model records the
       // graph's structure at the instant the heap copies it out. The
       // handle parks in flight; a later receive adopts it, a later
       // drop frees it. donateGraph never safepoints (it allocates only

@@ -213,6 +213,25 @@ TEST(CollectorTest, StatsReportGenerations) {
   EXPECT_EQ(H.totals().Collections, 2u);
 }
 
+TEST(CollectorTest, ScavengeReportsOneWorkerAndNoSteals) {
+  // The end-to-end benchmark still reads these three fields; the
+  // scavenge is serial, so they are fixed at 1, 0 and 0.
+  Heap H(testConfig());
+  Root L(H, Value::nil());
+  for (int I = 0; I != 1000; ++I)
+    L = H.cons(Value::fixnum(I), L.get());
+  H.collectMinor();
+  H.collectFull();
+  for (uint64_t Workers : {H.lastStats().GcWorkersUsed,
+                           H.totals().GcWorkersUsed})
+    EXPECT_EQ(Workers, 1u);
+  for (uint64_t Steals :
+       {H.lastStats().StealAttempts, H.lastStats().StealHits,
+        H.totals().StealAttempts, H.totals().StealHits})
+    EXPECT_EQ(Steals, 0u);
+  EXPECT_EQ(H.totals().Collections, 2u);
+}
+
 TEST(CollectorTest, SegmentsAreRecycled) {
   Heap H(testConfig());
   for (int Round = 0; Round != 20; ++Round) {
@@ -562,9 +581,8 @@ struct CopyLog {
 
 HeapConfig scavengeConfig(unsigned TenureCopies) {
   HeapConfig C = testConfig();
-  // The predicted order is the serial Cheney order, and the counts are
-  // exact only if nothing collects while the graph is built.
-  C.GcThreads = 1;
+  // The counts are exact only if nothing collects while the graph is
+  // built.
   C.StressGC = false;
   C.TenureCopies = TenureCopies;
   return C;

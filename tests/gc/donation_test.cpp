@@ -7,7 +7,7 @@
 ///
 /// \file
 /// The heap-level halves of zero-copy inter-shard transfer (DESIGN.md
-/// §14): copy-out donation and adoption between two heaps bound to one
+/// §13): copy-out donation and adoption between two heaps bound to one
 /// private exchange domain, segment-ownership accounting across drops
 /// and full collections, symbol fixups and their remembered-set edges,
 /// weak-pair space preservation, and the freeze-and-publish protocol of

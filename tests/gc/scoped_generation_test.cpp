@@ -1,10 +1,10 @@
-//===- tests/gc/scoped_generation_test.cpp - Request scopes (§13) --------===//
+//===- tests/gc/scoped_generation_test.cpp - Request scopes (§12) --------===//
 //
 // Part of the gengc project: a reproduction of "Guardians in a
 // Generation-Based Garbage Collector" (Dybvig, Bruggeman, Eby, PLDI 1993).
 //
 // Directed tests for request-scoped ephemeral generations (DESIGN.md
-// §13): LIFO nesting, escape-driven graduation, guardian resurrection
+// §12): LIFO nesting, escape-driven graduation, guardian resurrection
 // at scope exit (matching full-collection order), weak-pair breaking
 // for scope-dying cars, collections with scopes open, and the stress/
 // poison schedule. The statistical coverage lives in the gcfuzz scoped
@@ -286,7 +286,7 @@ TEST(ScopedGenerationTest, NestedGuardianChurnUnderStress) {
 }
 
 //===----------------------------------------------------------------------===//
-// Wholesale scope donation (DESIGN.md §14): a donation scope allocates
+// Wholesale scope donation (DESIGN.md §13): a donation scope allocates
 // its nursery in the exchange arena, so a self-contained scope changes
 // owner at close by retagging — zero evacuation, zero copies.
 //===----------------------------------------------------------------------===//

@@ -540,7 +540,6 @@ TEST(GcTotalsTest, AccumulateCoversEveryField) {
   S.GcWorkersUsed = 89;
   S.StealAttempts = 97;
   S.StealHits = 101;
-  S.MaxWorkerBytesCopied = 103;
   for (unsigned I = 0; I != NumGcPhases; ++I)
     S.Phases.Nanos[I] = 100 + I;
 
@@ -569,11 +568,10 @@ TEST(GcTotalsTest, AccumulateCoversEveryField) {
   EXPECT_EQ(T.DurationNanos, 2 * S.DurationNanos);
   EXPECT_EQ(T.BarriersExecuted, 2 * S.BarriersExecuted);
   EXPECT_EQ(T.BarriersElided, 2 * S.BarriersElided);
-  // Parallel counters: worker width and per-worker-max are high-water
-  // marks (not sums), so accumulating twice leaves them unchanged;
-  // steal traffic accumulates like everything else.
+  // Worker width is a high-water mark (not a sum), so accumulating
+  // twice leaves it unchanged; steal traffic accumulates like
+  // everything else.
   EXPECT_EQ(T.GcWorkersUsed, S.GcWorkersUsed);
-  EXPECT_EQ(T.MaxWorkerBytesCopied, S.MaxWorkerBytesCopied);
   EXPECT_EQ(T.StealAttempts, 2 * S.StealAttempts);
   EXPECT_EQ(T.StealHits, 2 * S.StealHits);
   for (unsigned I = 0; I != NumGcPhases; ++I)

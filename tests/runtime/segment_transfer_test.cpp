@@ -6,7 +6,7 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// The runtime half of segment donation (DESIGN.md §14): threshold
+/// The runtime half of segment donation (DESIGN.md §13): threshold
 /// routing between deep copy and donation, receiver-semantics parity
 /// (a donated message must be indistinguishable from a deep-copied
 /// one: structure, sharing, cycles, weak-pair behavior, guardian

@@ -121,8 +121,7 @@ def main():
 
     # Ratios and flags are per-row only: never summed, never
     # distribution-folded.
-    for key in ("mmu_10ms", "slo_pass", "gc_parallel_imbalance",
-                "gc_parallel_workers"):
+    for key in ("mmu_10ms", "slo_pass"):
         assert key not in totals, f"{key} wrongly summed"
         assert key not in dists, f"{key} wrongly folded"
 

@@ -84,7 +84,6 @@ struct Options {
   uint64_t Seed = 1;
   unsigned ThinkTimeUs = 0; ///< Sleep per session (open-loop clients).
   unsigned FailRatePct = 0; ///< Transient ticket-failure injection.
-  unsigned GcThreads = 0;   ///< Scavenge workers per shard heap (0=auto).
   bool Scoped = false;      ///< Run each session inside a request scope.
   size_t PayloadBytes = 0;  ///< Bulk payload attached to each message.
   bool Donate = false;      ///< Enable zero-copy segment donation sends.
@@ -98,7 +97,7 @@ void usage(const char *Argv0) {
   std::fprintf(stderr,
                "usage: %s [--shards N] [--sessions N] [--ops N] [--seed N]\n"
                "          [--think-time-us N] [--fail-rate PCT]\n"
-               "          [--gc-threads N] [--scoped] [--json PATH]\n"
+               "          [--scoped] [--json PATH]\n"
                "          [--payload-bytes N] [--donate on|off]\n"
                "          [--trace PATH] [--profile PATH]\n"
                "          [--slo-max-pause-us N] [--slo-pause-p99-us N]\n"
@@ -128,8 +127,6 @@ bool parseArgs(int Argc, char **Argv, Options &Opt) {
       Opt.ThinkTimeUs = static_cast<unsigned>(V);
     else if (Arg == "--fail-rate" && NextInt(V))
       Opt.FailRatePct = static_cast<unsigned>(V);
-    else if (Arg == "--gc-threads" && NextInt(V))
-      Opt.GcThreads = static_cast<unsigned>(V);
     else if (Arg == "--scoped")
       Opt.Scoped = true;
     else if (Arg == "--payload-bytes" && NextInt(V))
@@ -443,9 +440,6 @@ int main(int Argc, char **Argv) {
   // generational machinery (and its pauses) actually exercise under
   // load instead of deferring everything to the shutdown collections.
   Cfg.HeapCfg.Gen0CollectBytes = 64u * 1024;
-  // Per-shard scavenge worker width; each shard heap gets its own pool,
-  // so total GC threads is Shards * GcThreads when forced above 1.
-  Cfg.HeapCfg.GcThreads = Opt.GcThreads;
   // Zero-copy donation: any message graph of at least one segment's worth
   // of payload is donated instead of deep-copied (0 keeps donation off,
   // which is the deep-copy A leg of a --donate A/B pair).
