@@ -56,16 +56,13 @@ public:
   }
 
   void addGcCounters(benchmark::State &State) const {
-    const GcTotals &T = H.totals();
     auto C = [](uint64_t N) {
       return benchmark::Counter(static_cast<double>(N));
     };
-    State.counters["gc_collections"] = C(T.Collections);
-    State.counters["gc_full_collections"] = C(T.FullCollections);
-    State.counters["gc_bytes_copied"] = C(T.BytesCopied);
-    State.counters["gc_objects_promoted"] = C(T.ObjectsPromoted);
-    State.counters["gc_segments_freed"] = C(T.SegmentsFreed);
-    State.counters["gc_total_pause_ns"] = C(T.DurationNanos);
+    forEachGcTotalsExport(H.totals(), [&](const std::string &Key,
+                                          uint64_t N) {
+      State.counters[Key] = C(N);
+    });
     // Barrier-elision effectiveness: read from the heap's monotonic
     // counters, not GcTotals — stores after the last collection would
     // otherwise be invisible (manual-collect benches may never GC).

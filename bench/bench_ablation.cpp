@@ -360,19 +360,14 @@ void BM_ScopedRequestChurn(benchmark::State &State) {
   }
   State.SetItemsProcessed(static_cast<int64_t>(Request));
   Pauses.addGcCounters(State);
-  // gc_scope_* so the summarizer folds these alongside the loadgen
-  // keys of the same names; "scoped" itself stays per-row (the /0 vs
-  // /1 arg already names the mode).
-  const ScopeTotals &T = H.scopeTotals();
+  // loadgen's gc_scope_* keys (the same helper), so the summarizer folds
+  // these alongside loadgen runs; "scoped" itself stays per-row (the /0
+  // vs /1 arg already names the mode).
   State.counters["scoped"] = benchmark::Counter(Scoped ? 1.0 : 0.0);
-  State.counters["gc_scope_closes"] =
-      benchmark::Counter(static_cast<double>(T.ScopesClosed));
-  State.counters["gc_scope_bytes_reclaimed"] =
-      benchmark::Counter(static_cast<double>(T.BytesReclaimed));
-  State.counters["gc_scope_objects_evacuated"] =
-      benchmark::Counter(static_cast<double>(T.ObjectsEvacuated));
-  State.counters["gc_scope_close_ns"] =
-      benchmark::Counter(static_cast<double>(T.CloseNanos));
+  forEachScopeTotalsExport(H.scopeTotals(), [&](const std::string &Key,
+                                                uint64_t N) {
+    State.counters[Key] = benchmark::Counter(static_cast<double>(N));
+  });
 }
 BENCHMARK(BM_ScopedRequestChurn)
     ->Arg(0)

@@ -37,6 +37,7 @@ void Collector::run(unsigned G) {
   S.CollectionIndex = H.Totals.Collections + 1;
   S.CollectedGeneration = G;
   S.TargetGeneration = T;
+  S.GcWorkersUsed = 1; // The scavenge is serial (see the GcStats.h row).
 
   if (Tel.TraceEnabled) {
     GcEvent E;

@@ -8,12 +8,13 @@
 /// \file
 /// Counters gathered during each collection. The generation-friendliness
 /// experiments (DESIGN.md C1/C2) are stated in terms of these counters:
-/// e.g. ProtectedEntriesVisited must not grow with the number of
-/// registered objects parked in generations older than the one collected.
+/// e.g. the protected entries a collection visits must not grow with the
+/// number of registered objects parked in generations older than the one
+/// collected.
 ///
 /// Each collection is also broken down into phases (GcPhase): the
 /// per-phase wall-clock nanos in GcStats::Phases account for the whole
-/// pause, so DurationNanos minus Phases.totalNanos() is only the
+/// pause, so the pause duration minus Phases.totalNanos() is only the
 /// inter-phase bookkeeping (a handful of flag stores). The telemetry
 /// layer (gc/telemetry/) records the same phases as trace events.
 ///
@@ -22,6 +23,7 @@
 #ifndef GENGC_GC_GCSTATS_H
 #define GENGC_GC_GCSTATS_H
 
+#include <cstddef>
 #include <cstdint>
 
 namespace gengc {
@@ -81,7 +83,7 @@ struct GcPhaseBreakdown {
     return Nanos[static_cast<unsigned>(P)];
   }
 
-  /// Sum over all phases; reconciles with GcStats::DurationNanos.
+  /// Sum over all phases; reconciles with the pause duration.
   uint64_t totalNanos() const {
     uint64_t Total = 0;
     for (unsigned I = 0; I != NumGcPhases; ++I)
@@ -95,153 +97,123 @@ struct GcPhaseBreakdown {
   }
 };
 
+/// Every collector counter, declared once: a new counter is one row.
+/// The structs below, their merges, the scope-close copy, the fuzzer
+/// model's records and checks, and the exports are generated from it.
+/// Each row is X(Name, Merge, Key, Scope, Model, ScopeName, ScopeTotalName):
+///   Name   member of GcStats (one collection) and GcTotals (the running
+///          total over a heap's collections, and over shards).
+///   Merge  Sum or Max: how GcTotals and ScopeTotals fold a record in.
+///   Key    export stem or "": (gc-stats) reports total-<key> and
+///          last-<key> ('_' as '-'), the benchmark JSON gc_<key>.
+///   Scope  Y if a scope close reports it too (ScopeCloseStats, ScopeTotals).
+///   Model  Y if ShadowModel predicts it exactly (N: implementation detail,
+///          such as roots, segments, timings); the fuzzer diverges on
+///          stats.<Name> and scope-stats.<ScopeName>.
+///   ScopeName, ScopeTotalName  the member's name in ScopeCloseStats and
+///          ScopeTotals where it differs; empty means the name to its left.
+// clang-format off
+#define GENGC_GC_COUNTERS(X)                                                           \
+  /* Name                   Merge Key                      Scope Model Scope names  */ \
+  X(ObjectsCopied,            Sum, "objects_copied",         Y, Y, ObjectsEvacuated, ) \
+  X(BytesCopied,              Sum, "bytes_copied",           Y, Y, BytesEvacuated, )   \
+  /* Copied into a generation older than their own (TenureCopies == 1: all).        */ \
+  X(ObjectsPromoted,          Sum, "objects_promoted",       N, Y, , )                 \
+  X(RootsScanned,             Sum, "",                       N, N, , )                 \
+  X(RememberedObjectsScanned, Sum, "",                       N, N, , )                 \
+  /* The collected extent (or the closing scope's allocation) at the start:         */ \
+  /* what was copied over this is the survival rate; the rest died untraced.        */ \
+  X(BytesInFromSpace,         Sum, "bytes_in_from_space",    Y, Y, BytesInScope,       \
+    BytesInScopes)                                                                     \
+  /* Section 4: entries of protected[i], i <= g, visited; objects moved to an       */ \
+  /* inaccessible group; entries moved to protected[target]; entries whose          */ \
+  /* guardian died; rounds of the pend-final fixpoint loop.                         */ \
+  X(ProtectedEntriesVisited,  Sum, "",                       Y, Y, , )                 \
+  X(GuardianObjectsSaved,     Sum, "guardian_objects_saved", Y, Y, , )                 \
+  X(ProtectedEntriesKept,     Sum, "",                       Y, Y, , )                 \
+  X(GuardianEntriesDropped,   Sum, "",                       Y, Y, , )                 \
+  X(GuardianLoopIterations,   Sum, "",                       Y, Y, , )                 \
+  X(WeakPairsExamined,        Sum, "",                       Y, N, , )                 \
+  X(WeakPointersBroken,       Sum, "weak_pointers_broken",   Y, Y, , )                 \
+  /* The register-for-finalization baseline; weak symbol-table entries removed.     */ \
+  X(FinalizerThunksRun,       Sum, "finalizer_thunks_run",   Y, N, , )                 \
+  X(SymbolsDropped,           Sum, "",                       Y, Y, , )                 \
+  X(SegmentsFreed,            Sum, "segments_freed",         Y, N, , )                 \
+  X(DurationNanos,            Sum, "",                       Y, N, , CloseNanos)       \
+  /* Mutator stores since the last collection through the write barrier, and        */ \
+  /* proved barrier-free (elision pass or heap fast path); not tconc delivery.      */ \
+  X(BarriersExecuted,         Sum, "",                       N, N, , )                 \
+  X(BarriersElided,           Sum, "",                       N, N, , )                 \
+  /* Kept until the benchmark drops gc.collect.workers and                          */ \
+  /* gc.collect.steal_hit_frac: the scavenge is serial, so always 1, 0, 0.          */ \
+  X(GcWorkersUsed,            Max, "",                       N, N, , )                 \
+  X(StealAttempts,            Sum, "",                       N, N, , )                 \
+  X(StealHits,                Sum, "",                       N, N, , )
+// clang-format on
+
+/// Row plumbing. GENGC_COUNTER_OR(A, B) is B, or A when B is empty;
+/// GENGC_COUNTER_IF_<Y|N>(...) keeps or drops its argument;
+/// GENGC_COUNTER_FOLD_<Merge>(Into, From) folds one value in;
+/// GENGC_COUNTER_STR(X) is X expanded, then quoted.
+#define GENGC_COUNTER_FIRST(A, ...) A
+#define GENGC_COUNTER_OR(A, ...)                                               \
+  GENGC_COUNTER_FIRST(__VA_ARGS__ __VA_OPT__(, ) A)
+#define GENGC_COUNTER_STR_I(X) #X
+#define GENGC_COUNTER_STR(X) GENGC_COUNTER_STR_I(X)
+#define GENGC_COUNTER_IF_Y(...) __VA_ARGS__
+#define GENGC_COUNTER_IF_N(...)
+#define GENGC_COUNTER_FOLD_Sum(Into, From) Into += From;
+#define GENGC_COUNTER_FOLD_Max(Into, From)                                     \
+  if (From > Into)                                                             \
+    Into = From;
+#define GENGC_SCOPE_NAME(Name, ScopeName) GENGC_COUNTER_OR(Name, ScopeName)
+#define GENGC_SCOPE_TOTAL_NAME(Name, ScopeName, ScopeTotalName)                \
+  GENGC_COUNTER_OR(GENGC_SCOPE_NAME(Name, ScopeName), ScopeTotalName)
+
+/// Generators shared by several uses (X arguments for GENGC_GC_COUNTERS).
+/// GENGC_COUNTER_FOLD folds the same-named member of a record `From`.
+#define GENGC_COUNTER_COUNT(...) +1
+#define GENGC_COUNTER_COUNT_SCOPE(N, M, K, Scope, ...)                         \
+  GENGC_COUNTER_IF_##Scope(+1)
+#define GENGC_COUNTER_MEMBER(Name, ...) uint64_t Name = 0;
+#define GENGC_COUNTER_FOLD(Name, Merge, ...)                                   \
+  GENGC_COUNTER_FOLD_##Merge(Name, From.Name)
+
+constexpr unsigned NumGcCounters = 0 GENGC_GC_COUNTERS(GENGC_COUNTER_COUNT);
+constexpr unsigned NumScopeCounters =
+    0 GENGC_GC_COUNTERS(GENGC_COUNTER_COUNT_SCOPE);
+
 struct GcStats {
   uint64_t CollectionIndex = 0;
   unsigned CollectedGeneration = 0; ///< The paper's g.
   unsigned TargetGeneration = 0;    ///< The paper's target generation.
-
-  uint64_t ObjectsCopied = 0;
-  uint64_t BytesCopied = 0;
-  /// Survivors promoted into a generation older than the one they were
-  /// copied from (with TenureCopies == 1, every copy is a promotion).
-  uint64_t ObjectsPromoted = 0;
-  uint64_t RootsScanned = 0;
-  uint64_t RememberedObjectsScanned = 0;
-
-  /// Bytes occupied by the collected generations at the start of the
-  /// collection (the from-space extent). BytesCopied / BytesInFromSpace
-  /// is the collection's survival rate.
-  uint64_t BytesInFromSpace = 0;
-
-  /// Guardian bookkeeping (Section 4 algorithm).
-  uint64_t ProtectedEntriesVisited = 0; ///< Entries in protected[i], i<=g.
-  uint64_t GuardianObjectsSaved = 0;    ///< Moved to an inaccessible group.
-  uint64_t ProtectedEntriesKept = 0;    ///< Moved to protected[target].
-  uint64_t GuardianEntriesDropped = 0;  ///< Guardian itself was dropped.
-  uint64_t GuardianLoopIterations = 0;  ///< Iterations of the pend-final
-                                        ///< fixpoint loop.
-
-  uint64_t WeakPairsExamined = 0;
-  uint64_t WeakPointersBroken = 0;
-
-  uint64_t FinalizerThunksRun = 0; ///< register-for-finalization baseline.
-  uint64_t SymbolsDropped = 0;     ///< Weak symbol-table entries removed.
-
-  uint64_t SegmentsFreed = 0;
-  uint64_t DurationNanos = 0;
-
-  /// Mutator write-barrier traffic since the previous collection (the
-  /// window that ends with this pause): stores that took the full
-  /// writeBarrier path vs stores the compile-time elision pass (or a
-  /// heap-internal fast path) proved barrier-free. Elided / (Executed +
-  /// Elided) is the store-tax reduction the static analysis bought. The
-  /// collector's own stores (guardian tconc delivery) are in neither.
-  uint64_t BarriersExecuted = 0;
-  uint64_t BarriersElided = 0;
-
-  /// Kept only until the benchmark drops gc.collect.workers and
-  /// gc.collect.steal_hit_frac: the scavenge is serial, so always 1, 0, 0.
-  uint64_t GcWorkersUsed = 1;
-  uint64_t StealAttempts = 0;
-  uint64_t StealHits = 0;
-
+  GENGC_GC_COUNTERS(GENGC_COUNTER_MEMBER)
   /// Where the pause went, phase by phase.
   GcPhaseBreakdown Phases;
 };
 
-/// Running totals across all collections of a heap. Every GcStats
-/// counter has a matching total here; accumulate() must be kept in sync
-/// when a counter is added (tests/gc/telemetry_test.cpp checks every
-/// field).
+/// Running totals across all collections of a heap.
 struct GcTotals {
   uint64_t Collections = 0;
   uint64_t FullCollections = 0;
-  uint64_t ObjectsCopied = 0;
-  uint64_t BytesCopied = 0;
-  uint64_t ObjectsPromoted = 0;
-  uint64_t RootsScanned = 0;
-  uint64_t RememberedObjectsScanned = 0;
-  uint64_t BytesInFromSpace = 0;
-  uint64_t ProtectedEntriesVisited = 0;
-  uint64_t GuardianObjectsSaved = 0;
-  uint64_t ProtectedEntriesKept = 0;
-  uint64_t GuardianEntriesDropped = 0;
-  uint64_t GuardianLoopIterations = 0;
-  uint64_t WeakPairsExamined = 0;
-  uint64_t WeakPointersBroken = 0;
-  uint64_t FinalizerThunksRun = 0;
-  uint64_t SymbolsDropped = 0;
-  uint64_t SegmentsFreed = 0;
-  uint64_t DurationNanos = 0;
-  uint64_t BarriersExecuted = 0;
-  uint64_t BarriersElided = 0;
-  /// See GcStats: kept until the benchmark stops reading them. Workers
-  /// max-merge, steals sum.
-  uint64_t GcWorkersUsed = 0;
-  uint64_t StealAttempts = 0;
-  uint64_t StealHits = 0;
+  GENGC_GC_COUNTERS(GENGC_COUNTER_MEMBER)
   GcPhaseBreakdown Phases;
 
-  void accumulate(const GcStats &S, unsigned OldestGeneration) {
+  void accumulate(const GcStats &From, unsigned OldestGeneration) {
     ++Collections;
-    if (S.CollectedGeneration == OldestGeneration)
+    if (From.CollectedGeneration == OldestGeneration)
       ++FullCollections;
-    ObjectsCopied += S.ObjectsCopied;
-    BytesCopied += S.BytesCopied;
-    ObjectsPromoted += S.ObjectsPromoted;
-    RootsScanned += S.RootsScanned;
-    RememberedObjectsScanned += S.RememberedObjectsScanned;
-    BytesInFromSpace += S.BytesInFromSpace;
-    ProtectedEntriesVisited += S.ProtectedEntriesVisited;
-    GuardianObjectsSaved += S.GuardianObjectsSaved;
-    ProtectedEntriesKept += S.ProtectedEntriesKept;
-    GuardianEntriesDropped += S.GuardianEntriesDropped;
-    GuardianLoopIterations += S.GuardianLoopIterations;
-    WeakPairsExamined += S.WeakPairsExamined;
-    WeakPointersBroken += S.WeakPointersBroken;
-    FinalizerThunksRun += S.FinalizerThunksRun;
-    SymbolsDropped += S.SymbolsDropped;
-    SegmentsFreed += S.SegmentsFreed;
-    DurationNanos += S.DurationNanos;
-    BarriersExecuted += S.BarriersExecuted;
-    BarriersElided += S.BarriersElided;
-    if (S.GcWorkersUsed > GcWorkersUsed)
-      GcWorkersUsed = S.GcWorkersUsed;
-    StealAttempts += S.StealAttempts;
-    StealHits += S.StealHits;
-    Phases.accumulate(S.Phases);
+    GENGC_GC_COUNTERS(GENGC_COUNTER_FOLD)
+    Phases.accumulate(From.Phases);
   }
 
   /// Folds another heap's totals into this one (cross-shard
-  /// aggregation; see telemetry/Aggregate.h). Like accumulate(),
-  /// must cover every field.
-  void merge(const GcTotals &O) {
-    Collections += O.Collections;
-    FullCollections += O.FullCollections;
-    ObjectsCopied += O.ObjectsCopied;
-    BytesCopied += O.BytesCopied;
-    ObjectsPromoted += O.ObjectsPromoted;
-    RootsScanned += O.RootsScanned;
-    RememberedObjectsScanned += O.RememberedObjectsScanned;
-    BytesInFromSpace += O.BytesInFromSpace;
-    ProtectedEntriesVisited += O.ProtectedEntriesVisited;
-    GuardianObjectsSaved += O.GuardianObjectsSaved;
-    ProtectedEntriesKept += O.ProtectedEntriesKept;
-    GuardianEntriesDropped += O.GuardianEntriesDropped;
-    GuardianLoopIterations += O.GuardianLoopIterations;
-    WeakPairsExamined += O.WeakPairsExamined;
-    WeakPointersBroken += O.WeakPointersBroken;
-    FinalizerThunksRun += O.FinalizerThunksRun;
-    SymbolsDropped += O.SymbolsDropped;
-    SegmentsFreed += O.SegmentsFreed;
-    DurationNanos += O.DurationNanos;
-    BarriersExecuted += O.BarriersExecuted;
-    BarriersElided += O.BarriersElided;
-    if (O.GcWorkersUsed > GcWorkersUsed)
-      GcWorkersUsed = O.GcWorkersUsed;
-    StealAttempts += O.StealAttempts;
-    StealHits += O.StealHits;
-    Phases.accumulate(O.Phases);
+  /// aggregation; see telemetry/Aggregate.h).
+  void merge(const GcTotals &From) {
+    Collections += From.Collections;
+    FullCollections += From.FullCollections;
+    GENGC_GC_COUNTERS(GENGC_COUNTER_FOLD)
+    Phases.accumulate(From.Phases);
   }
 };
 
@@ -250,66 +222,46 @@ struct GcTotals {
 /// GcTotals::Collections, CollectionIndex, or the per-generation
 /// survival history — so its counters live in their own record rather
 /// than in GcStats. The shared machinery (forwarding, the guardian
-/// fixpoint, weak-pair breaking) still fills the same kinds of
-/// counters, with "evacuated" in place of "copied".
+/// fixpoint, weak-pair breaking) fills the rows marked Scope, with
+/// "evacuated" in place of "copied".
 struct ScopeCloseStats {
   unsigned Depth = 0; ///< The scope that was closed (1 = outermost).
+#define GENGC_X(Name, M, K, Scope, Model, SN, STN)                             \
+  GENGC_COUNTER_IF_##Scope(uint64_t GENGC_SCOPE_NAME(Name, SN) = 0;)
+  GENGC_GC_COUNTERS(GENGC_X)
+#undef GENGC_X
 
-  uint64_t ObjectsEvacuated = 0; ///< Graduated into the enclosing extent.
-  uint64_t BytesEvacuated = 0;
-  /// Bytes the scope had bump-allocated when it closed (its from-space
-  /// extent). BytesInScope - BytesEvacuated died without being traced.
-  uint64_t BytesInScope = 0;
-  uint64_t SegmentsFreed = 0;
-
-  /// Guardian bookkeeping over the scope's own protected list (the
-  /// Section 4 fixpoint, run at scope exit).
-  uint64_t ProtectedEntriesVisited = 0;
-  uint64_t GuardianObjectsSaved = 0;
-  uint64_t ProtectedEntriesKept = 0;
-  uint64_t GuardianEntriesDropped = 0;
-  uint64_t GuardianLoopIterations = 0;
-
-  uint64_t WeakPairsExamined = 0;
-  uint64_t WeakPointersBroken = 0;
-  uint64_t FinalizerThunksRun = 0;
-  uint64_t SymbolsDropped = 0;
-
-  uint64_t DurationNanos = 0;
+  /// The scope-close view of a pass the collector ran as \p S.
+  void copyFrom(const GcStats &S) {
+#define GENGC_X(Name, M, K, Scope, Model, SN, STN)                             \
+  GENGC_COUNTER_IF_##Scope(GENGC_SCOPE_NAME(Name, SN) = S.Name;)
+    GENGC_GC_COUNTERS(GENGC_X)
+#undef GENGC_X
+  }
 };
 
-/// Running totals across every scope open/close of a heap. Mirrors the
-/// GcTotals discipline: merge() must cover every field (cross-shard
-/// aggregation in tools/loadgen).
+/// Running totals across every scope open/close of a heap (merged
+/// across shards by tools/loadgen).
 struct ScopeTotals {
   uint64_t ScopesOpened = 0;
   uint64_t ScopesClosed = 0;
-  uint64_t MaxDepth = 0; ///< Deepest nesting seen (max-merged).
-  uint64_t ObjectsEvacuated = 0;
-  uint64_t BytesEvacuated = 0;
-  uint64_t BytesInScopes = 0;
-  /// BytesInScopes - BytesEvacuated: request-local garbage reclaimed at
-  /// scope exits without ever being traced by a collection.
+  uint64_t MaxDepth = 0; ///< Deepest nesting opened (max-merged).
+  /// Bytes allocated in scopes minus bytes evacuated: request-local
+  /// garbage reclaimed at scope exits without ever being traced.
   uint64_t BytesReclaimed = 0;
-  uint64_t SegmentsFreed = 0;
-  uint64_t GuardianObjectsSaved = 0;
-  uint64_t WeakPointersBroken = 0;
-  uint64_t SymbolsDropped = 0;
-  uint64_t CloseNanos = 0;
+#define GENGC_X(Name, M, K, Scope, Model, SN, STN)                             \
+  GENGC_COUNTER_IF_##Scope(uint64_t GENGC_SCOPE_TOTAL_NAME(Name, SN, STN) = 0;)
+  GENGC_GC_COUNTERS(GENGC_X)
+#undef GENGC_X
 
   void accumulate(const ScopeCloseStats &S) {
     ++ScopesClosed;
-    if (S.Depth > MaxDepth)
-      MaxDepth = S.Depth;
-    ObjectsEvacuated += S.ObjectsEvacuated;
-    BytesEvacuated += S.BytesEvacuated;
-    BytesInScopes += S.BytesInScope;
     BytesReclaimed += S.BytesInScope - S.BytesEvacuated;
-    SegmentsFreed += S.SegmentsFreed;
-    GuardianObjectsSaved += S.GuardianObjectsSaved;
-    WeakPointersBroken += S.WeakPointersBroken;
-    SymbolsDropped += S.SymbolsDropped;
-    CloseNanos += S.DurationNanos;
+#define GENGC_X(Name, Merge, K, Scope, Model, SN, STN)                         \
+  GENGC_COUNTER_IF_##Scope(GENGC_COUNTER_FOLD_##Merge(                         \
+      GENGC_SCOPE_TOTAL_NAME(Name, SN, STN), S.GENGC_SCOPE_NAME(Name, SN)))
+    GENGC_GC_COUNTERS(GENGC_X)
+#undef GENGC_X
   }
 
   void merge(const ScopeTotals &O) {
@@ -317,17 +269,25 @@ struct ScopeTotals {
     ScopesClosed += O.ScopesClosed;
     if (O.MaxDepth > MaxDepth)
       MaxDepth = O.MaxDepth;
-    ObjectsEvacuated += O.ObjectsEvacuated;
-    BytesEvacuated += O.BytesEvacuated;
-    BytesInScopes += O.BytesInScopes;
     BytesReclaimed += O.BytesReclaimed;
-    SegmentsFreed += O.SegmentsFreed;
-    GuardianObjectsSaved += O.GuardianObjectsSaved;
-    WeakPointersBroken += O.WeakPointersBroken;
-    SymbolsDropped += O.SymbolsDropped;
-    CloseNanos += O.CloseNanos;
+#define GENGC_X(Name, Merge, K, Scope, Model, SN, STN)                         \
+  GENGC_COUNTER_IF_##Scope(GENGC_COUNTER_FOLD_##Merge(                         \
+      GENGC_SCOPE_TOTAL_NAME(Name, SN, STN),                                   \
+      O.GENGC_SCOPE_TOTAL_NAME(Name, SN, STN)))
+    GENGC_GC_COUNTERS(GENGC_X)
+#undef GENGC_X
   }
 };
+
+// A counter declared outside the table would escape the merges, the
+// exports and the model checks, so it fails to build instead.
+constexpr size_t CounterBytes = sizeof(uint64_t);
+static_assert(sizeof(GcStats) == (2 + NumGcCounters) * CounterBytes +
+                                     sizeof(GcPhaseBreakdown));
+static_assert(sizeof(GcTotals) == (2 + NumGcCounters) * CounterBytes +
+                                      sizeof(GcPhaseBreakdown));
+static_assert(sizeof(ScopeCloseStats) == (1 + NumScopeCounters) * CounterBytes);
+static_assert(sizeof(ScopeTotals) == (4 + NumScopeCounters) * CounterBytes);
 
 } // namespace gengc
 

@@ -740,7 +740,7 @@ void Heap::collect(unsigned MaxGeneration) {
   C.run(std::min(MaxGeneration, oldestGeneration()));
   Telemetry.recordHistory(LastStats);
   if (Telemetry.LogEnabled)
-    logCollectionLine(Telemetry, LastStats);
+    logCollectionLine(LastStats);
   // Hooks run with automatic collection deferred (see addPostGcHook),
   // so a hook that allocates can never recurse into collect() and the
   // LastStats reference stays valid for the whole pass.

@@ -328,20 +328,7 @@ void Collector::runScopeClose(ScopedGeneration &Scope, ScopeCloseStats &Out) {
   Tel.recordPause({StartNanos, S.DurationNanos});
 
   Out.Depth = Scope.Depth;
-  Out.ObjectsEvacuated = S.ObjectsCopied;
-  Out.BytesEvacuated = S.BytesCopied;
-  Out.BytesInScope = S.BytesInFromSpace;
-  Out.SegmentsFreed = S.SegmentsFreed;
-  Out.ProtectedEntriesVisited = S.ProtectedEntriesVisited;
-  Out.GuardianObjectsSaved = S.GuardianObjectsSaved;
-  Out.ProtectedEntriesKept = S.ProtectedEntriesKept;
-  Out.GuardianEntriesDropped = S.GuardianEntriesDropped;
-  Out.GuardianLoopIterations = S.GuardianLoopIterations;
-  Out.WeakPairsExamined = S.WeakPairsExamined;
-  Out.WeakPointersBroken = S.WeakPointersBroken;
-  Out.FinalizerThunksRun = S.FinalizerThunksRun;
-  Out.SymbolsDropped = S.SymbolsDropped;
-  Out.DurationNanos = S.DurationNanos;
+  Out.copyFrom(S);
 
   // Dickey-style finalization thunks: allocation stays disabled.
   if (!ThunkQueue.empty()) {

@@ -138,8 +138,7 @@ uint64_t GcTelemetry::survivalSamples(unsigned Generation) const {
   return N;
 }
 
-void gengc::logCollectionLine(const GcTelemetry &T, const GcStats &S) {
-  (void)T;
+void gengc::logCollectionLine(const GcStats &S) {
   // Dominant phase, so a glance shows where the pause went.
   GcPhase Top = GcPhase::Setup;
   for (unsigned I = 0; I != NumGcPhases; ++I)

@@ -129,7 +129,36 @@ void initTelemetry(GcTelemetry &T, const HeapConfig &Cfg);
 
 /// The one-line post-GC reporter: generation, pause, copy volume,
 /// guardian work, and the dominant phase, on stderr.
-void logCollectionLine(const GcTelemetry &T, const GcStats &S);
+void logCollectionLine(const GcStats &S);
+
+/// Visits the collector totals the benchmark JSON reports (GcPauseRecorder
+/// and loadgen --json) as (const std::string &key, value): collection
+/// counts, each keyed row of the GcStats.h table, and the summed pause.
+template <typename Fn>
+void forEachGcTotalsExport(const GcTotals &T, Fn &&Emit) {
+  Emit("gc_collections", T.Collections);
+  Emit("gc_full_collections", T.FullCollections);
+#define GENGC_X(Name, Merge, Key, ...)                                         \
+  if (*Key)                                                                    \
+    Emit(std::string("gc_") + Key, T.Name);
+  GENGC_GC_COUNTERS(GENGC_X)
+#undef GENGC_X
+  Emit("gc_total_pause_ns", T.DurationNanos);
+}
+
+/// Likewise for the request-scope totals (loadgen --json and
+/// bench_ablation's scoped churn).
+template <typename Fn>
+void forEachScopeTotalsExport(const ScopeTotals &T, Fn &&Emit) {
+  Emit("gc_scope_opens", T.ScopesOpened);
+  Emit("gc_scope_closes", T.ScopesClosed);
+  Emit("gc_scope_max_depth", T.MaxDepth);
+  Emit("gc_scope_objects_evacuated", T.ObjectsEvacuated);
+  Emit("gc_scope_bytes_evacuated", T.BytesEvacuated);
+  Emit("gc_scope_bytes_in_scopes", T.BytesInScopes);
+  Emit("gc_scope_bytes_reclaimed", T.BytesReclaimed);
+  Emit("gc_scope_close_ns", T.CloseNanos);
+}
 
 /// RAII phase timer: charges the enclosed scope to S.Phases[P] and,
 /// when tracing is enabled, emits the matching PhaseSpan event.

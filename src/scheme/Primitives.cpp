@@ -12,6 +12,9 @@
 #include "scheme/Printer.h"
 #include "telemetry/Mmu.h"
 
+#include <algorithm>
+#include <string>
+
 using namespace gengc;
 
 namespace {
@@ -201,12 +204,19 @@ void Interpreter::installPrimitives() {
     Add("bytes-allocated", Fix(LiveBytes));
     Add("total-bytes-allocated", Fix(TotalAllocated));
     Add("segments-in-use", Fix(SegmentsInUse));
-    Add("total-objects-copied", Fix(Tot.ObjectsCopied));
-    Add("total-bytes-copied", Fix(Tot.BytesCopied));
-    Add("total-objects-promoted", Fix(Tot.ObjectsPromoted));
-    Add("total-guardian-objects-saved", Fix(Tot.GuardianObjectsSaved));
-    Add("total-weak-pointers-broken", Fix(Tot.WeakPointersBroken));
-    Add("total-finalizer-thunks-run", Fix(Tot.FinalizerThunksRun));
+    // Every exported row of the GcStats.h table, as the running total
+    // and as the last collection's value ('_' in keys as '-').
+    auto AddCounter = [&](std::string Name, uint64_t N) {
+      std::replace(Name.begin(), Name.end(), '_', '-');
+      Add(Name.c_str(), Fix(N));
+    };
+#define GENGC_X(Name, Merge, Key, ...)                                         \
+  if (*Key) {                                                                  \
+    AddCounter(std::string("total-") + Key, Tot.Name);                         \
+    AddCounter(std::string("last-") + Key, Last.Name);                         \
+  }
+    GENGC_GC_COUNTERS(GENGC_X)
+#undef GENGC_X
     Add("total-gc-nanos", Fix(Tot.DurationNanos));
     // Process-lifetime barrier counts (not windowed to a collection):
     // executed = stores that ran the write-barrier filter; elided =
@@ -216,10 +226,6 @@ void Interpreter::installPrimitives() {
     Add("last-generation", Fix(Last.CollectedGeneration));
     Add("last-target-generation", Fix(Last.TargetGeneration));
     Add("last-duration-nanos", Fix(Last.DurationNanos));
-    Add("last-objects-copied", Fix(Last.ObjectsCopied));
-    Add("last-bytes-copied", Fix(Last.BytesCopied));
-    Add("last-bytes-in-from-space", Fix(Last.BytesInFromSpace));
-    Add("last-segments-freed", Fix(Last.SegmentsFreed));
     // Request-scope ledger (DESIGN.md §12): opens/closes, nesting, and
     // the bytes reclaimed at scope exits without ever being traced.
     Add("scope-opens", Fix(ScopeTot.ScopesOpened));

@@ -119,37 +119,23 @@ struct SEntry {
   SVal Obj, Tconc, Agent;
 };
 
-/// The GcStats counters the model predicts exactly. Counters tied to
-/// implementation details (RootsScanned, WeakPairsExamined,
-/// SegmentsFreed, timings) are deliberately absent.
+/// The GcStats counters the model predicts exactly: the rows of the
+/// GcStats.h table marked Model.
 struct ModelGcStats {
-  uint64_t ObjectsCopied = 0;
-  uint64_t BytesCopied = 0;
-  uint64_t ObjectsPromoted = 0;
-  uint64_t BytesInFromSpace = 0;
-  uint64_t ProtectedEntriesVisited = 0;
-  uint64_t GuardianObjectsSaved = 0;
-  uint64_t ProtectedEntriesKept = 0;
-  uint64_t GuardianEntriesDropped = 0;
-  uint64_t GuardianLoopIterations = 0;
-  uint64_t WeakPointersBroken = 0;
-  uint64_t SymbolsDropped = 0;
+#define GENGC_X(Name, M, K, Scope, Model, ...)                                 \
+  GENGC_COUNTER_IF_##Model(uint64_t Name = 0;)
+  GENGC_GC_COUNTERS(GENGC_X)
+#undef GENGC_X
 };
 
-/// The ScopeCloseStats counters the model predicts exactly
-/// (SegmentsFreed, WeakPairsExamined, and timings are implementation
-/// detail and deliberately absent).
+/// The ScopeCloseStats counters the model predicts exactly: the rows
+/// marked both Scope and Model.
 struct ModelScopeStats {
-  uint64_t ObjectsEvacuated = 0;
-  uint64_t BytesEvacuated = 0;
-  uint64_t BytesInScope = 0;
-  uint64_t ProtectedEntriesVisited = 0;
-  uint64_t GuardianObjectsSaved = 0;
-  uint64_t ProtectedEntriesKept = 0;
-  uint64_t GuardianEntriesDropped = 0;
-  uint64_t GuardianLoopIterations = 0;
-  uint64_t WeakPointersBroken = 0;
-  uint64_t SymbolsDropped = 0;
+#define GENGC_X(Name, M, K, Scope, Model, SN, STN)                             \
+  GENGC_COUNTER_IF_##Scope(                                                    \
+      GENGC_COUNTER_IF_##Model(uint64_t GENGC_SCOPE_NAME(Name, SN) = 0;))
+  GENGC_GC_COUNTERS(GENGC_X)
+#undef GENGC_X
 };
 
 /// The Heap::census() numbers the model predicts (SegmentCount is

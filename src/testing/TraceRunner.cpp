@@ -227,64 +227,27 @@ private:
     }
   }
 
+  void checkCounter(const char *Name, uint64_t Model, uint64_t Real) {
+    if (Model != Real)
+      diverge(std::string(Name) + ": model " + std::to_string(Model) +
+              ", heap " + std::to_string(Real));
+  }
+
   void checkStats(const GcStats &S, const ModelGcStats &P) {
-    const struct {
-      const char *Name;
-      uint64_t Model, Real;
-    } Rows[] = {
-        {"ObjectsCopied", P.ObjectsCopied, S.ObjectsCopied},
-        {"BytesCopied", P.BytesCopied, S.BytesCopied},
-        {"ObjectsPromoted", P.ObjectsPromoted, S.ObjectsPromoted},
-        {"BytesInFromSpace", P.BytesInFromSpace, S.BytesInFromSpace},
-        {"ProtectedEntriesVisited", P.ProtectedEntriesVisited,
-         S.ProtectedEntriesVisited},
-        {"GuardianObjectsSaved", P.GuardianObjectsSaved,
-         S.GuardianObjectsSaved},
-        {"ProtectedEntriesKept", P.ProtectedEntriesKept,
-         S.ProtectedEntriesKept},
-        {"GuardianEntriesDropped", P.GuardianEntriesDropped,
-         S.GuardianEntriesDropped},
-        {"GuardianLoopIterations", P.GuardianLoopIterations,
-         S.GuardianLoopIterations},
-        {"WeakPointersBroken", P.WeakPointersBroken,
-         S.WeakPointersBroken},
-        {"SymbolsDropped", P.SymbolsDropped, S.SymbolsDropped},
-    };
-    for (const auto &R : Rows)
-      if (R.Model != R.Real)
-        diverge(std::string("stats.") + R.Name + ": model " +
-                std::to_string(R.Model) + ", heap " +
-                std::to_string(R.Real));
+#define GENGC_X(Name, M, K, Scope, Model, ...)                                 \
+  GENGC_COUNTER_IF_##Model(checkCounter("stats." #Name, P.Name, S.Name);)
+    GENGC_GC_COUNTERS(GENGC_X)
+#undef GENGC_X
   }
 
   void checkScopeStats(const ScopeCloseStats &S,
                        const ModelScopeStats &P) {
-    const struct {
-      const char *Name;
-      uint64_t Model, Real;
-    } Rows[] = {
-        {"ObjectsEvacuated", P.ObjectsEvacuated, S.ObjectsEvacuated},
-        {"BytesEvacuated", P.BytesEvacuated, S.BytesEvacuated},
-        {"BytesInScope", P.BytesInScope, S.BytesInScope},
-        {"ProtectedEntriesVisited", P.ProtectedEntriesVisited,
-         S.ProtectedEntriesVisited},
-        {"GuardianObjectsSaved", P.GuardianObjectsSaved,
-         S.GuardianObjectsSaved},
-        {"ProtectedEntriesKept", P.ProtectedEntriesKept,
-         S.ProtectedEntriesKept},
-        {"GuardianEntriesDropped", P.GuardianEntriesDropped,
-         S.GuardianEntriesDropped},
-        {"GuardianLoopIterations", P.GuardianLoopIterations,
-         S.GuardianLoopIterations},
-        {"WeakPointersBroken", P.WeakPointersBroken,
-         S.WeakPointersBroken},
-        {"SymbolsDropped", P.SymbolsDropped, S.SymbolsDropped},
-    };
-    for (const auto &R : Rows)
-      if (R.Model != R.Real)
-        diverge(std::string("scope-stats.") + R.Name + ": model " +
-                std::to_string(R.Model) + ", heap " +
-                std::to_string(R.Real));
+#define GENGC_X(Name, M, K, Scope, Model, SN, STN)                             \
+  GENGC_COUNTER_IF_##Scope(GENGC_COUNTER_IF_##Model(checkCounter(              \
+      "scope-stats." GENGC_COUNTER_STR(GENGC_SCOPE_NAME(Name, SN)),            \
+      P.GENGC_SCOPE_NAME(Name, SN), S.GENGC_SCOPE_NAME(Name, SN));))
+    GENGC_GC_COUNTERS(GENGC_X)
+#undef GENGC_X
   }
 
   /// Full value-graph isomorphism from every root the harness holds: a

@@ -7,7 +7,7 @@
 // with DurationNanos, the event ring's wrap discipline, trace recording
 // and the Chrome trace_event exporter (round-tripped through a JSON
 // parse), the heap census against the heap's own usage accounting,
-// survival-rate history, GcTotals accumulating every GcStats field, and
+// survival-rate history, the counter table's generated folds, and
 // the GENGC_GC_LOG / GENGC_GC_TRACE environment overrides.
 //
 //===----------------------------------------------------------------------===//
@@ -510,79 +510,51 @@ TEST(SurvivalTest, HistoryIsRecordedWithoutTracing) {
 }
 
 //===----------------------------------------------------------------------===//
-// GcTotals must accumulate every GcStats counter (the satellite fix:
-// accumulate() used to drop several fields silently).
+// The counter table (GcStats.h) generates the totals' folds: every row
+// must accumulate by its merge kind, in GcTotals and ScopeTotals. Sum
+// rows double; Max rows hold, even when a smaller (zero) record folds in
+// after them. The merge() half is AggregateTest in the runtime tests.
 //===----------------------------------------------------------------------===//
 
 TEST(GcTotalsTest, AccumulateCoversEveryField) {
-  GcStats S;
+  constexpr bool IsMaxSum = false, IsMaxMax = true; // IsMax##Merge per row.
+  GcStats S; // Distinct values, so a fold of the wrong member shows.
   S.CollectedGeneration = 3; // == oldest below: counts as a full GC.
-  S.TargetGeneration = 3;
-  S.ObjectsCopied = 11;
-  S.BytesCopied = 13;
-  S.ObjectsPromoted = 17;
-  S.RootsScanned = 19;
-  S.RememberedObjectsScanned = 23;
-  S.BytesInFromSpace = 29;
-  S.ProtectedEntriesVisited = 31;
-  S.GuardianObjectsSaved = 37;
-  S.ProtectedEntriesKept = 41;
-  S.GuardianEntriesDropped = 43;
-  S.GuardianLoopIterations = 47;
-  S.WeakPairsExamined = 53;
-  S.WeakPointersBroken = 59;
-  S.FinalizerThunksRun = 61;
-  S.SymbolsDropped = 67;
-  S.SegmentsFreed = 71;
-  S.DurationNanos = 73;
-  S.BarriersExecuted = 79;
-  S.BarriersElided = 83;
-  S.GcWorkersUsed = 89;
-  S.StealAttempts = 97;
-  S.StealHits = 101;
+  uint64_t Next = 11;
+#define GENGC_X(Name, ...) S.Name = Next++;
+  GENGC_GC_COUNTERS(GENGC_X)
+#undef GENGC_X
   for (unsigned I = 0; I != NumGcPhases; ++I)
     S.Phases.Nanos[I] = 100 + I;
+  ScopeCloseStats C; // The rows marked Scope, under their scope names.
+  C.Depth = 2;
+  C.copyFrom(S);
 
+  // Each record folds in twice, then an all-zero one (a minor GC, an
+  // outer scope): T and ST hold two records' worth.
   GcTotals T;
   T.accumulate(S, /*OldestGeneration=*/3);
   T.accumulate(S, /*OldestGeneration=*/3);
+  T.accumulate(GcStats(), /*OldestGeneration=*/3);
+  ScopeTotals ST;
+  ST.accumulate(C);
+  ST.accumulate(C);
+  ST.accumulate(ScopeCloseStats());
 
-  EXPECT_EQ(T.Collections, 2u);
-  EXPECT_EQ(T.FullCollections, 2u);
-  EXPECT_EQ(T.ObjectsCopied, 2 * S.ObjectsCopied);
-  EXPECT_EQ(T.BytesCopied, 2 * S.BytesCopied);
-  EXPECT_EQ(T.ObjectsPromoted, 2 * S.ObjectsPromoted);
-  EXPECT_EQ(T.RootsScanned, 2 * S.RootsScanned);
-  EXPECT_EQ(T.RememberedObjectsScanned, 2 * S.RememberedObjectsScanned);
-  EXPECT_EQ(T.BytesInFromSpace, 2 * S.BytesInFromSpace);
-  EXPECT_EQ(T.ProtectedEntriesVisited, 2 * S.ProtectedEntriesVisited);
-  EXPECT_EQ(T.GuardianObjectsSaved, 2 * S.GuardianObjectsSaved);
-  EXPECT_EQ(T.ProtectedEntriesKept, 2 * S.ProtectedEntriesKept);
-  EXPECT_EQ(T.GuardianEntriesDropped, 2 * S.GuardianEntriesDropped);
-  EXPECT_EQ(T.GuardianLoopIterations, 2 * S.GuardianLoopIterations);
-  EXPECT_EQ(T.WeakPairsExamined, 2 * S.WeakPairsExamined);
-  EXPECT_EQ(T.WeakPointersBroken, 2 * S.WeakPointersBroken);
-  EXPECT_EQ(T.FinalizerThunksRun, 2 * S.FinalizerThunksRun);
-  EXPECT_EQ(T.SymbolsDropped, 2 * S.SymbolsDropped);
-  EXPECT_EQ(T.SegmentsFreed, 2 * S.SegmentsFreed);
-  EXPECT_EQ(T.DurationNanos, 2 * S.DurationNanos);
-  EXPECT_EQ(T.BarriersExecuted, 2 * S.BarriersExecuted);
-  EXPECT_EQ(T.BarriersElided, 2 * S.BarriersElided);
-  // Worker width is a high-water mark (not a sum), so accumulating
-  // twice leaves it unchanged; steal traffic accumulates like
-  // everything else.
-  EXPECT_EQ(T.GcWorkersUsed, S.GcWorkersUsed);
-  EXPECT_EQ(T.StealAttempts, 2 * S.StealAttempts);
-  EXPECT_EQ(T.StealHits, 2 * S.StealHits);
+#define GENGC_X(Name, Merge, K, Scope, Model, SN, STN)                         \
+  EXPECT_EQ(T.Name, IsMax##Merge ? S.Name : 2 * S.Name) << #Name;              \
+  GENGC_COUNTER_IF_##Scope(                                                    \
+      EXPECT_EQ(C.GENGC_SCOPE_NAME(Name, SN), S.Name) << #Name;                \
+      EXPECT_EQ(ST.GENGC_SCOPE_TOTAL_NAME(Name, SN, STN),                      \
+                IsMax##Merge ? S.Name : 2 * S.Name) << #Name;)
+  GENGC_GC_COUNTERS(GENGC_X)
+#undef GENGC_X
   for (unsigned I = 0; I != NumGcPhases; ++I)
-    EXPECT_EQ(T.Phases.Nanos[I], 2 * S.Phases.Nanos[I]);
-
-  // A non-oldest collection is not a full collection.
-  GcStats Minor = S;
-  Minor.CollectedGeneration = 0;
-  T.accumulate(Minor, /*OldestGeneration=*/3);
+    EXPECT_EQ(T.Phases.Nanos[I], 2 * S.Phases.Nanos[I]) << "phase " << I;
   EXPECT_EQ(T.Collections, 3u);
-  EXPECT_EQ(T.FullCollections, 2u);
+  EXPECT_EQ(T.FullCollections, 2u); // The minor is not a full collection.
+  EXPECT_EQ(ST.ScopesClosed, 3u);
+  EXPECT_EQ(ST.BytesReclaimed, 2 * (C.BytesInScope - C.BytesEvacuated));
 }
 
 TEST(GcTotalsTest, BarrierCountersWindowPerCollection) {

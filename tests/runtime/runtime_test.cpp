@@ -453,70 +453,51 @@ TEST(ShardRuntimeTest, TraceIdsPropagateAcrossShardsAndTickets) {
 }
 
 TEST(AggregateTest, MergeCoversEveryTotalsField) {
-  // Mirror of the telemetry accumulate-coverage test: a fully
-  // populated GcStats accumulated into totals, then merged, must
-  // double every field.
-  GcStats S;
-  S.CollectedGeneration = 1;
-  S.ObjectsCopied = 2;
-  S.BytesCopied = 3;
-  S.ObjectsPromoted = 4;
-  S.RootsScanned = 5;
-  S.RememberedObjectsScanned = 6;
-  S.BytesInFromSpace = 7;
-  S.ProtectedEntriesVisited = 8;
-  S.GuardianObjectsSaved = 9;
-  S.ProtectedEntriesKept = 10;
-  S.GuardianEntriesDropped = 11;
-  S.GuardianLoopIterations = 12;
-  S.WeakPairsExamined = 13;
-  S.WeakPointersBroken = 14;
-  S.FinalizerThunksRun = 15;
-  S.SymbolsDropped = 16;
-  S.SegmentsFreed = 17;
-  S.DurationNanos = 18;
-  S.BarriersExecuted = 19;
-  S.BarriersElided = 20;
-  S.GcWorkersUsed = 21;
-  S.StealAttempts = 22;
-  S.StealHits = 23;
+  // The merge() half of the telemetry accumulate-coverage test: totals
+  // merged across shards fold every counter-table row by its merge
+  // kind. Sum rows double; Max rows hold, even when a smaller (empty)
+  // shard merges in after them.
+  constexpr bool IsMaxSum = false, IsMaxMax = true; // IsMax##Merge per row.
+  GcStats S; // Distinct values, so a fold of the wrong member shows.
+  S.CollectedGeneration = 1; // == oldest below: counts as a full GC.
+  uint64_t Next = 2;
+#define GENGC_X(Name, ...) S.Name = Next++;
+  GENGC_GC_COUNTERS(GENGC_X)
+#undef GENGC_X
   for (unsigned I = 0; I != NumGcPhases; ++I)
     S.Phases.Nanos[I] = 100 + I;
+  ScopeCloseStats C;
+  C.Depth = 2;
+  C.copyFrom(S);
 
-  GcTotals One;
+  GcTotals One, Two;
   One.accumulate(S, /*OldestGeneration=*/1);
-  GcTotals Two;
-  Two.merge(One);
-  Two.merge(One);
+  for (const GcTotals &From : {One, One, GcTotals()})
+    Two.merge(From);
+  ScopeTotals SOne, STwo;
+  SOne.ScopesOpened = 1; // Opens are counted by the heap, not by a fold.
+  SOne.MaxDepth = 2;
+  SOne.accumulate(C);
+  for (const ScopeTotals &From : {SOne, SOne, ScopeTotals()})
+    STwo.merge(From);
 
-  EXPECT_EQ(Two.Collections, 2 * One.Collections);
-  EXPECT_EQ(Two.FullCollections, 2 * One.FullCollections);
-  EXPECT_EQ(Two.ObjectsCopied, 2 * One.ObjectsCopied);
-  EXPECT_EQ(Two.BytesCopied, 2 * One.BytesCopied);
-  EXPECT_EQ(Two.ObjectsPromoted, 2 * One.ObjectsPromoted);
-  EXPECT_EQ(Two.RootsScanned, 2 * One.RootsScanned);
-  EXPECT_EQ(Two.RememberedObjectsScanned, 2 * One.RememberedObjectsScanned);
-  EXPECT_EQ(Two.BytesInFromSpace, 2 * One.BytesInFromSpace);
-  EXPECT_EQ(Two.ProtectedEntriesVisited, 2 * One.ProtectedEntriesVisited);
-  EXPECT_EQ(Two.GuardianObjectsSaved, 2 * One.GuardianObjectsSaved);
-  EXPECT_EQ(Two.ProtectedEntriesKept, 2 * One.ProtectedEntriesKept);
-  EXPECT_EQ(Two.GuardianEntriesDropped, 2 * One.GuardianEntriesDropped);
-  EXPECT_EQ(Two.GuardianLoopIterations, 2 * One.GuardianLoopIterations);
-  EXPECT_EQ(Two.WeakPairsExamined, 2 * One.WeakPairsExamined);
-  EXPECT_EQ(Two.WeakPointersBroken, 2 * One.WeakPointersBroken);
-  EXPECT_EQ(Two.FinalizerThunksRun, 2 * One.FinalizerThunksRun);
-  EXPECT_EQ(Two.SymbolsDropped, 2 * One.SymbolsDropped);
-  EXPECT_EQ(Two.SegmentsFreed, 2 * One.SegmentsFreed);
-  EXPECT_EQ(Two.DurationNanos, 2 * One.DurationNanos);
-  EXPECT_EQ(Two.BarriersExecuted, 2 * One.BarriersExecuted);
-  EXPECT_EQ(Two.BarriersElided, 2 * One.BarriersElided);
-  // Worker width merges as a high-water mark; steal counters sum
-  // across shards.
-  EXPECT_EQ(Two.GcWorkersUsed, One.GcWorkersUsed);
-  EXPECT_EQ(Two.StealAttempts, 2 * One.StealAttempts);
-  EXPECT_EQ(Two.StealHits, 2 * One.StealHits);
+#define GENGC_X(Name, Merge, K, Scope, Model, SN, STN)                         \
+  EXPECT_EQ(Two.Name, IsMax##Merge ? One.Name : 2 * One.Name) << #Name;        \
+  GENGC_COUNTER_IF_##Scope(                                                    \
+      EXPECT_EQ(STwo.GENGC_SCOPE_TOTAL_NAME(Name, SN, STN),                    \
+                IsMax##Merge ? SOne.GENGC_SCOPE_TOTAL_NAME(Name, SN, STN)      \
+                             : 2 * SOne.GENGC_SCOPE_TOTAL_NAME(Name, SN, STN)) \
+      << #Name;)
+  GENGC_GC_COUNTERS(GENGC_X)
+#undef GENGC_X
   for (unsigned I = 0; I != NumGcPhases; ++I)
     EXPECT_EQ(Two.Phases.Nanos[I], 2 * One.Phases.Nanos[I]) << "phase " << I;
+  EXPECT_EQ(Two.Collections, 2 * One.Collections);
+  EXPECT_EQ(Two.FullCollections, 2 * One.FullCollections);
+  EXPECT_EQ(STwo.ScopesOpened, 2u);
+  EXPECT_EQ(STwo.ScopesClosed, 2u);
+  EXPECT_EQ(STwo.MaxDepth, 2u);
+  EXPECT_EQ(STwo.BytesReclaimed, 2 * SOne.BytesReclaimed);
 }
 
 TEST(AggregateTest, PercentilesOverMergedDistribution) {

@@ -11,6 +11,10 @@
 
 #include <gtest/gtest.h>
 
+#include <map>
+#include <set>
+#include <string>
+
 using namespace gengc;
 
 namespace {
@@ -291,6 +295,105 @@ TEST_F(SchemeTest, PortsFromScheme) {
                          "(close-output-port q)"
                          "(file-contents \"out.txt\")"),
             "\"xyz\"");
+}
+
+//===----------------------------------------------------------------------===//
+// (gc-stats): its key set is a contract, and its counters are the
+// heap's own records.
+//===----------------------------------------------------------------------===//
+
+TEST_F(SchemeTest, GcStatsKeysAndValuesMatchTheHeap) {
+  // Garbage, a dropped guardian registration and a weak pair whose car
+  // dies, so the guardian and weak counters are not all zero.
+  evalToString("(define g (make-guardian)) (g (list 3 4))"
+               "(define w (weak-cons (list 1 2) 'x))");
+  H.collect(0);
+  H.collect(0);
+  H.collectFull();
+  const GcTotals &T = H.totals();
+  const GcStats &L = H.lastStats();
+  EXPECT_GT(T.GuardianObjectsSaved, 0u);
+  EXPECT_GT(T.WeakPointersBroken, 0u);
+
+  // AutoCollect is off, so building the list runs no collection.
+  Value Alist = I.evalString("(gc-stats)");
+  ASSERT_FALSE(I.hadError()) << I.errorMessage();
+  std::map<std::string, Value> Stats;
+  for (Value Rest = Alist; Rest.isPair(); Rest = pairCdr(Rest))
+    EXPECT_TRUE(Stats.emplace(H.symbolName(pairCar(pairCar(Rest))),
+                              pairCdr(pairCar(Rest)))
+                    .second);
+
+  // Key order is not part of the contract; the set is. The Added keys
+  // came with the counter table (every exported counter is reported as
+  // a total and as a last value); they appear all together or not at all.
+  const std::set<std::string> Pinned = {
+      "collections", "full-collections", "bytes-allocated",
+      "total-bytes-allocated", "segments-in-use", "total-objects-copied",
+      "total-bytes-copied", "total-objects-promoted",
+      "total-guardian-objects-saved", "total-weak-pointers-broken",
+      "total-finalizer-thunks-run", "total-gc-nanos", "barriers-executed",
+      "barriers-elided", "last-generation", "last-target-generation",
+      "last-duration-nanos", "last-objects-copied", "last-bytes-copied",
+      "last-bytes-in-from-space", "last-segments-freed", "scope-opens",
+      "scope-closes", "scope-max-depth", "scope-objects-evacuated",
+      "scope-bytes-evacuated", "scope-bytes-in-scopes",
+      "scope-bytes-reclaimed", "scope-close-nanos", "mmu-1ms", "mmu-10ms",
+      "mmu-100ms", "slo-max-pause-nanos", "slo-pause-violations",
+      "last-phase-nanos", "generations"};
+  const std::set<std::string> Added = {
+      "total-bytes-in-from-space", "total-segments-freed",
+      "last-objects-promoted", "last-guardian-objects-saved",
+      "last-weak-pointers-broken", "last-finalizer-thunks-run"};
+  size_t AddedPresent = 0;
+  for (const auto &KV : Stats) {
+    AddedPresent += Added.count(KV.first);
+    EXPECT_TRUE(Pinned.count(KV.first) || Added.count(KV.first)) << KV.first;
+  }
+  for (const std::string &Key : Pinned)
+    EXPECT_TRUE(Stats.count(Key)) << "missing " << Key;
+  EXPECT_TRUE(AddedPresent == 0 || AddedPresent == Added.size());
+
+  // Every total-/last- value read from totals() and lastStats().
+  const std::map<std::string, uint64_t> Expected = {
+      {"collections", T.Collections}, {"full-collections", T.FullCollections},
+      {"total-objects-copied", T.ObjectsCopied},
+      {"total-bytes-copied", T.BytesCopied},
+      {"total-objects-promoted", T.ObjectsPromoted},
+      {"total-bytes-in-from-space", T.BytesInFromSpace},
+      {"total-guardian-objects-saved", T.GuardianObjectsSaved},
+      {"total-weak-pointers-broken", T.WeakPointersBroken},
+      {"total-finalizer-thunks-run", T.FinalizerThunksRun},
+      {"total-segments-freed", T.SegmentsFreed},
+      {"total-gc-nanos", T.DurationNanos},
+      {"last-generation", L.CollectedGeneration},
+      {"last-target-generation", L.TargetGeneration},
+      {"last-duration-nanos", L.DurationNanos},
+      {"last-objects-copied", L.ObjectsCopied},
+      {"last-bytes-copied", L.BytesCopied},
+      {"last-objects-promoted", L.ObjectsPromoted},
+      {"last-bytes-in-from-space", L.BytesInFromSpace},
+      {"last-guardian-objects-saved", L.GuardianObjectsSaved},
+      {"last-weak-pointers-broken", L.WeakPointersBroken},
+      {"last-finalizer-thunks-run", L.FinalizerThunksRun},
+      {"last-segments-freed", L.SegmentsFreed}};
+  for (const auto &[Key, V] : Stats) {
+    bool Record = Key.rfind("total-", 0) == 0 || Key.rfind("last-", 0) == 0;
+    if (Key == "total-bytes-allocated" || Key == "last-phase-nanos" ||
+        !(Record || Expected.count(Key)))
+      continue;
+    ASSERT_TRUE(Expected.count(Key) && V.isFixnum()) << Key;
+    EXPECT_EQ(static_cast<uint64_t>(V.asFixnum()), Expected.at(Key)) << Key;
+  }
+  // ((setup . ns) (roots . ns) ...), in phase order.
+  Value Phases = Stats.at("last-phase-nanos");
+  for (unsigned P = 0; P != NumGcPhases; ++P, Phases = pairCdr(Phases)) {
+    EXPECT_EQ(H.symbolName(pairCar(pairCar(Phases))),
+              gcPhaseName(static_cast<GcPhase>(P)));
+    EXPECT_EQ(static_cast<uint64_t>(pairCdr(pairCar(Phases)).asFixnum()),
+              L.Phases.Nanos[P]);
+  }
+  EXPECT_TRUE(Phases.isNil());
 }
 
 } // namespace

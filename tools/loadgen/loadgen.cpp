@@ -704,19 +704,22 @@ int main(int Argc, char **Argv) {
         "    {\"name\": \"loadgen/shards:%zu\", \"run_type\": \"iteration\",\n"
         "     \"iterations\": 1, \"real_time\": %.0f, \"cpu_time\": %.0f,\n"
         "     \"time_unit\": \"ns\",\n"
-        "     \"ops\": %llu, \"throughput_ops_per_sec\": %.1f,\n"
-        "     \"gc_collections\": %llu, \"gc_full_collections\": %llu,\n"
-        "     \"gc_bytes_copied\": %llu, \"gc_objects_promoted\": %llu,\n"
-        "     \"gc_segments_freed\": %llu, \"gc_total_pause_ns\": %llu,\n"
+        "     \"ops\": %llu, \"throughput_ops_per_sec\": %.1f,\n",
+        Opt.Shards, Opt.Sessions, Opt.Ops,
+        static_cast<unsigned long long>(Opt.Seed), Opt.ThinkTimeUs,
+        Opt.FailRatePct, Opt.Scoped ? 1 : 0, Opt.PayloadBytes,
+        Opt.Donate ? 1 : 0, Opt.Shards, RealNs, RealNs,
+        static_cast<unsigned long long>(TotalOps), Throughput);
+    auto Counter = [&](const std::string &Key, uint64_t N) {
+      std::fprintf(F, "     \"%s\": %llu,\n", Key.c_str(),
+                   static_cast<unsigned long long>(N));
+    };
+    forEachGcTotalsExport(Fleet.Combined, Counter);
+    forEachScopeTotalsExport(ScopeAgg, Counter);
+    std::fprintf(
+        F,
         "     \"gc_pause_p50_ns\": %llu, \"gc_pause_p99_ns\": %llu,\n"
         "     \"gc_pause_p999_ns\": %llu, \"gc_pause_max_ns\": %llu,\n"
-        "     \"gc_scope_opens\": %llu, \"gc_scope_closes\": %llu,\n"
-        "     \"gc_scope_max_depth\": %llu,\n"
-        "     \"gc_scope_objects_evacuated\": %llu,\n"
-        "     \"gc_scope_bytes_evacuated\": %llu,\n"
-        "     \"gc_scope_bytes_in_scopes\": %llu,\n"
-        "     \"gc_scope_bytes_reclaimed\": %llu,\n"
-        "     \"gc_scope_close_ns\": %llu,\n"
         "     \"latency_op_p50_ns\": %llu, \"latency_op_p99_ns\": %llu,\n"
         "     \"latency_op_p999_ns\": %llu, \"latency_op_max_ns\": %llu,\n"
         "     \"latency_op_count\": %llu,\n"
@@ -733,29 +736,10 @@ int main(int Argc, char **Argv) {
         "     \"accounting_failures\": %d}\n"
         "  ]\n"
         "}\n",
-        Opt.Shards, Opt.Sessions, Opt.Ops,
-        static_cast<unsigned long long>(Opt.Seed), Opt.ThinkTimeUs,
-        Opt.FailRatePct, Opt.Scoped ? 1 : 0, Opt.PayloadBytes,
-        Opt.Donate ? 1 : 0, Opt.Shards, RealNs, RealNs,
-        static_cast<unsigned long long>(TotalOps), Throughput,
-        static_cast<unsigned long long>(Fleet.Combined.Collections),
-        static_cast<unsigned long long>(Fleet.Combined.FullCollections),
-        static_cast<unsigned long long>(Fleet.Combined.BytesCopied),
-        static_cast<unsigned long long>(Fleet.Combined.ObjectsPromoted),
-        static_cast<unsigned long long>(Fleet.Combined.SegmentsFreed),
-        static_cast<unsigned long long>(Fleet.Combined.DurationNanos),
         static_cast<unsigned long long>(Fleet.PauseP50Nanos),
         static_cast<unsigned long long>(Fleet.PauseP99Nanos),
         static_cast<unsigned long long>(Fleet.PauseP999Nanos),
         static_cast<unsigned long long>(Fleet.PauseMaxNanos),
-        static_cast<unsigned long long>(ScopeAgg.ScopesOpened),
-        static_cast<unsigned long long>(ScopeAgg.ScopesClosed),
-        static_cast<unsigned long long>(ScopeAgg.MaxDepth),
-        static_cast<unsigned long long>(ScopeAgg.ObjectsEvacuated),
-        static_cast<unsigned long long>(ScopeAgg.BytesEvacuated),
-        static_cast<unsigned long long>(ScopeAgg.BytesInScopes),
-        static_cast<unsigned long long>(ScopeAgg.BytesReclaimed),
-        static_cast<unsigned long long>(ScopeAgg.CloseNanos),
         static_cast<unsigned long long>(OpLatency.p50()),
         static_cast<unsigned long long>(OpLatency.p99()),
         static_cast<unsigned long long>(OpLatency.p999()),
