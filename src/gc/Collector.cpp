@@ -19,18 +19,12 @@ using namespace gengc;
 
 void Collector::run(unsigned G) {
   GcTelemetry &Tel = H.Telemetry;
-  const uint64_t StartNanos = Tel.now();
-  // Phase timers chain through this cursor so the phase spans tile the
-  // pause exactly (see PhaseTimer).
-  uint64_t PhaseCursor = StartNanos;
-  H.InGc = true;
+  StartNanos = Tel.now();
+  PhaseCursor = StartNanos;
 
   const unsigned Oldest = H.oldestGeneration();
   GENGC_ASSERT(G <= Oldest, "collected generation out of range");
   T = std::min(G + 1, Oldest);
-  if (H.Cfg.TenureCopies == 1)
-    for (unsigned Sp = 0; Sp != NumSpaces; ++Sp)
-      CopyTargets[Sp] = &H.Contexts[Sp][T][0];
   // Totals.Collections is bumped by accumulate() at the end, so the
   // in-flight collection — which events recorded mid-pause must name —
   // is one past it.
@@ -49,90 +43,9 @@ void Collector::run(unsigned G) {
     Tel.emit(E);
   }
 
-  {
-    PhaseTimer PT(Tel, S, GcPhase::Setup, PhaseCursor);
-    detachFromSpace(G);
-
-    // Record the sweep start of every context copies can land in:
-    // generations 0..T at every tenure age. Contexts of the collected
-    // generations were just detached (empty, cursor {0,0}); anything
-    // already in generation T (when T > G) is an older object covered by
-    // the remembered sets, so its sweep starts at the current frontier.
-    for (unsigned Sp = 0; Sp != NumSpaces; ++Sp)
-      for (unsigned Gen = 0; Gen <= T; ++Gen)
-        for (unsigned Age = 0; Age != H.Cfg.TenureCopies; ++Age) {
-          SpaceContext &Ctx = H.Contexts[Sp][Gen][Age];
-          if (Ctx.runs().empty()) {
-            Cursors[Sp][Gen][Age] = SweepCursor{0, 0};
-          } else {
-            size_t Last = Ctx.runs().size() - 1;
-            Cursors[Sp][Gen][Age] =
-                SweepCursor{Last, Ctx.usedWordsOf(H.Segments, Last)};
-          }
-          if (Sp == static_cast<unsigned>(SpaceKind::WeakPair))
-            WeakScanStarts[Gen][Age] = Cursors[Sp][Gen][Age];
-        }
-
-    // Stale remembered entries of collected generations refer to
-    // from-space containers; their survivors are rescanned by the sweep.
-    for (unsigned I = 0; I <= G; ++I) {
-      H.Remembered[I].clear();
-      H.WeakRemembered[I].clear();
-    }
-  }
-
-  {
-    PhaseTimer PT(Tel, S, GcPhase::Roots, PhaseCursor);
-    forwardRoots();
-    if (!H.ScopeStack.empty())
-      scanOpenScopes();
-  }
-  {
-    PhaseTimer PT(Tel, S, GcPhase::RememberedSets, PhaseCursor);
-    processRememberedSets(G);
-  }
-  {
-    PhaseTimer PT(Tel, S, GcPhase::Copy, PhaseCursor);
-    kleeneSweep();
-  }
-  {
-    PhaseTimer PT(Tel, S, GcPhase::Guardians, PhaseCursor);
-    processGuardians(G);
-  }
-
-  std::vector<uint32_t> ThunkQueue;
-  {
-    PhaseTimer PT(Tel, S, GcPhase::Finalizers, PhaseCursor);
-    processFinalizeLists(G, ThunkQueue);
-  }
-  {
-    PhaseTimer PT(Tel, S, GcPhase::WeakPairs, PhaseCursor);
-    weakPairPass(G);
-  }
-  {
-    PhaseTimer PT(Tel, S, GcPhase::SymbolTable, PhaseCursor);
-    updateSymbolTable(G);
-  }
-  {
-    PhaseTimer PT(Tel, S, GcPhase::Reclaim, PhaseCursor);
-    // The profiler sweep and the escape-set fixup must read forwarding
-    // markers, so they run while from-space is still intact.
-    if (H.Profiler.enabled())
-      sweepAllocProfiler();
-    if (!H.ScopeStack.empty())
-      fixupScopeEscapes();
-    freeFromSpace();
-  }
-
+  evacuate(G);
   H.BytesSinceGc = 0;
   H.GcPending = false;
-  H.InGc = false;
-
-  // The thunks are queued and counted now (so the totals see them) but
-  // run after the statistics are published.
-  S.FinalizerThunksRun = ThunkQueue.size();
-  S.DurationNanos = Tel.now() - StartNanos;
-  Tel.recordPause({StartNanos, S.DurationNanos});
 
   // Mutator barrier traffic in the window since the previous
   // collection: deltas of the heap's monotonic counters.
@@ -168,25 +81,89 @@ void Collector::run(unsigned G) {
   GENGC_ASSERT(S.CollectionIndex == H.Totals.Collections,
                "collection index drifted from the totals");
   H.LastStats = S;
-
-  // Dickey-style finalization thunks run "as part of the garbage
-  // collection process and must not cause another garbage collection":
-  // allocation stays disabled while they run.
-  if (!ThunkQueue.empty()) {
-    H.NoAllocMode = true;
-    for (uint32_t Id : ThunkQueue)
-      H.FinalizerThunks[Id]();
-    H.NoAllocMode = false;
-  }
+  runFinalizerThunks();
 }
 
 //===----------------------------------------------------------------------===//
-// From-space management.
+// The evacuation both entry points share.
 //===----------------------------------------------------------------------===//
 
-void Collector::detachFromSpace(unsigned G) {
+template <typename Fn> void Collector::phase(GcPhase P, Fn Body) {
+  if (ClosingScope) {
+    Body();
+    return;
+  }
+  PhaseTimer PT(H.Telemetry, S, P, PhaseCursor);
+  Body();
+}
+
+void Collector::evacuate(unsigned G) {
+  H.InGc = true;
+  phase(GcPhase::Setup, [&] { setUpSpaces(G); });
+  phase(GcPhase::Roots, [&] {
+    forwardRoots();
+    // A collection does not collect the open scopes, so their objects
+    // are roots; a close finds every outer pointer into the closing scope
+    // in its escape set.
+    if (!ClosingScope && !H.ScopeStack.empty())
+      scanOpenScopes();
+  });
+  phase(GcPhase::RememberedSets, [&] {
+    if (ClosingScope)
+      scopeForwardEscapeRoots(*ClosingScope);
+    else
+      processRememberedSets(G);
+  });
+  phase(GcPhase::Copy, [&] { kleeneSweep(); });
+  phase(GcPhase::Guardians, [&] { processGuardians(G); });
+  phase(GcPhase::Finalizers, [&] { processFinalizeLists(G); });
+  phase(GcPhase::WeakPairs, [&] { weakPairPass(G); });
+  phase(GcPhase::SymbolTable, [&] { updateSymbolTable(G); });
+  phase(GcPhase::Reclaim, [&] {
+    // The profiler sweep and the escape-set upkeep must read forwarding
+    // markers, so they run while from-space is still intact.
+    if (H.Profiler.enabled())
+      sweepAllocProfiler();
+    if (ClosingScope)
+      propagateScopeEscapes(*ClosingScope);
+    else if (!H.ScopeStack.empty())
+      fixupScopeEscapes();
+    freeFromSpace();
+  });
+  H.InGc = false;
+
+  // The thunks are queued and counted now (so the statistics see them)
+  // but run after the statistics are published. A close is a pause like
+  // any other: it participates in the MMU curves and the SLO ledger even
+  // though it is not a collection.
+  S.FinalizerThunksRun = ThunkQueue.size();
+  S.DurationNanos = H.Telemetry.now() - StartNanos;
+  H.Telemetry.recordPause({StartNanos, S.DurationNanos});
+}
+
+void Collector::runFinalizerThunks() {
+  // Dickey-style finalization thunks run "as part of the garbage
+  // collection process and must not cause another garbage collection":
+  // allocation stays disabled while they run.
+  if (ThunkQueue.empty())
+    return;
+  H.NoAllocMode = true;
+  for (uint32_t Id : ThunkQueue)
+    H.FinalizerThunks[Id]();
+  H.NoAllocMode = false;
+}
+
+//===----------------------------------------------------------------------===//
+// From-space and to-space.
+//===----------------------------------------------------------------------===//
+
+void Collector::setUpSpaces(unsigned G) {
   GENGC_ASSERT(H.FromSpaceRuns.empty() && H.FromExchangeRuns.empty(),
-               "from-space left over from the previous collection");
+               "from-space left over from the previous evacuation");
+  if (ClosingScope) {
+    scopeSetUpSpaces(*ClosingScope);
+    return;
+  }
   for (unsigned Sp = 0; Sp != NumSpaces; ++Sp)
     for (unsigned I = 0; I <= G; ++I)
       for (unsigned Age = 0; Age != H.Cfg.TenureCopies; ++Age)
@@ -206,6 +183,42 @@ void Collector::detachFromSpace(unsigned G) {
     }
     markFromSpace(H.Exchange->arena(), H.FromExchangeRuns);
   }
+
+  // The to-space: every context the tenure policy can name, generations
+  // 0..T at every age. Contexts of the collected generations were just
+  // detached (empty); anything already in generation T (when T > G) is
+  // an older object covered by the remembered sets, so its sweep starts
+  // at the current frontier.
+  for (unsigned Gen = 0; Gen <= T; ++Gen)
+    for (unsigned Age = 0; Age != H.Cfg.TenureCopies; ++Age)
+      for (unsigned Sp = 0; Sp != NumSpaces; ++Sp)
+        addToSpace(H.Segments, H.Contexts[Sp][Gen][Age],
+                   static_cast<SpaceKind>(Sp), Gen, Age, /*ScopeDepth=*/0,
+                   /*Flags=*/0);
+  if (H.Cfg.TenureCopies == 1)
+    for (unsigned Sp = 0; Sp != NumSpaces; ++Sp)
+      CopyTargets[Sp] = toSpace(static_cast<SpaceKind>(Sp), T, 0).Ctx;
+
+  // Stale remembered entries of collected generations refer to
+  // from-space containers; their survivors are rescanned by the sweep.
+  for (unsigned I = 0; I <= G; ++I) {
+    H.Remembered[I].clear();
+    H.WeakRemembered[I].clear();
+  }
+}
+
+void Collector::addToSpace(Arena &A, SpaceContext &Ctx, SpaceKind Space,
+                           unsigned Gen, unsigned Age, unsigned ScopeDepth,
+                           uint8_t Flags) {
+  SweepCursor Frontier{0, 0};
+  if (!Ctx.runs().empty()) {
+    const size_t Last = Ctx.runs().size() - 1;
+    Frontier = SweepCursor{Last, Ctx.usedWordsOf(A, Last)};
+  }
+  ToSpaces[NumToSpaces++] =
+      ToSpace{&A, &Ctx, Space, static_cast<uint8_t>(Gen),
+              static_cast<uint8_t>(Age), static_cast<uint8_t>(ScopeDepth),
+              Flags, Frontier, Frontier};
 }
 
 void Collector::markFromSpace(Arena &A, const std::vector<SegmentRun> &Runs) {
@@ -252,29 +265,27 @@ void Collector::releaseRuns(Arena &A, std::vector<SegmentRun> &Runs) {
 // Copying.
 //===----------------------------------------------------------------------===//
 
-void Collector::targetFor(unsigned Gen, unsigned Age, unsigned &NewGen,
-                          unsigned &NewAge) const {
-  const unsigned NextAge = Age + 1;
-  if (NextAge >= H.Cfg.TenureCopies) {
+Collector::ToSpace &Collector::targetFor(const SegmentInfo &Info) {
+  const unsigned NextAge = Info.Age + 1;
+  if (NextAge >= H.Cfg.TenureCopies ||
+      CopyTargets[static_cast<unsigned>(Info.Space)]) {
     // Aged out: promoted into the collection's target generation,
     // "objects in generations less than or equal to g that survive a
     // collection of generation g are placed in generation g+1" (capped
     // at the oldest generation). With TenureCopies == 1 every survivor
-    // takes this branch, reproducing the paper exactly.
-    NewGen = T;
-    NewAge = 0;
-    return;
+    // takes this branch, reproducing the paper exactly. A fixed target
+    // (a scope close) is the same (space, T, age 0) entry.
+    return toSpace(Info.Space, T, 0);
   }
   // Not yet tenured: another round in its own generation, one age up.
-  NewGen = Gen;
-  NewAge = NextAge;
+  return toSpace(Info.Space, Info.Generation, NextAge);
 }
 
 inline uintptr_t *Collector::allocateCopy(const SegmentInfo &Info,
                                           size_t Words, uint64_t &Promoted) {
-  // The cached target: an inline bump in (space, T, age 0), the context
-  // targetFor() names under the paper's tenure policy. When its run is
-  // full, the general path below opens the next one.
+  // The cached target: an inline bump in the space's fixed to-space
+  // context. When its run is full, the general path below opens the
+  // next one.
   if (SpaceContext *Ctx = CopyTargets[static_cast<unsigned>(Info.Space)])
     if (uintptr_t *P = Ctx->tryBump(Words)) {
       Promoted = T > Info.Generation ? 1 : 0;
@@ -285,16 +296,11 @@ inline uintptr_t *Collector::allocateCopy(const SegmentInfo &Info,
 
 uintptr_t *Collector::allocateCopySlow(const SegmentInfo &Info, size_t Words,
                                        uint64_t &Promoted) {
-  // A scope close targets the enclosing extent, not the generation
-  // ladder; graduation is not a promotion.
-  if (ClosingScope) {
-    Promoted = 0;
-    return scopeAllocate(Info.Space, Words);
-  }
-  unsigned NewGen = 0, NewAge = 0;
-  targetFor(Info.Generation, Info.Age, NewGen, NewAge);
-  Promoted = NewGen > Info.Generation ? 1 : 0;
-  return H.allocateInGeneration(Info.Space, NewGen, NewAge, Words);
+  // A scope close graduates survivors within generation 0: never a
+  // promotion.
+  ToSpace &To = targetFor(Info);
+  Promoted = To.Generation > Info.Generation ? 1 : 0;
+  return To.allocate(Words);
 }
 
 Value Collector::forwardFromSpace(Value V, const SegmentInfo *Info) {
@@ -462,51 +468,35 @@ bool Collector::pointsBelowGeneration(Value Container,
 //===----------------------------------------------------------------------===//
 
 void Collector::kleeneSweep() {
-  if (ClosingScope) {
-    // Scope-close mode: the to-space is the four target contexts of the
-    // enclosing extent, swept from the pre-close frontiers.
-    bool Progress = true;
-    while (Progress) {
-      Progress = false;
-      for (SpaceKind Space :
-           {SpaceKind::Pair, SpaceKind::Typed, SpaceKind::WeakPair}) {
-        const unsigned Sp = static_cast<unsigned>(Space);
-        Progress |=
-            sweepRange(scopeTargetArena(), scopeTargetContext(Sp),
-                       ScopeCursors[Sp], Space, /*ContainerGen=*/0);
-      }
-    }
-    return;
-  }
+  // ToSpaces groups the spaces of each (generation, age); each group is
+  // swept pairs, typed, weak pairs (the data space is pointerless). Space
+  // is a constant at each call, so the sweep loop is specialised per
+  // space: a list copied one pair per span pays no dispatch per object.
+  auto Sweep = [this](unsigned Group, SpaceKind Space) {
+    ToSpace &To = ToSpaces[Group + static_cast<unsigned>(Space)];
+    return sweepRange(*To.A, *To.Ctx, To.Scan, Space, To.Generation);
+  };
   bool Progress = true;
   while (Progress) {
     Progress = false;
-    for (unsigned Gen = 0; Gen <= T; ++Gen)
-      for (unsigned Age = 0; Age != H.Cfg.TenureCopies; ++Age) {
-        Progress |= sweepContext(SpaceKind::Pair, Gen, Age);
-        Progress |= sweepContext(SpaceKind::Typed, Gen, Age);
-        Progress |= sweepContext(SpaceKind::WeakPair, Gen, Age);
-        // The data space is pointerless; nothing to sweep.
-      }
+    for (unsigned Group = 0; Group != NumToSpaces; Group += NumSpaces) {
+      Progress |= Sweep(Group, SpaceKind::Pair);
+      Progress |= Sweep(Group, SpaceKind::Typed);
+      Progress |= Sweep(Group, SpaceKind::WeakPair);
+    }
   }
 }
 
-bool Collector::sweepContext(SpaceKind Space, unsigned Gen, unsigned Age) {
-  const unsigned Sp = static_cast<unsigned>(Space);
-  return sweepRange(H.Segments, H.Contexts[Sp][Gen][Age],
-                    Cursors[Sp][Gen][Age], Space, Gen);
-}
-
-bool Collector::sweepRange(Arena &A, SpaceContext &Ctx, SweepCursor &Cur,
-                           SpaceKind Space, unsigned ContainerGen) {
-  bool Progress = false;
+inline bool Collector::nextSpan(const Arena &A, const SpaceContext &Ctx,
+                                SweepCursor &Cur, uintptr_t *&P,
+                                uintptr_t *&End) {
   while (true) {
     const std::vector<SegmentRun> &Runs = Ctx.runs();
     if (Cur.RunIndex >= Runs.size())
-      break;
-    // The frontier is read once per span: copies made while sweeping the
-    // span land past End (in this run or a later one), and the next pass
-    // of this loop picks them up, so objects are swept in allocation
+      return false;
+    // The frontier is read once per span: whatever the caller allocates
+    // while visiting it lands past End (in this run or a later one), and
+    // the next call picks it up, so objects are visited in allocation
     // order.
     const size_t Used = Ctx.usedWordsOf(A, Cur.RunIndex);
     if (Cur.OffsetWords >= Used) {
@@ -515,15 +505,24 @@ bool Collector::sweepRange(Arena &A, SpaceContext &Ctx, SweepCursor &Cur,
         Cur.OffsetWords = 0;
         continue;
       }
-      break; // Caught up with the allocation frontier.
+      return false; // Caught up with the allocation frontier.
     }
     // rootcheck:allow(segment-base) — the Cheney sweep is the allocation
     // walk itself.
     uintptr_t *Base = A.segmentBase(Runs[Cur.RunIndex].FirstSegment);
-    sweepSpan(Base + Cur.OffsetWords, Base + Used, Space, ContainerGen);
+    P = Base + Cur.OffsetWords;
+    End = Base + Used;
     Cur.OffsetWords = Used;
-    Progress = true;
+    return true;
   }
+}
+
+bool Collector::sweepRange(const Arena &A, const SpaceContext &Ctx,
+                           SweepCursor &Cur, SpaceKind Space,
+                           unsigned ContainerGen) {
+  bool Progress = false;
+  for (uintptr_t *P, *End; nextSpan(A, Ctx, Cur, P, End); Progress = true)
+    sweepSpan(P, End, Space, ContainerGen);
   return Progress;
 }
 
@@ -773,14 +772,7 @@ void Collector::deliverToTconcs(bool &FaultDroppedOne) {
 }
 
 uintptr_t *Collector::allocateTconcCell() {
-  if (ClosingScope)
-    return scopeAllocate(SpaceKind::Pair, 2);
-  // The cached copy target is this very context under the paper's
-  // tenure policy: an inline bump, with the general path to open a run.
-  if (SpaceContext *Ctx = CopyTargets[static_cast<unsigned>(SpaceKind::Pair)])
-    if (uintptr_t *P = Ctx->tryBump(2))
-      return P;
-  return H.allocateInGeneration(SpaceKind::Pair, T, /*Age=*/0, 2);
+  return toSpace(SpaceKind::Pair, T, /*Age=*/0).allocate(2);
 }
 
 Heap::TconcBatch &Collector::batchFor(Value Tconc) {
@@ -828,8 +820,7 @@ void Collector::parkProtectedEntry(Value Obj, Value Tconc, Value Agent) {
 // register-for-finalization lists.
 //===----------------------------------------------------------------------===//
 
-void Collector::processFinalizeLists(unsigned G,
-                                     std::vector<uint32_t> &RunQueue) {
+void Collector::processFinalizeLists(unsigned G) {
   std::vector<Heap::FinalizeEntry> Kept;
   for (unsigned I = 0; I <= G; ++I) {
     for (const Heap::FinalizeEntry &E : H.FinalizeLists[I]) {
@@ -837,7 +828,7 @@ void Collector::processFinalizeLists(unsigned G,
       if (isForwarded(Obj))
         Kept.push_back({forwardedAddress(Obj).bits(), E.ThunkId});
       else
-        RunQueue.push_back(E.ThunkId); // Object is NOT preserved.
+        ThunkQueue.push_back(E.ThunkId); // Object is NOT preserved.
     }
     H.FinalizeLists[I].clear();
   }
@@ -861,37 +852,20 @@ void Collector::processFinalizeLists(unsigned G,
 //===----------------------------------------------------------------------===//
 
 void Collector::weakPairPass(unsigned G) {
-  // (a) Weak pairs copied during this collection, in every to-space
-  // context.
-  const unsigned Sp = static_cast<unsigned>(SpaceKind::WeakPair);
-  for (unsigned Gen = 0; Gen <= T; ++Gen) {
-    for (unsigned Age = 0; Age != H.Cfg.TenureCopies; ++Age) {
-      SpaceContext &Ctx = H.Contexts[Sp][Gen][Age];
-      SweepCursor Cur = WeakScanStarts[Gen][Age];
-      while (true) {
-        const std::vector<SegmentRun> &Runs = Ctx.runs();
-        if (Cur.RunIndex >= Runs.size())
-          break;
-        const size_t Used = Ctx.usedWordsOf(H.Segments, Cur.RunIndex);
-        if (Cur.OffsetWords >= Used) {
-          if (Cur.RunIndex + 1 < Runs.size()) {
-            ++Cur.RunIndex;
-            Cur.OffsetWords = 0;
-            continue;
-          }
-          break;
-        }
-        // rootcheck:allow(segment-base) — weak pass replays the sweep walk.
-        uintptr_t *Cell =
-            H.Segments.segmentBase(Runs[Cur.RunIndex].FirstSegment) +
-            Cur.OffsetWords;
-        fixWeakCar(Value::pair(reinterpret_cast<PairCell *>(Cell)));
-        Cur.OffsetWords += 2;
-      }
-    }
+  // (a) Weak pairs copied during this evacuation, in every to-space
+  // weak-pair context: their cars may still point into the from-space.
+  for (unsigned Group = 0; Group != NumToSpaces; Group += NumSpaces) {
+    const ToSpace &To =
+        ToSpaces[Group + static_cast<unsigned>(SpaceKind::WeakPair)];
+    fixWeakCars(*To.A, *To.Ctx, To.Start);
   }
 
-  // (b) Older weak pairs whose car was mutated to point at a younger
+  // (b) Weak pairs outside the from-space whose car may point into it.
+  if (ClosingScope) {
+    scopeWeakEscapePass(*ClosingScope);
+    return;
+  }
+  // Older weak pairs whose car was mutated to point at a younger
   // generation. Only these can reference the from-space, so the pass
   // stays proportional to the collected work.
   std::vector<uintptr_t> &Snapshot = H.SetSnapshot;
@@ -916,21 +890,18 @@ void Collector::weakPairPass(unsigned G) {
     scopeWeakContextPass();
 }
 
+void Collector::fixWeakCars(const Arena &A, const SpaceContext &Ctx,
+                            SweepCursor Cur) {
+  for (uintptr_t *P, *End; nextSpan(A, Ctx, Cur, P, End);)
+    for (; P < End; P += 2)
+      fixWeakCar(Value::pair(reinterpret_cast<PairCell *>(P)));
+}
+
 void Collector::scopeWeakContextPass() {
-  const unsigned Sp = static_cast<unsigned>(SpaceKind::WeakPair);
-  for (auto &SG : H.ScopeStack) {
-    Arena &A = *SG->ScopeArena;
-    SpaceContext &Ctx = SG->Contexts[Sp];
-    Ctx.sealCurrentRun(A);
-    const std::vector<SegmentRun> &Runs = Ctx.runs();
-    for (size_t R = 0; R != Runs.size(); ++R) {
-      // rootcheck:allow(segment-base) — replays the scope's bump walk.
-      uintptr_t *Base = A.segmentBase(Runs[R].FirstSegment);
-      const size_t Used = Ctx.usedWordsOf(A, R);
-      for (size_t Off = 0; Off != Used; Off += 2)
-        fixWeakCar(Value::pair(reinterpret_cast<PairCell *>(Base + Off)));
-    }
-  }
+  for (auto &SG : H.ScopeStack)
+    fixWeakCars(*SG->ScopeArena,
+                SG->Contexts[static_cast<unsigned>(SpaceKind::WeakPair)],
+                SweepCursor{0, 0});
 }
 
 void Collector::scanOpenScopes() {

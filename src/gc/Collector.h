@@ -6,15 +6,25 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// One collection cycle. "The collector performs a stop-and-copy
-/// collection from the generations being collected into the target
-/// generation" (Section 4). A Collector instance is created per
-/// collection by Heap::collect and discarded afterwards.
+/// One evacuation. "The collector performs a stop-and-copy collection
+/// from the generations being collected into the target generation"
+/// (Section 4). A Collector instance is created per evacuation and
+/// discarded afterwards. It has two entry points, which differ only in
+/// what they name:
+///   - run(G), a collection (Heap::collect): the from-space is
+///     generations 0..G (plus adopted donation runs on a full
+///     collection), the extra roots are the remembered sets of the
+///     older generations, and the lists are protected, symbol and
+///     weak-remembered lists 0..G;
+///   - runScopeClose(Scope), a scope close (Heap::closeScope): the
+///     from-space is the scope's contexts, the extra roots are its
+///     escape set, and the lists are its own.
 ///
-/// Phase order, following Section 4:
-///   1. detach the from-space (runs of every collected generation) and
-///      flag its segments,
-///   2. forward roots and the remembered sets of older generations,
+/// Both then run the same phases, following Section 4, over an explicit
+/// to-space (the ToSpaces list):
+///   1. detach the from-space and flag its segments; record the to-space
+///      contexts with their sweep starts,
+///   2. forward the roots and the extra roots,
 ///   3. Cheney-sweep the to-space contexts to a fixpoint,
 ///   4. process the guardian protected lists (the paper's pend-hold /
 ///      pend-final loop with kleene-sweep between rounds),
@@ -25,15 +35,20 @@
 ///      collection",
 ///   7. update the (weak) symbol table, free the from-space, run queued
 ///      finalizer thunks with allocation disabled.
+/// A collection times each phase (PhaseTimer) and traces it; a scope
+/// close does neither.
 ///
 /// Tenure policy: with HeapConfig::TenureCopies == 1 every survivor of a
 /// collection of generation g is copied into generation min(g+1, n) —
-/// the paper's simple strategy, and the to-space is a single context per
-/// space. With TenureCopies == K > 1 a survivor of (generation i, age a)
-/// is copied into (i, a+1) until a+1 == K promotes it to (i+1, 0), so
-/// the to-space spans several (generation, age) contexts; copying can
-/// then leave an object in a generation OLDER than some object it
-/// points to, which the sweep re-records in the remembered sets.
+/// the paper's simple strategy, and each space has one fixed to-space
+/// context (CopyTargets). With TenureCopies == K > 1 a survivor of
+/// (generation i, age a) is copied into (i, a+1) until a+1 == K
+/// promotes it to (i+1, 0), so the to-space spans several (generation,
+/// age) contexts; copying can then leave an object in a generation
+/// OLDER than some object it points to, which the sweep re-records in
+/// the remembered sets. A scope close has one fixed target per space
+/// whatever the policy: the enclosing scope's contexts, or generation
+/// 0's for an outermost close.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -66,15 +81,60 @@ public:
 
 private:
   /// Position within a SpaceContext's run list, in allocation order.
+  /// Trivial, so the ToSpaces array costs nothing to construct.
   struct SweepCursor {
-    size_t RunIndex = 0;
-    size_t OffsetWords = 0;
+    size_t RunIndex;
+    size_t OffsetWords;
   };
+
+  /// One context copies can land in: where it allocates from, the tags
+  /// its new runs get, and the two positions the evacuation walks from.
+  struct ToSpace {
+    Arena *A;
+    SpaceContext *Ctx;
+    SpaceKind Space;
+    uint8_t Generation, Age, ScopeDepth, Flags;
+    /// The frontier when the evacuation began: everything past it was
+    /// copied by this evacuation (the weak pass starts here).
+    SweepCursor Start;
+    /// The Cheney scan pointer.
+    SweepCursor Scan;
+
+    uintptr_t *allocate(size_t Words) {
+      return Ctx->allocate(*A, Space, Generation, Words, Age, ScopeDepth,
+                           Flags);
+    }
+  };
+
+  //===--- Evacuation -----------------------------------------------------===//
+
+  /// The phases both entry points share, from detaching the from-space to
+  /// recording the pause. The entry point has set StartNanos (and
+  /// ClosingScope for a close).
+  void evacuate(unsigned G);
+  /// Runs one phase: timed under a PhaseTimer in a collection, untimed
+  /// in a scope close.
+  template <typename Fn> void phase(GcPhase P, Fn Body);
+  /// Appends the to-space entry for \p Ctx, with its sweep at the
+  /// context's current frontier.
+  void addToSpace(Arena &A, SpaceContext &Ctx, SpaceKind Space,
+                  unsigned Gen, unsigned Age, unsigned ScopeDepth,
+                  uint8_t Flags);
+  /// The to-space entry of (\p Space, \p Gen, \p Age). ToSpaces holds
+  /// every space of each (generation, age) in turn, so a scope close's
+  /// four entries are (space, 0, 0).
+  ToSpace &toSpace(SpaceKind Space, unsigned Gen, unsigned Age) {
+    return ToSpaces[(Gen * H.Cfg.TenureCopies + Age) * NumSpaces +
+                    static_cast<unsigned>(Space)];
+  }
+  /// Dickey-style finalization thunks queued by the evacuation, run with
+  /// allocation disabled once its statistics are published.
+  void runFinalizerThunks();
 
   //===--- Copying --------------------------------------------------------===//
 
   /// The paper's forward(obj): copies a from-space object to its target
-  /// (generation, age) context — preserving its space — and installs a
+  /// to-space context — preserving its space — and installs a
   /// forwarding marker; returns the (possibly pre-existing) new
   /// location. Non-heap values and objects outside the from-space are
   /// returned unchanged.
@@ -103,20 +163,19 @@ private:
   Value forwardFromSpace(Value V, const SegmentInfo *Info);
 
   /// Allocates \p Words for the copy of an object from a from-space
-  /// segment described by \p Info, in the tenure policy's target context
-  /// (or the enclosing extent during a scope close), and sets \p Promoted
-  /// when that context is in an older generation.
+  /// segment described by \p Info, in its target context, and sets
+  /// \p Promoted when that context is in an older generation.
   uintptr_t *allocateCopy(const SegmentInfo &Info, size_t Words,
                           uint64_t &Promoted);
-  /// allocateCopy() past the cached target's bump: the one general
-  /// path, for a full run, TenureCopies > 1 and a scope close.
+  /// allocateCopy() past the cached target's bump: opens a run in the
+  /// target, or picks the target under TenureCopies > 1.
   uintptr_t *allocateCopySlow(const SegmentInfo &Info, size_t Words,
                               uint64_t &Promoted);
 
-  /// Target (generation, age) for a survivor of (\p Gen, \p Age) under
-  /// the tenure policy.
-  void targetFor(unsigned Gen, unsigned Age, unsigned &NewGen,
-                 unsigned &NewAge) const;
+  /// Target to-space context for a survivor from a segment described by
+  /// \p Info: the space's fixed target, else the tenure policy's
+  /// (generation, age).
+  ToSpace &targetFor(const SegmentInfo &Info);
 
   /// The paper's forwarded?(obj): "true when obj has been forwarded
   /// during this collection or when it resides in a generation older
@@ -171,18 +230,19 @@ private:
   /// until there are no newly copied objects to sweep", over every
   /// to-space context.
   void kleeneSweep();
-  /// Sweeps one (space, generation, age) context from its cursor to the
-  /// allocation frontier. Returns true if any object was processed.
-  bool sweepContext(SpaceKind Space, unsigned Gen, unsigned Age);
-  /// The shared walk under sweepContext: sweeps \p Ctx from \p Cur to
-  /// its allocation frontier. Also used for the scope-close targets and
-  /// the open-scope root scan, which sweep contexts outside the
-  /// Contexts[][][] array.
-  bool sweepRange(Arena &A, SpaceContext &Ctx, SweepCursor &Cur,
+  /// The one cursor-to-frontier walk: sets [\p P, \p End) to the next
+  /// span of \p Ctx from \p Cur, in allocation order, and moves \p Cur
+  /// past it; false once \p Cur has caught up with the allocation
+  /// frontier. The frontier is re-read at each call, so whatever the
+  /// caller allocates into \p Ctx while visiting a span is visited too.
+  bool nextSpan(const Arena &A, const SpaceContext &Ctx, SweepCursor &Cur,
+                uintptr_t *&P, uintptr_t *&End);
+  /// Cheney-sweeps \p Ctx from \p Cur to its frontier: the to-space
+  /// sweep, and the open-scope root scan from {0, 0}.
+  bool sweepRange(const Arena &A, const SpaceContext &Ctx, SweepCursor &Cur,
                   SpaceKind Space, unsigned ContainerGen);
   /// Sweeps the objects in [\p P, \p End) of one run of \p Space, in
-  /// address order. \p End must be an object boundary. The run loop of
-  /// sweepRange.
+  /// address order. \p End must be an object boundary.
   void sweepSpan(uintptr_t *P, uintptr_t *End, SpaceKind Space,
                  unsigned ContainerGen);
   void sweepPairAt(uintptr_t *Cell, bool Weak, unsigned ContainerGen);
@@ -194,7 +254,9 @@ private:
 
   //===--- Phases ---------------------------------------------------------===//
 
-  void detachFromSpace(unsigned G);
+  /// Setup: detaches the from-space, builds the to-space list, and clears
+  /// the collected generations' remembered sets.
+  void setUpSpaces(unsigned G);
   /// Flags every run of \p Runs (in arena \p A) as from-space and
   /// counts its bytes.
   void markFromSpace(Arena &A, const std::vector<SegmentRun> &Runs);
@@ -210,8 +272,11 @@ private:
   void deliverToTconcs(bool &FaultDroppedOne);
   /// The round's batch for (forwarded) \p Tconc, opened on first use.
   Heap::TconcBatch &batchFor(Value Tconc);
-  void processFinalizeLists(unsigned G, std::vector<uint32_t> &RunQueue);
+  void processFinalizeLists(unsigned G);
   void weakPairPass(unsigned G);
+  /// fixWeakCar over every weak pair of \p Ctx from \p Cur to its
+  /// frontier.
+  void fixWeakCars(const Arena &A, const SpaceContext &Ctx, SweepCursor Cur);
   void fixWeakCar(Value WeakPair);
   /// The weak symbol table's collection: visits the symbol lists of the
   /// collected extent (generations 0..G, or the closing scope's list),
@@ -222,8 +287,7 @@ private:
   /// Poisons (under HeapConfig::PoisonFromSpace), counts and frees the
   /// from-space runs of one arena, then empties \p Runs.
   void releaseRuns(Arena &A, std::vector<SegmentRun> &Runs);
-  /// A fresh tconc cell in the (pair, T, age 0) context, or the
-  /// enclosing extent during a scope close.
+  /// A fresh tconc cell in the (pair, T, age 0) to-space context.
   uintptr_t *allocateTconcCell();
 
   /// Re-parks a surviving (already forwarded) guardian entry: on the
@@ -250,44 +314,41 @@ private:
   /// reads forwarding markers).
   void fixupScopeEscapes();
 
-  /// Scope-close helpers (defined in gc/ScopedGeneration.cpp).
-  SpaceContext &scopeTargetContext(unsigned Sp);
-  /// Arena the scope-close target contexts allocate from: the enclosing
-  /// scope's arena (the exchange arena when closing into a donation
-  /// scope), or the heap's private arena when survivors graduate to the
-  /// ordinary generation 0.
-  Arena &scopeTargetArena();
-  uintptr_t *scopeAllocate(SpaceKind Space, size_t Words);
-  void scopeDetachFromSpace(ScopedGeneration &Scope);
+  /// Scope-close halves of the phases (defined in
+  /// gc/ScopedGeneration.cpp): the closing scope's from-space, its
+  /// enclosing extent as the to-space, its escape roots, its weak
+  /// escapes, and the escape sets of the extent it graduates into.
+  void scopeSetUpSpaces(ScopedGeneration &Scope);
   void scopeForwardEscapeRoots(ScopedGeneration &Scope);
-  void scopeWeakPairPass(ScopedGeneration &Scope);
+  void scopeWeakEscapePass(ScopedGeneration &Scope);
   void propagateScopeEscapes(ScopedGeneration &Scope);
 
   Heap &H;
   GcStats S;
   unsigned T = 0; ///< Target generation (the paper's min(g+1, n)).
-  /// Non-null only during runScopeClose: the scope being closed. The
-  /// shared machinery (forward, kleeneSweep, deliverToTconcs,
-  /// processGuardians) branches on it to target the enclosing extent
-  /// instead of the generation ladder.
+  /// The scope being closed, or null in a collection. Only the entry
+  /// points' differences test it: which from-space, extra roots and lists
+  /// the phases visit, and that a close is neither timed nor traced.
   ScopedGeneration *ClosingScope = nullptr;
-  /// Enclosing scope survivors graduate into; null when the closing
-  /// scope is outermost (survivors go to the ordinary generation 0).
-  ScopedGeneration *TargetScope = nullptr;
-  /// The context every copy of a space lands in, when that is fixed for
-  /// the whole collection: the paper's tenure policy (TenureCopies == 1),
-  /// where it is (space, T, age 0). Set only by run(), so null during a
-  /// scope close. Null means allocateCopy takes the general path.
+
+  /// The context of the entry every copy of a space lands in, when that
+  /// is fixed for the whole evacuation: (space, T, age 0) under the
+  /// paper's tenure policy (TenureCopies == 1), or the enclosing extent
+  /// during a scope close. Null means targetFor() picks by age.
   SpaceContext *CopyTargets[NumSpaces] = {};
 
-  SweepCursor Cursors[NumSpaces][MaxGenerations][MaxTenureCopies];
-  /// Start positions of the weak-pair regions copied during this
-  /// collection, for the second (weak) pass.
-  SweepCursor WeakScanStarts[MaxGenerations][MaxTenureCopies];
-  /// Scope-close sweep cursors over the four target contexts, and the
-  /// weak-pair target's scan start for the scope weak pass.
-  SweepCursor ScopeCursors[NumSpaces];
-  SweepCursor ScopeWeakScanStart;
+  /// Finalizer thunks queued by processFinalizeLists.
+  std::vector<uint32_t> ThunkQueue;
+  /// Start of the pause, and the chain the phase timers tile it with
+  /// (see PhaseTimer).
+  uint64_t StartNanos = 0;
+  uint64_t PhaseCursor = 0;
+
+  /// Every context copies can land in, by (generation, age, space) — see
+  /// toSpace(). Only the first NumToSpaces entries are set. Last, so the
+  /// members the copy loop reads stay together above it.
+  unsigned NumToSpaces = 0;
+  ToSpace ToSpaces[MaxGenerations * MaxTenureCopies * NumSpaces];
 };
 
 } // namespace gengc

@@ -149,15 +149,6 @@ uintptr_t *Heap::allocateRaw(SpaceKind Space, size_t Words) {
   return W;
 }
 
-uintptr_t *Heap::allocateInGeneration(SpaceKind Space, unsigned Generation,
-                                      unsigned Age, size_t Words) {
-  GENGC_ASSERT(Generation < Cfg.Generations, "bad target generation");
-  GENGC_ASSERT(Age < Cfg.TenureCopies, "bad target tenure age");
-  return Contexts[static_cast<unsigned>(Space)][Generation][Age].allocate(
-      Segments, Space, static_cast<uint8_t>(Generation), Words,
-      static_cast<uint8_t>(Age));
-}
-
 void Heap::pollSafepoint() {
   if (InGc || !Cfg.AutoCollect || InSafepointCollection ||
       InPostGcHooks || NoGcScopeDepth != 0)

@@ -551,9 +551,6 @@ private:
   /// age 0). Never collects; asserts the no-allocation rule inside
   /// finalizer thunks.
   uintptr_t *allocateRaw(SpaceKind Space, size_t Words);
-  /// Collector-only allocation directly into (\p Generation, \p Age).
-  uintptr_t *allocateInGeneration(SpaceKind Space, unsigned Generation,
-                                  unsigned Age, size_t Words);
 
   Value consRaw(Value Car, Value Cdr);
   Value makeStringRaw(std::string_view Contents);

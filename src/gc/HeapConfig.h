@@ -217,19 +217,6 @@ struct HeapConfig {
   /// Chrome trace_event JSON file when the heap is destroyed.
   bool GcTrace = false;
 
-  /// Event-ring capacity when tracing is enabled; wrapping keeps the
-  /// newest events.
-  size_t TelemetryRingCapacity = 4096;
-
-  /// Per-collection statistics retained in the rolling history window
-  /// that feeds the per-generation survival-rate gauges.
-  size_t TelemetryHistoryDepth = 64;
-
-  /// Pause intervals retained for minimum-mutator-utilization curves
-  /// (telemetry/Mmu.h). Always on — one 16-byte append per collection;
-  /// wrapping keeps the newest clips. 0 disables retention.
-  size_t PauseClipCapacity = 8192;
-
   /// Pause SLO target: collections longer than this many nanoseconds
   /// increment GcTelemetry::SloPauseViolations (surfaced in (gc-stats)
   /// and fleet-merged). 0 disables the ledger.
@@ -248,11 +235,6 @@ struct HeapConfig {
   /// Interval used when profiling is enabled through the environment
   /// or a tool flag without an explicit rate.
   static constexpr size_t DefaultProfileSampleBytes = 64 * 1024;
-
-  /// Sampled-object table capacity: live sampled objects tracked for
-  /// survival attribution. When full, new samples still count bytes to
-  /// their site but skip survival tracking.
-  size_t ProfileTableCapacity = 64 * 1024;
 };
 
 } // namespace gengc

@@ -7,14 +7,17 @@
 ///
 /// \file
 /// The scope lifecycle (Heap::openScope / Heap::closeScope) and the
-/// scope-close evacuation (Collector::runScopeClose). A close is a
-/// miniature stop-and-copy whose from-space is the scope's segments and
-/// whose roots are the real roots plus the scope's escape set; it reuses
-/// the collector's forwarding, Cheney sweep, Section 4 guardian
-/// fixpoint, weak-pair, finalizer, and symbol-table machinery, with
-/// forward() retargeted at the enclosing extent. It is deliberately NOT
-/// a collection: no GcStats, no collection counters, no survival
-/// history — its numbers land in ScopeCloseStats / ScopeTotals.
+/// scope close's entry into the collector's evacuation
+/// (Collector::runScopeClose). A close is the evacuation a collection
+/// runs, over a different extent: its from-space is the scope's
+/// segments, its extra roots are the scope's escape set, its lists are
+/// the scope's own, and its to-space list is the enclosing extent's
+/// contexts. The phases, the Cheney sweep, the Section 4 guardian
+/// fixpoint and the weak pass are the collector's (gc/Collector.cpp);
+/// this file holds only the close's halves of them. It is deliberately
+/// NOT a collection: no GcStats, no collection counters, no survival
+/// history, no phase timers — its numbers land in ScopeCloseStats /
+/// ScopeTotals.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -100,42 +103,52 @@ std::vector<Heap::SymbolEntry *> &Heap::symbolListFor(Value Sym) {
 }
 
 //===----------------------------------------------------------------------===//
-// The scope-close evacuation.
+// The scope close's halves of the evacuation.
 //===----------------------------------------------------------------------===//
 
-SpaceContext &Collector::scopeTargetContext(unsigned Sp) {
-  if (TargetScope)
-    return TargetScope->Contexts[Sp];
-  return H.Contexts[Sp][0][0];
+void Collector::runScopeClose(ScopedGeneration &Scope, ScopeCloseStats &Out) {
+  StartNanos = H.Telemetry.now();
+  ClosingScope = &Scope;
+  T = 0;
+  // Not a collection: events recorded mid-close (none today) would name
+  // the last completed collection, and no counters are bumped.
+  S.CollectionIndex = H.Totals.Collections;
+  // Generation 0's finalize lists hold the scope's registrations.
+  evacuate(0);
+  Out.Depth = Scope.Depth;
+  Out.copyFrom(S);
+  runFinalizerThunks();
 }
 
-uintptr_t *Collector::scopeAllocate(SpaceKind Space, size_t Words) {
-  const unsigned Sp = static_cast<unsigned>(Space);
-  if (TargetScope)
-    return TargetScope->Contexts[Sp].allocate(
-        *TargetScope->ScopeArena, Space, /*Generation=*/0, Words, /*Age=*/0,
-        static_cast<uint8_t>(TargetScope->Depth),
-        TargetScope->Donation ? SegmentInfo::FlagDonated
-                              : static_cast<uint8_t>(0));
-  return H.Contexts[Sp][0][0].allocate(H.Segments, Space, /*Generation=*/0,
-                                       Words, /*Age=*/0, /*ScopeDepth=*/0);
-}
-
-Arena &Collector::scopeTargetArena() {
-  return TargetScope ? *TargetScope->ScopeArena : H.Segments;
-}
-
-void Collector::scopeDetachFromSpace(ScopedGeneration &Scope) {
+void Collector::scopeSetUpSpaces(ScopedGeneration &Scope) {
   // Donation scopes live in the exchange arena; their dead segments are
   // freed back there (Heap::FromExchangeRuns), never into the private
   // arena's free list.
   Arena &A = *Scope.ScopeArena;
   std::vector<SegmentRun> &Dst =
       &A != &H.Segments ? H.FromExchangeRuns : H.FromSpaceRuns;
-  GENGC_ASSERT(Dst.empty(), "from-space left over from the last collection");
   for (unsigned Sp = 0; Sp != NumSpaces; ++Sp)
     Scope.Contexts[Sp].detachRuns(A, Dst);
   markFromSpace(A, Dst);
+
+  // The to-space is the enclosing extent: the enclosing scope's contexts
+  // (in the exchange arena, donation-tagged, when that is a donation
+  // scope), or the ordinary generation 0's. Every survivor of a space
+  // lands in its one context, whatever the tenure policy.
+  ScopedGeneration *Into =
+      Scope.Depth >= 2 ? H.ScopeStack[Scope.Depth - 2].get() : nullptr;
+  for (unsigned Sp = 0; Sp != NumSpaces; ++Sp) {
+    if (Into)
+      addToSpace(*Into->ScopeArena, Into->Contexts[Sp],
+                 static_cast<SpaceKind>(Sp), /*Gen=*/0, /*Age=*/0,
+                 Into->Depth,
+                 Into->Donation ? SegmentInfo::FlagDonated
+                                : static_cast<uint8_t>(0));
+    else
+      addToSpace(H.Segments, H.Contexts[Sp][0][0], static_cast<SpaceKind>(Sp),
+                 /*Gen=*/0, /*Age=*/0, /*ScopeDepth=*/0, /*Flags=*/0);
+    CopyTargets[Sp] = ToSpaces[Sp].Ctx;
+  }
 }
 
 void Collector::scopeForwardEscapeRoots(ScopedGeneration &Scope) {
@@ -180,37 +193,8 @@ void Collector::scopeForwardEscapeRoots(ScopedGeneration &Scope) {
   }
 }
 
-void Collector::scopeWeakPairPass(ScopedGeneration &Scope) {
-  // (a) Weak pairs evacuated into the target weak context this close:
-  // their cars may still point into the dying scope — update or break,
-  // per the paper's rule. Guardian-salvaged objects were forwarded by
-  // the fixpoint before this pass, so they update rather than break.
-  const unsigned Sp = static_cast<unsigned>(SpaceKind::WeakPair);
-  SpaceContext &Ctx = scopeTargetContext(Sp);
-  Arena &TA = scopeTargetArena();
-  SweepCursor Cur = ScopeWeakScanStart;
-  while (true) {
-    const std::vector<SegmentRun> &Runs = Ctx.runs();
-    if (Cur.RunIndex >= Runs.size())
-      break;
-    const size_t Used = Ctx.usedWordsOf(TA, Cur.RunIndex);
-    if (Cur.OffsetWords >= Used) {
-      if (Cur.RunIndex + 1 < Runs.size()) {
-        ++Cur.RunIndex;
-        Cur.OffsetWords = 0;
-        continue;
-      }
-      break;
-    }
-    // rootcheck:allow(segment-base) — weak pass replays the sweep walk.
-    uintptr_t *Cell =
-        TA.segmentBase(Runs[Cur.RunIndex].FirstSegment) +
-        Cur.OffsetWords;
-    fixWeakCar(Value::pair(reinterpret_cast<PairCell *>(Cell)));
-    Cur.OffsetWords += 2;
-  }
-
-  // (b) Registered weak escapes: weak pairs outside the scope whose car
+void Collector::scopeWeakEscapePass(ScopedGeneration &Scope) {
+  // Registered weak escapes: weak pairs outside the scope whose car
   // may point into it. fixWeakCar updates-or-breaks and re-records the
   // generational WeakRemembered edge itself; the scope analogue (car
   // graduated into a still-open enclosing scope) is re-recorded here.
@@ -265,76 +249,4 @@ void Collector::propagateScopeEscapes(ScopedGeneration &Scope) {
     }
   }
   Scope.Escapes.clear();
-}
-
-void Collector::runScopeClose(ScopedGeneration &Scope, ScopeCloseStats &Out) {
-  GcTelemetry &Tel = H.Telemetry;
-  const uint64_t StartNanos = Tel.now();
-  H.InGc = true;
-  ClosingScope = &Scope;
-  TargetScope =
-      Scope.Depth >= 2 ? H.ScopeStack[Scope.Depth - 2].get() : nullptr;
-  T = 0;
-  // Not a collection: events recorded mid-close (none today) would name
-  // the last completed collection, and no counters are bumped.
-  S.CollectionIndex = H.Totals.Collections;
-
-  // From-space = the scope's segments; sweep targets = the enclosing
-  // extent's contexts, from their pre-close frontiers.
-  scopeDetachFromSpace(Scope);
-  for (unsigned Sp = 0; Sp != NumSpaces; ++Sp) {
-    SpaceContext &Ctx = scopeTargetContext(Sp);
-    if (Ctx.runs().empty()) {
-      ScopeCursors[Sp] = SweepCursor{0, 0};
-    } else {
-      size_t Last = Ctx.runs().size() - 1;
-      ScopeCursors[Sp] =
-          SweepCursor{Last, Ctx.usedWordsOf(scopeTargetArena(), Last)};
-    }
-  }
-  ScopeWeakScanStart = ScopeCursors[static_cast<unsigned>(SpaceKind::WeakPair)];
-
-  // Roots: the real roots (plus the strong symbol table) and the escape
-  // set. Outer scopes need no full scan — any outer container holding a
-  // pointer into this scope was recorded by the write barrier, because
-  // initializing stores can only ever point outward (a fresh container
-  // is always innermost).
-  forwardRoots();
-  scopeForwardEscapeRoots(Scope);
-  kleeneSweep();
-
-  // The paper's Section 4 fixpoint over the scope's own registrations:
-  // resurrection order, tconc delivery, and re-guarding at scope exit
-  // behave exactly as in a full collection of the dying extent.
-  processGuardians(0);
-
-  std::vector<uint32_t> ThunkQueue;
-  processFinalizeLists(0, ThunkQueue);
-  scopeWeakPairPass(Scope);
-  updateSymbolTable(0);
-  propagateScopeEscapes(Scope);
-
-  // The profiler sweep must read forwarding markers, so it runs while
-  // from-space is still intact.
-  if (H.Profiler.enabled())
-    sweepAllocProfiler();
-  freeFromSpace();
-
-  H.InGc = false;
-  S.FinalizerThunksRun = ThunkQueue.size();
-  S.DurationNanos = Tel.now() - StartNanos;
-  // A close is a pause like any other: it participates in the MMU
-  // curves and the SLO ledger even though it is not a collection.
-  Tel.recordPause({StartNanos, S.DurationNanos});
-
-  Out.Depth = Scope.Depth;
-  Out.copyFrom(S);
-
-  // Dickey-style finalization thunks: allocation stays disabled.
-  if (!ThunkQueue.empty()) {
-    H.NoAllocMode = true;
-    for (uint32_t Id : ThunkQueue)
-      H.FinalizerThunks[Id]();
-    H.NoAllocMode = false;
-  }
 }

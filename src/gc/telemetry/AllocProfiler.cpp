@@ -17,7 +17,6 @@ using namespace gengc;
 
 void AllocProfiler::init(const HeapConfig &Cfg) {
   SampleBytes = Cfg.ProfileSampleBytes;
-  TableCapacity = Cfg.ProfileTableCapacity;
 
   // GENGC_GC_PROFILE: "1" enables at the default rate; any other
   // non-off value is a collapsed-stack dump path (written when the
@@ -73,7 +72,7 @@ void AllocProfiler::recordSample(uintptr_t Bits,
   ++Site.Samples;
   Site.SampledBytes += Weight;
 
-  if (Tracked.size() < TableCapacity) {
+  if (Tracked.size() < ProfileTableCapacity) {
     SampledObject O;
     O.Bits = Bits;
     O.Site = CurrentSite;

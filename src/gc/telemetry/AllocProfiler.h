@@ -55,6 +55,11 @@ namespace gengc {
 
 struct HeapConfig;
 
+/// Sampled-object table capacity: live sampled objects tracked for
+/// survival attribution. When full, new samples still count bytes to
+/// their site but skip survival tracking.
+constexpr size_t ProfileTableCapacity = 64 * 1024;
+
 /// Per-site accounting. All byte figures are sampled estimates in
 /// units of whole sample intervals.
 struct AllocSiteStats {
@@ -142,7 +147,6 @@ private:
   /// The heap-allocation-counter value at which the next sample fires;
   /// UINT64_MAX while disarmed (tick()'s compare then never fires).
   uint64_t NextSampleAt = UINT64_MAX;
-  size_t TableCapacity = 0;
   uint32_t CurrentSite = 0;
   std::string DumpPath;
 

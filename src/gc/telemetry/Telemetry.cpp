@@ -40,8 +40,6 @@ EnvSwitch classifyEnv(const char *Name, std::string &PathOut) {
 void gengc::initTelemetry(GcTelemetry &T, const HeapConfig &Cfg) {
   T.LogEnabled = Cfg.GcLog;
   T.TraceEnabled = Cfg.GcTrace;
-  T.HistoryDepth = Cfg.TelemetryHistoryDepth;
-  T.PauseClipCapacity = Cfg.PauseClipCapacity;
   T.SloMaxPauseNanos = Cfg.SloMaxPauseNanos;
 
   std::string Path;
@@ -77,16 +75,15 @@ void gengc::initTelemetry(GcTelemetry &T, const HeapConfig &Cfg) {
   // The ring only exists when something can write to it; a disabled
   // heap carries an empty vector.
   if (T.TraceEnabled)
-    T.Ring.reset(Cfg.TelemetryRingCapacity);
+    T.Ring.reset(TelemetryRingCapacity);
 }
 
 void GcTelemetry::recordHistory(const GcStats &S) {
-  if (HistoryDepth == 0)
-    return;
-  if (History.size() < HistoryDepth) {
+  if (History.size() < TelemetryHistoryDepth) {
     History.push_back(S);
   } else {
-    History[static_cast<size_t>(HistoryRecorded % HistoryDepth)] = S;
+    History[static_cast<size_t>(HistoryRecorded % TelemetryHistoryDepth)] =
+        S;
   }
   ++HistoryRecorded;
 }
@@ -94,8 +91,6 @@ void GcTelemetry::recordHistory(const GcStats &S) {
 void GcTelemetry::recordPause(PauseClip C) {
   if (SloMaxPauseNanos != 0 && C.DurNanos > SloMaxPauseNanos)
     ++SloPauseViolations;
-  if (PauseClipCapacity == 0)
-    return;
   if (Pauses.size() < PauseClipCapacity) {
     Pauses.push_back(C);
   } else {
@@ -105,7 +100,7 @@ void GcTelemetry::recordPause(PauseClip C) {
 }
 
 std::vector<PauseClip> GcTelemetry::pauseClips() const {
-  if (Pauses.size() < PauseClipCapacity || Pauses.empty())
+  if (Pauses.size() < PauseClipCapacity)
     return Pauses;
   // The ring has wrapped; rotate so the oldest retained clip comes
   // first (clips are consumed as a time-ordered sequence).

@@ -41,6 +41,18 @@ namespace gengc {
 
 struct HeapConfig;
 
+/// Event-ring capacity when tracing is enabled; wrapping keeps the
+/// newest events.
+constexpr size_t TelemetryRingCapacity = 4096;
+
+/// Per-collection statistics retained in the rolling history window
+/// that feeds the per-generation survival-rate gauges.
+constexpr size_t TelemetryHistoryDepth = 64;
+
+/// Pause intervals retained for minimum-mutator-utilization curves
+/// (telemetry/Mmu.h); wrapping keeps the newest clips.
+constexpr size_t PauseClipCapacity = 8192;
+
 /// One stop-the-world pause as an interval on the heap's telemetry
 /// clock. The bounded ring of these (GcTelemetry::pauseClips) is the
 /// raw material for minimum-mutator-utilization curves
@@ -65,17 +77,16 @@ struct GcTelemetry {
 
   GcEventRing Ring;
 
-  /// Rolling window of the last HistoryDepth collections' statistics,
-  /// oldest first once full; feeds per-generation survival rates.
+  /// Rolling window of the last TelemetryHistoryDepth collections'
+  /// statistics, oldest first once full; feeds per-generation survival
+  /// rates.
   std::vector<GcStats> History;
-  size_t HistoryDepth = 64;
   uint64_t HistoryRecorded = 0;
 
   /// Bounded ring of recent pause intervals (always on: one 16-byte
   /// append per collection). Wrapping keeps the newest clips, so MMU is
   /// computed over the most recent mutator window.
   std::vector<PauseClip> Pauses;
-  size_t PauseClipCapacity = 8192;
   uint64_t PausesRecorded = 0;
 
   /// Pause SLO: collections longer than this count as violations

@@ -339,8 +339,8 @@ ShadowModel::collect(unsigned RequestedGeneration) {
       ObjId NewCell = cons(SVal::immediate(Value::falseV()),
                            SVal::immediate(Value::falseV()));
       Objects[NewCell].Gen = static_cast<uint8_t>(T);
-      // allocateInGeneration targets the ladder even while scopes are
-      // open (newObject stamped the innermost depth; undo it).
+      // A collection's tconc cells land in the ladder even while scopes
+      // are open (newObject stamped the innermost depth; undo it).
       Objects[NewCell].Scope = 0;
       Objects[NewCell].TconcPart = true;
       SObj &Header = Objects[E.Tconc.Id];

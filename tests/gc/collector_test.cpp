@@ -10,6 +10,7 @@
 #include "heap/SharedImmutableSpace.h"
 
 #include <map>
+#include <tuple>
 #include <unordered_map>
 #include <unordered_set>
 #include <vector>
@@ -459,9 +460,12 @@ public:
   };
 
   /// Walks every object reachable from \p Roots through strong fields
-  /// that lives in a generation <= \p G and lies outside any scope.
-  ScavengeModel(Heap &H, const std::vector<Value> &Roots, unsigned G)
-      : H(H), G(G) {
+  /// that lives in a generation <= \p G at scope depth \p Depth: the
+  /// from-space of a collection of G (Depth 0), or of the close of the
+  /// scope at Depth (G 0; scope objects are tagged generation 0).
+  ScavengeModel(Heap &H, const std::vector<Value> &Roots, unsigned G,
+                unsigned Depth = 0)
+      : H(H), G(G), Depth(Depth) {
     for (Value R : Roots)
       visit(R);
   }
@@ -541,7 +545,7 @@ private:
       const Value V = Work.back();
       Work.pop_back();
       if (!V.isHeapPointer() || contains(V.bits()) ||
-          H.generationOf(V) > G || H.scopeDepthOf(V) != 0)
+          H.generationOf(V) > G || H.scopeDepthOf(V) != Depth)
         continue;
       Node N;
       N.Space = H.spaceOf(V);
@@ -565,6 +569,7 @@ private:
 
   Heap &H;
   unsigned G;
+  unsigned Depth;
   std::unordered_map<uintptr_t, Node> Nodes;
 };
 
@@ -647,30 +652,31 @@ void buildMixedGraph(Heap &H, Root &RootVec) {
   H.vectorSet(RootVec.get(), 4, Live.get());
 }
 
-/// Collects generation \p G with the copy log attached and checks the
-/// copies against \p Model: the same objects, copied in the predicted
-/// order (globally, and so per space), with exact statistics.
-void expectScavengeMatchesModel(Heap &H, unsigned G,
-                                const ScavengeModel &Model,
-                                const std::vector<Value> &Roots,
-                                uint64_t ExpectPromoted) {
+/// Runs \p Evacuate (a collection or a scope close) with the copy log
+/// attached and checks the copies against \p Model: the same objects,
+/// copied in the predicted order (globally, and so per space), each at
+/// its to-space context's frontier.
+template <typename Fn>
+void expectCopiesMatchModel(Heap &H, const ScavengeModel &Model,
+                            const std::vector<Value> &Roots, Fn Evacuate) {
   const std::vector<uintptr_t> Expected = Model.copyOrder(Roots);
   ASSERT_EQ(Expected.size(), Model.size()) << "every node is reachable";
   CopyLog Log;
   H.setForwardWitness(&CopyLog::witness, &Log);
-  H.collect(G);
+  Evacuate();
   H.setForwardWitness(nullptr, nullptr);
 
   EXPECT_EQ(Log.Old, Expected) << "copy order differs from the Cheney model";
   // Each copy is bump-allocated right after the previous copy into the
-  // same (space, generation), or opens a new run at a segment boundary:
-  // to-space order is copy order.
-  std::map<std::pair<unsigned, unsigned>, uintptr_t> Frontier;
+  // same (space, generation, scope depth), or opens a new run at a
+  // segment boundary: to-space order is copy order.
+  std::map<std::tuple<unsigned, unsigned, unsigned>, uintptr_t> Frontier;
   for (uintptr_t B : Log.Old) {
     const Value New = Value::fromBits(Log.NewOf.at(B));
     const uintptr_t Addr = New.heapAddress();
-    const std::pair<unsigned, unsigned> Key{
-        static_cast<unsigned>(H.spaceOf(New)), H.generationOf(New)};
+    const std::tuple<unsigned, unsigned, unsigned> Key{
+        static_cast<unsigned>(H.spaceOf(New)), H.generationOf(New),
+        H.scopeDepthOf(New)};
     auto It = Frontier.find(Key);
     if (It != Frontier.end()) {
       EXPECT_TRUE(Addr == It->second || Addr % SegmentBytes == 0)
@@ -678,10 +684,30 @@ void expectScavengeMatchesModel(Heap &H, unsigned G,
     }
     Frontier[Key] = Addr + Model.bytesOf(B);
   }
+}
+
+/// Collects generation \p G and checks the copies against \p Model,
+/// with exact statistics.
+void expectScavengeMatchesModel(Heap &H, unsigned G,
+                                const ScavengeModel &Model,
+                                const std::vector<Value> &Roots,
+                                uint64_t ExpectPromoted) {
+  expectCopiesMatchModel(H, Model, Roots, [&] { H.collect(G); });
   const GcStats &S = H.lastStats();
   EXPECT_EQ(S.ObjectsCopied, Model.size());
   EXPECT_EQ(S.BytesCopied, Model.bytes());
   EXPECT_EQ(S.ObjectsPromoted, ExpectPromoted);
+  H.verifyHeap();
+}
+
+/// Closes the innermost scope and checks the copies against \p Model,
+/// with exact statistics.
+void expectCloseMatchesModel(Heap &H, const ScavengeModel &Model,
+                             const std::vector<Value> &Roots) {
+  expectCopiesMatchModel(H, Model, Roots, [&] { H.closeScope(); });
+  const ScopeCloseStats &S = H.lastScopeClose();
+  EXPECT_EQ(S.ObjectsEvacuated, Model.size());
+  EXPECT_EQ(S.BytesEvacuated, Model.bytes());
   H.verifyHeap();
 }
 
@@ -784,6 +810,60 @@ TEST(ScavengeOrderTest, OpenScopeObjectsAreRootsInScopeOrder) {
                                  objectField(ScopeVec.get(), 1)};
   ScavengeModel Model(H, Roots, 0);
   expectScavengeMatchesModel(H, 0, Model, Roots, Model.size());
+  H.closeScope();
+  H.verifyHeap();
+}
+
+TEST(ScavengeOrderTest, ScopeCloseFollowsTheCheneyOrder) {
+  // A close is the same evacuation over another extent: roots first, then
+  // the escape set, then the Cheney sweep of the enclosing extent's
+  // contexts from their pre-close frontiers.
+  Heap H(scavengeConfig(1));
+  // A partly filled generation-0 run in every space, and an escape
+  // container outside the scope.
+  Root Old(H, H.makeVector(1, Value::nil()));
+  Root OldWeak(H, H.weakCons(Old.get(), Value::nil()));
+  Root OldStr(H, H.makeString("old"));
+
+  // Outermost close: survivors graduate into generation 0.
+  {
+    H.openScope();
+    Root RootVec(H, Value::nil());
+    buildMixedGraph(H, RootVec);
+    Value OnlyEscaped = H.cons(Value::fixnum(5), Value::nil());
+    H.vectorSet(Old.get(), 0, OnlyEscaped); // Old -> scope: an escape.
+    H.cons(Value::fixnum(6), Value::nil()); // Dies untraced.
+
+    const std::vector<Value> Roots{RootVec.get(), OnlyEscaped};
+    ScavengeModel Model(H, Roots, 0, /*Depth=*/1);
+    expectCloseMatchesModel(H, Model, Roots);
+    EXPECT_EQ(H.scopeDepthOf(RootVec.get()), 0u);
+    EXPECT_EQ(H.generationOf(RootVec.get()), 0u);
+    EXPECT_EQ(pairCar(objectField(Old.get(), 0)).asFixnum(), 5);
+  }
+
+  // Nested close: survivors graduate into the enclosing scope, after what
+  // that scope already holds.
+  H.openScope();
+  Root Holder(H, H.makeVector(1, Value::nil()));
+  Root OuterWeak(H, H.weakCons(Holder.get(), Value::nil()));
+  Root OuterStr(H, H.makeString("outer"));
+  {
+    H.openScope();
+    Root RootVec(H, Value::nil());
+    buildMixedGraph(H, RootVec);
+    Value OnlyEscaped = H.makeRecord(Value::fixnum(8), 1, Value::nil());
+    H.vectorSet(Holder.get(), 0, OnlyEscaped); // Outer -> inner scope.
+
+    const std::vector<Value> Roots{RootVec.get(), OnlyEscaped};
+    ScavengeModel Model(H, Roots, 0, /*Depth=*/2);
+    expectCloseMatchesModel(H, Model, Roots);
+    EXPECT_EQ(H.scopeDepthOf(RootVec.get()), 1u);
+    EXPECT_EQ(H.scopeDepthOf(objectField(Holder.get(), 0)), 1u);
+    Value Rec = objectField(RootVec.get(), 2);
+    EXPECT_EQ(pairCar(objectField(Rec, 0)), objectField(RootVec.get(), 4));
+    EXPECT_TRUE(pairCar(objectField(Rec, 1)).isFalse()) << "dead weak car";
+  }
   H.closeScope();
   H.verifyHeap();
 }

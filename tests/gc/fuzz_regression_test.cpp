@@ -121,10 +121,16 @@ TEST(FuzzHarness, InjectedResurrectionBugIsCaughtAndShrinks) {
   ASSERT_GT(ShrunkSize, 0u)
       << "no seed in range exposed the injected resurrection bug";
   EXPECT_LT(ShrunkSize, 25u) << "seed " << Seed << " shrunk poorly";
+  // Scope closes run the same guardian fixpoint.
+  const size_t ScopedSize =
+      catchAndShrink(Cfg.Config, Seed, /*Scoped=*/true);
+  ASSERT_GT(ScopedSize, 0u)
+      << "no scoped seed in range exposed the injected resurrection bug";
+  EXPECT_LT(ScopedSize, 25u) << "scoped seed " << Seed << " shrunk poorly";
 }
 
 // Same, for the weak-pointer fault: fixWeakCar breaking cars of objects
-// that actually survived the collection.
+// that actually survived the collection or scope close.
 TEST(FuzzHarness, InjectedWeakBreakBugIsCaughtAndShrinks) {
   FuzzConfig Cfg;
   ASSERT_TRUE(findConfig("paper", Cfg));
@@ -134,6 +140,12 @@ TEST(FuzzHarness, InjectedWeakBreakBugIsCaughtAndShrinks) {
   ASSERT_GT(ShrunkSize, 0u)
       << "no seed in range exposed the injected weak-break bug";
   EXPECT_LT(ShrunkSize, 25u) << "seed " << Seed << " shrunk poorly";
+  // Scope closes run the same weak pass.
+  const size_t ScopedSize =
+      catchAndShrink(Cfg.Config, Seed, /*Scoped=*/true);
+  ASSERT_GT(ScopedSize, 0u)
+      << "no scoped seed in range exposed the injected weak-break bug";
+  EXPECT_LT(ScopedSize, 25u) << "scoped seed " << Seed << " shrunk poorly";
 }
 
 // The barrier-elision fault: the first vector store that actually needs

@@ -354,6 +354,71 @@ TEST(ScopeDonationTest, SelfContainedScopeClosesByHandover) {
   Receiver.verifyHeap();
 }
 
+TEST(ScopeDonationTest, InnerCloseGraduatesIntoTheDonationScope) {
+  // An ordinary scope closed inside an open donation scope evacuates into
+  // the donation scope's exchange-arena contexts: its survivors are
+  // donation-tagged storage at the donation scope's depth, so the outer
+  // scope can still hand over wholesale.
+  SharedImmutableSpace X(16u * 1024 * 1024);
+  Heap Sender(donationConfig(X));
+  Heap Receiver(donationConfig(X));
+
+  Sender.openDonationScope();
+  // Unrooted (AutoCollect is off): a root into the donation scope would
+  // veto the handover.
+  Value Msg = Sender.makeVector(2, Value::falseV());
+  Sender.openScope();
+  Value L = Value::nil();
+  for (int I = 49; I >= 0; --I) {
+    L = Sender.cons(Value::fixnum(I), L);
+    Sender.cons(Value::fixnum(-I), Value::nil()); // Dies with the scope.
+  }
+  Sender.vectorSet(Msg, 0, L); // Donation scope -> inner scope: an escape.
+  Sender.vectorSet(Msg, 1, Sender.makeString("graduated"));
+  Sender.closeScope();
+
+  EXPECT_EQ(Sender.scopeDepth(), 1u);
+  EXPECT_EQ(Sender.lastScopeClose().ObjectsEvacuated, 51u)
+      << "the list and the string graduate; the garbage pairs die";
+  auto ExpectDonationScopeStorage = [&](Value V) {
+    EXPECT_EQ(Sender.scopeDepthOf(V), 1u);
+    EXPECT_NE(X.arena().findInfo(V.heapAddress()), nullptr)
+        << "survivor outside the exchange arena";
+    EXPECT_NE(Sender.segInfo(V.heapAddress()).Flags &
+                  SegmentInfo::FlagDonated,
+              0)
+        << "survivor segment not donation-tagged";
+  };
+  ExpectDonationScopeStorage(objectField(Msg, 1));
+  size_t Checked = 0;
+  for (Value P = objectField(Msg, 0); P.isPair(); P = pairCdr(P)) {
+    EXPECT_EQ(pairCar(P).asFixnum(), static_cast<int64_t>(Checked));
+    ExpectDonationScopeStorage(P);
+    ++Checked;
+  }
+  EXPECT_EQ(Checked, 50u);
+  Sender.verifyHeap();
+
+  DonatedGraph G = Sender.tryCloseScopeDonating(Msg);
+  ASSERT_FALSE(G.empty()) << "graduates keep the scope self-contained";
+  EXPECT_EQ(Sender.scopeDepth(), 0u);
+  EXPECT_EQ(Sender.scopesDonatedWholesale(), 1u);
+  Sender.verifyHeap();
+
+  Root Adopted(Receiver, Receiver.adoptDonatedGraph(G));
+  Value P = objectField(Adopted.get(), 0);
+  for (int I = 0; I != 50; ++I) {
+    ASSERT_TRUE(P.isPair());
+    EXPECT_EQ(pairCar(P).asFixnum(), I);
+    P = pairCdr(P);
+  }
+  EXPECT_TRUE(P.isNil());
+  Value Str = objectField(Adopted.get(), 1);
+  EXPECT_EQ(std::string(stringData(Str), objectLength(Str)), "graduated");
+  Receiver.collectFull();
+  Receiver.verifyHeap();
+}
+
 TEST(ScopeDonationTest, EscapeVetoesWholesaleClose) {
   SharedImmutableSpace X(16u * 1024 * 1024);
   Heap H(donationConfig(X));
