@@ -281,44 +281,6 @@ BENCHMARK(BM_WeakPassVsMutatedOldWeakPairs)
     ->Range(64, 4096)
     ->Unit(benchmark::kMicrosecond);
 
-//===--- Tenure policy -------------------------------------------------------===//
-
-// Medium-lived objects (they survive a couple of minor collections and
-// then die) are the classic premature-tenuring workload: with
-// TenureCopies == 1 they get promoted and become old-generation garbage
-// that minor collections can never reclaim; with a higher tenure they
-// die young. The counter to watch is old-generation segment usage.
-void BM_TenurePolicyMediumLived(benchmark::State &State) {
-  HeapConfig C = benchConfig();
-  C.TenureCopies = static_cast<unsigned>(State.range(0));
-  Heap H(C);
-  constexpr size_t RingSlots = 2048; // Lifetime ~= 2 minor GC periods.
-  RootVector Ring(H);
-  for (size_t I = 0; I != RingSlots; ++I)
-    Ring.push_back(Value::nil());
-  size_t Next = 0;
-  int Step = 0;
-  for (auto _ : State) {
-    for (int I = 0; I != 1024; ++I) {
-      Ring[Next] = H.cons(Value::fixnum(I), Value::nil());
-      Next = (Next + 1) % RingSlots;
-    }
-    if (++Step % 1 == 0)
-      H.collectMinor();
-  }
-  State.counters["tenure_copies"] =
-      benchmark::Counter(static_cast<double>(State.range(0)));
-  State.counters["bytes_copied_total"] = benchmark::Counter(
-      static_cast<double>(H.totals().BytesCopied));
-  State.counters["segments_in_use_final"] =
-      benchmark::Counter(static_cast<double>(H.segmentsInUse()));
-}
-BENCHMARK(BM_TenurePolicyMediumLived)
-    ->Arg(1)
-    ->Arg(2)
-    ->Arg(3)
-    ->Unit(benchmark::kMicrosecond);
-
 //===--- Request-scoped ephemeral generations (DESIGN.md §12) --------------===//
 
 // The request-churn ablation: a server-shaped workload where each

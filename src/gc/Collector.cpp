@@ -166,8 +166,7 @@ void Collector::setUpSpaces(unsigned G) {
   }
   for (unsigned Sp = 0; Sp != NumSpaces; ++Sp)
     for (unsigned I = 0; I <= G; ++I)
-      for (unsigned Age = 0; Age != H.Cfg.TenureCopies; ++Age)
-        H.Contexts[Sp][I][Age].detachRuns(H.Segments, H.FromSpaceRuns);
+      H.Contexts[Sp][I].detachRuns(H.Segments, H.FromSpaceRuns);
   markFromSpace(H.Segments, H.FromSpaceRuns);
 
   // Adopted donation runs live in the exchange arena, tagged with the
@@ -184,20 +183,14 @@ void Collector::setUpSpaces(unsigned G) {
     markFromSpace(H.Exchange->arena(), H.FromExchangeRuns);
   }
 
-  // The to-space: every context the tenure policy can name, generations
-  // 0..T at every age. Contexts of the collected generations were just
-  // detached (empty); anything already in generation T (when T > G) is
-  // an older object covered by the remembered sets, so its sweep starts
-  // at the current frontier.
-  for (unsigned Gen = 0; Gen <= T; ++Gen)
-    for (unsigned Age = 0; Age != H.Cfg.TenureCopies; ++Age)
-      for (unsigned Sp = 0; Sp != NumSpaces; ++Sp)
-        addToSpace(H.Segments, H.Contexts[Sp][Gen][Age],
-                   static_cast<SpaceKind>(Sp), Gen, Age, /*ScopeDepth=*/0,
-                   /*Flags=*/0);
-  if (H.Cfg.TenureCopies == 1)
-    for (unsigned Sp = 0; Sp != NumSpaces; ++Sp)
-      CopyTargets[Sp] = toSpace(static_cast<SpaceKind>(Sp), T, 0).Ctx;
+  // The to-space: generation T's contexts, where every survivor lands.
+  // When T is the oldest generation and was collected, they were just
+  // detached (empty); otherwise what they hold is an older object
+  // covered by the remembered sets, so each sweep starts at the current
+  // frontier.
+  for (unsigned Sp = 0; Sp != NumSpaces; ++Sp)
+    addToSpace(H.Segments, H.Contexts[Sp][T], static_cast<SpaceKind>(Sp), T,
+               /*ScopeDepth=*/0, /*Flags=*/0);
 
   // Stale remembered entries of collected generations refer to
   // from-space containers; their survivors are rescanned by the sweep.
@@ -208,17 +201,15 @@ void Collector::setUpSpaces(unsigned G) {
 }
 
 void Collector::addToSpace(Arena &A, SpaceContext &Ctx, SpaceKind Space,
-                           unsigned Gen, unsigned Age, unsigned ScopeDepth,
-                           uint8_t Flags) {
+                           unsigned Gen, unsigned ScopeDepth, uint8_t Flags) {
   SweepCursor Frontier{0, 0};
   if (!Ctx.runs().empty()) {
     const size_t Last = Ctx.runs().size() - 1;
     Frontier = SweepCursor{Last, Ctx.usedWordsOf(A, Last)};
   }
-  ToSpaces[NumToSpaces++] =
+  ToSpaces[static_cast<unsigned>(Space)] =
       ToSpace{&A, &Ctx, Space, static_cast<uint8_t>(Gen),
-              static_cast<uint8_t>(Age), static_cast<uint8_t>(ScopeDepth),
-              Flags, Frontier, Frontier};
+              static_cast<uint8_t>(ScopeDepth), Flags, Frontier, Frontier};
 }
 
 void Collector::markFromSpace(Arena &A, const std::vector<SegmentRun> &Runs) {
@@ -236,7 +227,7 @@ void Collector::markFromSpace(Arena &A, const std::vector<SegmentRun> &Runs) {
 void Collector::freeFromSpace() {
   releaseRuns(H.Segments, H.FromSpaceRuns);
   // Evacuated exchange-arena runs (adopted donations taken by
-  // detachFromSpace, or a closing donation scope's segments) go back to
+  // setUpSpaces, or a closing donation scope's segments) go back to
   // the process-wide pool; Arena::freeRuns is internally locked, so this
   // is safe against other shards allocating donation segments.
   releaseRuns(H.Exchange->arena(), H.FromExchangeRuns);
@@ -265,42 +256,16 @@ void Collector::releaseRuns(Arena &A, std::vector<SegmentRun> &Runs) {
 // Copying.
 //===----------------------------------------------------------------------===//
 
-Collector::ToSpace &Collector::targetFor(const SegmentInfo &Info) {
-  const unsigned NextAge = Info.Age + 1;
-  if (NextAge >= H.Cfg.TenureCopies ||
-      CopyTargets[static_cast<unsigned>(Info.Space)]) {
-    // Aged out: promoted into the collection's target generation,
-    // "objects in generations less than or equal to g that survive a
-    // collection of generation g are placed in generation g+1" (capped
-    // at the oldest generation). With TenureCopies == 1 every survivor
-    // takes this branch, reproducing the paper exactly. A fixed target
-    // (a scope close) is the same (space, T, age 0) entry.
-    return toSpace(Info.Space, T, 0);
-  }
-  // Not yet tenured: another round in its own generation, one age up.
-  return toSpace(Info.Space, Info.Generation, NextAge);
-}
-
 inline uintptr_t *Collector::allocateCopy(const SegmentInfo &Info,
                                           size_t Words, uint64_t &Promoted) {
-  // The cached target: an inline bump in the space's fixed to-space
-  // context. When its run is full, the general path below opens the
-  // next one.
-  if (SpaceContext *Ctx = CopyTargets[static_cast<unsigned>(Info.Space)])
-    if (uintptr_t *P = Ctx->tryBump(Words)) {
-      Promoted = T > Info.Generation ? 1 : 0;
-      return P;
-    }
-  return allocateCopySlow(Info, Words, Promoted);
-}
-
-uintptr_t *Collector::allocateCopySlow(const SegmentInfo &Info, size_t Words,
-                                       uint64_t &Promoted) {
-  // A scope close graduates survivors within generation 0: never a
+  // "Objects in generations less than or equal to g that survive a
+  // collection of generation g are placed in generation g+1" (capped at
+  // the oldest generation): an inline bump in the space's to-space
+  // context, which opens its next run when the current one is full. A
+  // scope close graduates survivors within generation 0: never a
   // promotion.
-  ToSpace &To = targetFor(Info);
-  Promoted = To.Generation > Info.Generation ? 1 : 0;
-  return To.allocate(Words);
+  Promoted = T > Info.Generation ? 1 : 0;
+  return ToSpaces[static_cast<unsigned>(Info.Space)].allocate(Words);
 }
 
 Value Collector::forwardFromSpace(Value V, const SegmentInfo *Info) {
@@ -397,14 +362,6 @@ void Collector::forwardRoots() {
       forwardSlot(Slot);
       ++S.RootsScanned;
     });
-  if (!H.Cfg.WeakSymbolTable) {
-    // Strong interning: every table entry is a root.
-    for (auto &Entry : H.SymbolTable) {
-      Value Sym = forward(Value::fromBits(Entry.second));
-      Entry.second = Sym.bits();
-      ++S.RootsScanned;
-    }
-  }
 }
 
 void Collector::processRememberedSets(unsigned G) {
@@ -468,22 +425,19 @@ bool Collector::pointsBelowGeneration(Value Container,
 //===----------------------------------------------------------------------===//
 
 void Collector::kleeneSweep() {
-  // ToSpaces groups the spaces of each (generation, age); each group is
-  // swept pairs, typed, weak pairs (the data space is pointerless). Space
-  // is a constant at each call, so the sweep loop is specialised per
-  // space: a list copied one pair per span pays no dispatch per object.
-  auto Sweep = [this](unsigned Group, SpaceKind Space) {
-    ToSpace &To = ToSpaces[Group + static_cast<unsigned>(Space)];
-    return sweepRange(*To.A, *To.Ctx, To.Scan, Space, To.Generation);
+  // Sweeps the pair, typed and weak-pair contexts in turn (the data space
+  // is pointerless). Space is a constant at each call, so the sweep loop
+  // is specialised per space: a list copied one pair per span pays no
+  // dispatch per object.
+  auto Sweep = [this](SpaceKind Space) {
+    ToSpace &To = ToSpaces[static_cast<unsigned>(Space)];
+    return sweepRange(*To.A, *To.Ctx, To.Scan, Space);
   };
   bool Progress = true;
   while (Progress) {
-    Progress = false;
-    for (unsigned Group = 0; Group != NumToSpaces; Group += NumSpaces) {
-      Progress |= Sweep(Group, SpaceKind::Pair);
-      Progress |= Sweep(Group, SpaceKind::Typed);
-      Progress |= Sweep(Group, SpaceKind::WeakPair);
-    }
+    Progress = Sweep(SpaceKind::Pair);
+    Progress |= Sweep(SpaceKind::Typed);
+    Progress |= Sweep(SpaceKind::WeakPair);
   }
 }
 
@@ -518,29 +472,27 @@ inline bool Collector::nextSpan(const Arena &A, const SpaceContext &Ctx,
 }
 
 bool Collector::sweepRange(const Arena &A, const SpaceContext &Ctx,
-                           SweepCursor &Cur, SpaceKind Space,
-                           unsigned ContainerGen) {
+                           SweepCursor &Cur, SpaceKind Space) {
   bool Progress = false;
   for (uintptr_t *P, *End; nextSpan(A, Ctx, Cur, P, End); Progress = true)
-    sweepSpan(P, End, Space, ContainerGen);
+    sweepSpan(P, End, Space);
   return Progress;
 }
 
-void Collector::sweepSpan(uintptr_t *P, uintptr_t *End, SpaceKind Space,
-                          unsigned ContainerGen) {
+void Collector::sweepSpan(uintptr_t *P, uintptr_t *End, SpaceKind Space) {
   switch (Space) {
   case SpaceKind::Pair:
     for (; P < End; P += 2)
-      sweepPairAt(P, /*Weak=*/false, ContainerGen);
+      sweepPairAt(P, /*Weak=*/false);
     return;
   case SpaceKind::WeakPair:
     for (; P < End; P += 2)
-      sweepPairAt(P, /*Weak=*/true, ContainerGen);
+      sweepPairAt(P, /*Weak=*/true);
     return;
   case SpaceKind::Typed:
     while (P < End) {
       const size_t Step = objectAllocWords(*P);
-      sweepTypedAt(P, ContainerGen);
+      sweepTypedAt(P);
       P += Step;
     }
     return;
@@ -550,49 +502,21 @@ void Collector::sweepSpan(uintptr_t *P, uintptr_t *End, SpaceKind Space,
   GENGC_UNREACHABLE("the data space is pointerless and never swept");
 }
 
-void Collector::maybeReRemember(uintptr_t ContainerBits,
-                                unsigned ContainerGen,
-                                uintptr_t FieldBits) {
-  // Only tenure policies > 1 can leave a survivor in a generation older
-  // than something it points to; the paper's simple strategy never
-  // does, so the check is skipped entirely then.
-  if (ContainerGen == 0)
-    return;
-  Value Field = Value::fromBits(FieldBits);
-  if (!Field.isHeapPointer())
-    return;
-  if (H.segInfo(Field.heapAddress()).Generation < ContainerGen)
-    H.Remembered[ContainerGen].insert(ContainerBits);
-}
-
-inline void Collector::sweepPairAt(uintptr_t *Cell, bool Weak,
-                                   unsigned ContainerGen) {
+inline void Collector::sweepPairAt(uintptr_t *Cell, bool Weak) {
   // "When pairs found in the weak-pair space are traced during the
   // normal garbage collection, they are treated like normal pairs
   // except that the car field is not touched."
   if (!Weak)
     forwardWord(&Cell[0]);
   forwardWord(&Cell[1]);
-  if (H.Cfg.TenureCopies > 1) {
-    Value Pair = Value::pair(reinterpret_cast<PairCell *>(Cell));
-    if (!Weak)
-      maybeReRemember(Pair.bits(), ContainerGen, Cell[0]);
-    maybeReRemember(Pair.bits(), ContainerGen, Cell[1]);
-  }
 }
 
-inline void Collector::sweepTypedAt(uintptr_t *Header,
-                                    unsigned ContainerGen) {
+inline void Collector::sweepTypedAt(uintptr_t *Header) {
   GENGC_ASSERT(headerKind(*Header) != ObjectKind::Forward,
                "forwarding marker found in to-space");
   const size_t Fields = objectPointerFieldCount(*Header);
   for (size_t I = 0; I != Fields; ++I)
     forwardWord(Header + 1 + I);
-  if (H.Cfg.TenureCopies > 1) {
-    Value Obj = Value::object(Header);
-    for (size_t I = 0; I != Fields; ++I)
-      maybeReRemember(Obj.bits(), ContainerGen, Header[1 + I]);
-  }
 }
 
 //===----------------------------------------------------------------------===//
@@ -695,9 +619,8 @@ void Collector::processGuardians(unsigned G) {
 
   // Third block: entries whose object survived. If the guardian survived
   // too, the entry moves to the protected list of the youngest
-  // generation among its participants (the target generation, under the
-  // paper's tenure policy); otherwise the registration dies with the
-  // guardian.
+  // generation among its participants (the target generation, as in the
+  // paper); otherwise the registration dies with the guardian.
   for (const Entry &E : PendHold) {
     Value Tconc = Value::fromBits(E.TconcBits);
     if (isForwarded(Tconc)) {
@@ -716,9 +639,8 @@ void Collector::processGuardians(unsigned G) {
 void Collector::deliverToTconcs(bool &FaultDroppedOne) {
   // Only stores into a tconc's pre-existing cells can need an entry in
   // the remembered or escape sets. A fresh cell lives in the target
-  // generation and everything it points at is there or older, except an
-  // agent that stays younger under TenureCopies > 1, and the sweep after
-  // the round re-remembers that cell. While a scope is open or closing,
+  // generation and everything it points at (the forwarded agent, the next
+  // fresh cell) is there or older. While a scope is open or closing,
   // though, an agent or a cell may sit in a scope, and only the escape
   // sets see that edge, so every store then takes the bookkeeping.
   const bool RecordEveryStore = !H.ScopeStack.empty();
@@ -772,7 +694,7 @@ void Collector::deliverToTconcs(bool &FaultDroppedOne) {
 }
 
 uintptr_t *Collector::allocateTconcCell() {
-  return toSpace(SpaceKind::Pair, T, /*Age=*/0).allocate(2);
+  return ToSpaces[static_cast<unsigned>(SpaceKind::Pair)].allocate(2);
 }
 
 Heap::TconcBatch &Collector::batchFor(Value Tconc) {
@@ -852,13 +774,10 @@ void Collector::processFinalizeLists(unsigned G) {
 //===----------------------------------------------------------------------===//
 
 void Collector::weakPairPass(unsigned G) {
-  // (a) Weak pairs copied during this evacuation, in every to-space
+  // (a) Weak pairs copied during this evacuation, in the to-space
   // weak-pair context: their cars may still point into the from-space.
-  for (unsigned Group = 0; Group != NumToSpaces; Group += NumSpaces) {
-    const ToSpace &To =
-        ToSpaces[Group + static_cast<unsigned>(SpaceKind::WeakPair)];
-    fixWeakCars(*To.A, *To.Ctx, To.Start);
-  }
+  const ToSpace &To = ToSpaces[static_cast<unsigned>(SpaceKind::WeakPair)];
+  fixWeakCars(*To.A, *To.Ctx, To.Start);
 
   // (b) Weak pairs outside the from-space whose car may point into it.
   if (ClosingScope) {
@@ -916,8 +835,7 @@ void Collector::scanOpenScopes() {
          {SpaceKind::Pair, SpaceKind::Typed, SpaceKind::WeakPair}) {
       const unsigned Sp = static_cast<unsigned>(Space);
       SweepCursor Cur{0, 0};
-      sweepRange(*SG->ScopeArena, SG->Contexts[Sp], Cur, Space,
-                 /*ContainerGen=*/0);
+      sweepRange(*SG->ScopeArena, SG->Contexts[Sp], Cur, Space);
     }
   }
 }
@@ -961,9 +879,8 @@ void Collector::fixWeakCar(Value WeakPair) {
       H.Cfg.InjectedFault != GcFaultInjection::BreakLiveWeakCar) {
     Cell->Car = forwardedAddress(Car).bits();
     Value NewCar = Value::fromBits(Cell->Car);
-    // Track a young car (possible under tenure policies, or after this
-    // pair was copied while its car stayed behind) so later collections
-    // can find it.
+    // Track a young car so later collections can find it: an older pair
+    // outside the from-space whose car moved into a younger target.
     unsigned PairGen = H.segInfo(WeakPair.heapAddress()).Generation;
     if (NewCar.isHeapPointer() &&
         H.segInfo(NewCar.heapAddress()).Generation < PairGen)
@@ -981,16 +898,15 @@ void Collector::fixWeakCar(Value WeakPair) {
 void Collector::updateSymbolTable(unsigned G) {
   // Friedman-Wise scatter-table collection, split by generation like the
   // protected lists: only entries whose symbol was subject to this
-  // collection are visited. Under a strong table every symbol was
-  // forwarded as a root, so nothing drops and the pass only re-parks
-  // survivors; the lists stay exact either way.
+  // collection are visited. A dead symbol's entry drops; a survivor's is
+  // re-parked on its new generation's list.
   if (ClosingScope) {
     sweepSymbolList(ClosingScope->Symbols);
     return;
   }
-  // Oldest list first: a survivor lands in its own generation (another
-  // tenure round) or an older one, so whatever a visited list receives
-  // was either already visited or stays in place.
+  // Oldest list first: every survivor lands in generation T, which is
+  // either past the visited lists or (a collection of the oldest) the
+  // first one visited, so no entry is visited twice.
   for (unsigned I = G + 1; I-- != 0;)
     sweepSymbolList(H.SymbolLists[I]);
 }

@@ -38,17 +38,13 @@
 /// A collection times each phase (PhaseTimer) and traces it; a scope
 /// close does neither.
 ///
-/// Tenure policy: with HeapConfig::TenureCopies == 1 every survivor of a
-/// collection of generation g is copied into generation min(g+1, n) —
-/// the paper's simple strategy, and each space has one fixed to-space
-/// context (CopyTargets). With TenureCopies == K > 1 a survivor of
-/// (generation i, age a) is copied into (i, a+1) until a+1 == K
-/// promotes it to (i+1, 0), so the to-space spans several (generation,
-/// age) contexts; copying can then leave an object in a generation
-/// OLDER than some object it points to, which the sweep re-records in
-/// the remembered sets. A scope close has one fixed target per space
-/// whatever the policy: the enclosing scope's contexts, or generation
-/// 0's for an outermost close.
+/// Promotion follows the paper's simple strategy: every survivor of a
+/// collection of generation g is copied into the target generation
+/// T = min(g+1, n). So the to-space is exactly one context per space:
+/// generation T's in a collection, and in a scope close the enclosing
+/// scope's, or generation 0's for an outermost close. No copy can land
+/// in a generation older than an object it points to, so the sweep
+/// never has to re-record a container in the remembered sets.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -87,13 +83,14 @@ private:
     size_t OffsetWords;
   };
 
-  /// One context copies can land in: where it allocates from, the tags
-  /// its new runs get, and the two positions the evacuation walks from.
+  /// The context every copy of one space lands in: where it allocates
+  /// from, the tags its new runs get, and the two positions the
+  /// evacuation walks from.
   struct ToSpace {
     Arena *A;
     SpaceContext *Ctx;
     SpaceKind Space;
-    uint8_t Generation, Age, ScopeDepth, Flags;
+    uint8_t Generation, ScopeDepth, Flags;
     /// The frontier when the evacuation began: everything past it was
     /// copied by this evacuation (the weak pass starts here).
     SweepCursor Start;
@@ -101,8 +98,7 @@ private:
     SweepCursor Scan;
 
     uintptr_t *allocate(size_t Words) {
-      return Ctx->allocate(*A, Space, Generation, Words, Age, ScopeDepth,
-                           Flags);
+      return Ctx->allocate(*A, Space, Generation, Words, ScopeDepth, Flags);
     }
   };
 
@@ -115,18 +111,10 @@ private:
   /// Runs one phase: timed under a PhaseTimer in a collection, untimed
   /// in a scope close.
   template <typename Fn> void phase(GcPhase P, Fn Body);
-  /// Appends the to-space entry for \p Ctx, with its sweep at the
+  /// Sets \p Space's to-space entry to \p Ctx, with its sweep at the
   /// context's current frontier.
   void addToSpace(Arena &A, SpaceContext &Ctx, SpaceKind Space,
-                  unsigned Gen, unsigned Age, unsigned ScopeDepth,
-                  uint8_t Flags);
-  /// The to-space entry of (\p Space, \p Gen, \p Age). ToSpaces holds
-  /// every space of each (generation, age) in turn, so a scope close's
-  /// four entries are (space, 0, 0).
-  ToSpace &toSpace(SpaceKind Space, unsigned Gen, unsigned Age) {
-    return ToSpaces[(Gen * H.Cfg.TenureCopies + Age) * NumSpaces +
-                    static_cast<unsigned>(Space)];
-  }
+                  unsigned Gen, unsigned ScopeDepth, uint8_t Flags);
   /// Dickey-style finalization thunks queued by the evacuation, run with
   /// allocation disabled once its statistics are published.
   void runFinalizerThunks();
@@ -163,19 +151,10 @@ private:
   Value forwardFromSpace(Value V, const SegmentInfo *Info);
 
   /// Allocates \p Words for the copy of an object from a from-space
-  /// segment described by \p Info, in its target context, and sets
-  /// \p Promoted when that context is in an older generation.
+  /// segment described by \p Info, in its space's to-space context, and
+  /// sets \p Promoted when that context is in an older generation.
   uintptr_t *allocateCopy(const SegmentInfo &Info, size_t Words,
                           uint64_t &Promoted);
-  /// allocateCopy() past the cached target's bump: opens a run in the
-  /// target, or picks the target under TenureCopies > 1.
-  uintptr_t *allocateCopySlow(const SegmentInfo &Info, size_t Words,
-                              uint64_t &Promoted);
-
-  /// Target to-space context for a survivor from a segment described by
-  /// \p Info: the space's fixed target, else the tenure policy's
-  /// (generation, age).
-  ToSpace &targetFor(const SegmentInfo &Info);
 
   /// The paper's forwarded?(obj): "true when obj has been forwarded
   /// during this collection or when it resides in a generation older
@@ -227,8 +206,8 @@ private:
   //===--- Sweeping -------------------------------------------------------===//
 
   /// The paper's kleene-sweep(g): "iteratively sweeps copied objects
-  /// until there are no newly copied objects to sweep", over every
-  /// to-space context.
+  /// until there are no newly copied objects to sweep", over the
+  /// to-space contexts.
   void kleeneSweep();
   /// The one cursor-to-frontier walk: sets [\p P, \p End) to the next
   /// span of \p Ctx from \p Cur, in allocation order, and moves \p Cur
@@ -240,17 +219,12 @@ private:
   /// Cheney-sweeps \p Ctx from \p Cur to its frontier: the to-space
   /// sweep, and the open-scope root scan from {0, 0}.
   bool sweepRange(const Arena &A, const SpaceContext &Ctx, SweepCursor &Cur,
-                  SpaceKind Space, unsigned ContainerGen);
+                  SpaceKind Space);
   /// Sweeps the objects in [\p P, \p End) of one run of \p Space, in
   /// address order. \p End must be an object boundary.
-  void sweepSpan(uintptr_t *P, uintptr_t *End, SpaceKind Space,
-                 unsigned ContainerGen);
-  void sweepPairAt(uintptr_t *Cell, bool Weak, unsigned ContainerGen);
-  void sweepTypedAt(uintptr_t *Header, unsigned ContainerGen);
-  /// Re-records \p Container in the remembered set if \p FieldBits now
-  /// points below ContainerGen (only possible with TenureCopies > 1).
-  void maybeReRemember(uintptr_t ContainerBits, unsigned ContainerGen,
-                       uintptr_t FieldBits);
+  void sweepSpan(uintptr_t *P, uintptr_t *End, SpaceKind Space);
+  void sweepPairAt(uintptr_t *Cell, bool Weak);
+  void sweepTypedAt(uintptr_t *Header);
 
   //===--- Phases ---------------------------------------------------------===//
 
@@ -287,15 +261,14 @@ private:
   /// Poisons (under HeapConfig::PoisonFromSpace), counts and frees the
   /// from-space runs of one arena, then empties \p Runs.
   void releaseRuns(Arena &A, std::vector<SegmentRun> &Runs);
-  /// A fresh tconc cell in the (pair, T, age 0) to-space context.
+  /// A fresh tconc cell in the pair to-space context.
   uintptr_t *allocateTconcCell();
 
   /// Re-parks a surviving (already forwarded) guardian entry: on the
   /// protected list of the deepest open scope any participant lives in,
   /// else on the list of the youngest participant generation, so the
-  /// entry is revisited whenever any participant may move or die. With
-  /// TenureCopies == 1 that is always the target generation, matching
-  /// the paper.
+  /// entry is revisited whenever any participant may move or die. Outside
+  /// scopes that is the target generation, as in the paper.
   void parkProtectedEntry(Value Obj, Value Tconc, Value Agent);
 
   //===--- Request scopes (gc/ScopedGeneration.cpp) ----------------------===//
@@ -331,12 +304,6 @@ private:
   /// the phases visit, and that a close is neither timed nor traced.
   ScopedGeneration *ClosingScope = nullptr;
 
-  /// The context of the entry every copy of a space lands in, when that
-  /// is fixed for the whole evacuation: (space, T, age 0) under the
-  /// paper's tenure policy (TenureCopies == 1), or the enclosing extent
-  /// during a scope close. Null means targetFor() picks by age.
-  SpaceContext *CopyTargets[NumSpaces] = {};
-
   /// Finalizer thunks queued by processFinalizeLists.
   std::vector<uint32_t> ThunkQueue;
   /// Start of the pause, and the chain the phase timers tile it with
@@ -344,11 +311,9 @@ private:
   uint64_t StartNanos = 0;
   uint64_t PhaseCursor = 0;
 
-  /// Every context copies can land in, by (generation, age, space) — see
-  /// toSpace(). Only the first NumToSpaces entries are set. Last, so the
-  /// members the copy loop reads stay together above it.
-  unsigned NumToSpaces = 0;
-  ToSpace ToSpaces[MaxGenerations * MaxTenureCopies * NumSpaces];
+  /// The to-space, indexed by space: generation T's contexts in a
+  /// collection, the enclosing extent's in a scope close.
+  ToSpace ToSpaces[NumSpaces];
 };
 
 } // namespace gengc

@@ -160,8 +160,7 @@ DonatedGraph Heap::donateGraph(Value Root) {
   auto allocDonated = [&](SpaceKind Space, size_t Words) {
     const unsigned Sp = static_cast<unsigned>(Space);
     return Ctxs[Sp].allocate(EA, Space, InFlightGeneration, Words,
-                             /*Age=*/0, /*ScopeDepth=*/0,
-                             SegmentInfo::FlagDonated);
+                             /*ScopeDepth=*/0, SegmentInfo::FlagDonated);
   };
 
   // Copies one private pair or non-symbol typed object (payload raw,
@@ -302,7 +301,6 @@ Value Heap::adoptDonatedGraph(DonatedGraph &Graph) {
                          Info.Generation == InFlightGeneration,
                      "adopting a segment that is not an in-flight donation");
         Info.Generation = Oldest;
-        Info.Age = 0;
         Info.ScopeDepth = 0;
       }
       AdoptedRuns[Sp].push_back(R);

@@ -117,7 +117,8 @@ struct GcPhaseBreakdown {
   /* Name                   Merge Key                      Scope Model Scope names  */ \
   X(ObjectsCopied,            Sum, "objects_copied",         Y, Y, ObjectsEvacuated, ) \
   X(BytesCopied,              Sum, "bytes_copied",           Y, Y, BytesEvacuated, )   \
-  /* Copied into a generation older than their own (TenureCopies == 1: all).        */ \
+  /* Copied into a generation older than their own: every copy except those of      */ \
+  /* objects already in the oldest generation when it is collected.                 */ \
   X(ObjectsPromoted,          Sum, "objects_promoted",       N, Y, , )                 \
   X(RootsScanned,             Sum, "",                       N, N, , )                 \
   X(RememberedObjectsScanned, Sum, "",                       N, N, , )                 \

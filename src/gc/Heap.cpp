@@ -48,8 +48,6 @@ Heap::Heap(HeapConfig Config)
   GENGC_ASSERT(Cfg.Generations >= 1 && Cfg.Generations <= MaxGenerations,
                "generation count out of range");
   GENGC_ASSERT(Cfg.CollectionRadix >= 2, "collection radix must be >= 2");
-  GENGC_ASSERT(Cfg.TenureCopies >= 1 && Cfg.TenureCopies <= MaxTenureCopies,
-               "tenure copy count out of range");
   GENGC_ASSERT(Cfg.StressInterval >= 1, "stress interval must be >= 1");
   applyStressEnvironment(Cfg);
   initTelemetry(Telemetry, Cfg);
@@ -125,15 +123,14 @@ uintptr_t *Heap::allocateRaw(SpaceKind Space, size_t Words) {
     // safepoint counter, not the byte budget.
     ScopedGeneration &SG = *ScopeStack.back();
     W = SG.Contexts[static_cast<unsigned>(Space)].allocate(
-        *SG.ScopeArena, Space, 0, Words, /*Age=*/0,
-        static_cast<uint8_t>(SG.Depth),
+        *SG.ScopeArena, Space, 0, Words, static_cast<uint8_t>(SG.Depth),
         SG.Donation ? SegmentInfo::FlagDonated : static_cast<uint8_t>(0));
   } else {
     BytesSinceGc += Bytes;
     if (BytesSinceGc >= Cfg.Gen0CollectBytes)
       GcPending = true;
-    W = Contexts[static_cast<unsigned>(Space)][0][0].allocate(
-        Segments, Space, 0, Words, /*Age=*/0);
+    W = Contexts[static_cast<unsigned>(Space)][0].allocate(Segments, Space,
+                                                           0, Words);
   }
   // Allocation-site sampling: tick() is a single compare of the
   // just-updated allocation counter against the profiler's threshold
@@ -595,13 +592,12 @@ const SegmentInfo &Heap::exchangeInfo(uintptr_t Address) const {
 Heap::GenerationUsage Heap::generationUsage(unsigned Generation) const {
   GENGC_ASSERT(Generation < Cfg.Generations, "bad generation");
   GenerationUsage Usage;
-  for (unsigned S = 0; S != NumSpaces; ++S)
-    for (unsigned A = 0; A != Cfg.TenureCopies; ++A) {
-      const SpaceContext &Ctx = Contexts[S][Generation][A];
-      for (const SegmentRun &R : Ctx.runs())
-        Usage.SegmentCount += R.SegmentCount;
-      Usage.UsedBytes += Ctx.usedWords(Segments) * sizeof(uintptr_t);
-    }
+  for (unsigned S = 0; S != NumSpaces; ++S) {
+    const SpaceContext &Ctx = Contexts[S][Generation];
+    for (const SegmentRun &R : Ctx.runs())
+      Usage.SegmentCount += R.SegmentCount;
+    Usage.UsedBytes += Ctx.usedWords(Segments) * sizeof(uintptr_t);
+  }
   // Adopted donation runs are tenured space of the oldest generation.
   if (Generation == oldestGeneration())
     for (unsigned S = 0; S != NumSpaces; ++S)
@@ -617,8 +613,7 @@ size_t Heap::liveBytes() const {
   size_t Words = 0;
   for (unsigned S = 0; S != NumSpaces; ++S)
     for (unsigned G = 0; G != Cfg.Generations; ++G)
-      for (unsigned A = 0; A != Cfg.TenureCopies; ++A)
-        Words += Contexts[S][G][A].usedWords(Segments);
+      Words += Contexts[S][G].usedWords(Segments);
   for (const auto &SG : ScopeStack)
     for (unsigned S = 0; S != NumSpaces; ++S)
       Words += SG->Contexts[S].usedWords(*SG->ScopeArena);

@@ -73,8 +73,6 @@ enum class StoreElision : uint8_t {
 
 /// Maximum supported generation count.
 constexpr unsigned MaxGenerations = 8;
-/// Maximum supported tenure-copy count (HeapConfig::TenureCopies).
-constexpr unsigned MaxTenureCopies = 4;
 
 class Heap {
 public:
@@ -118,9 +116,11 @@ public:
                       Value Name);
   /// Allocates a port handle referencing external port state \p PortId.
   Value makePortHandle(intptr_t PortId, intptr_t Direction);
-  /// Interns \p Name, returning the unique symbol for it. With
-  /// HeapConfig::WeakSymbolTable, symbols kept alive only by the intern
-  /// table are reclaimed at collection time and re-interned on demand.
+  /// Interns \p Name, returning the unique symbol for it. The intern
+  /// table holds its symbols weakly, as in Friedman and Wise's
+  /// scatter-table collection (reference [6] of the paper): symbols kept
+  /// alive only by the table are reclaimed at collection time and
+  /// re-interned on demand.
   Value intern(std::string_view Name);
   /// Returns the interned symbol's name as a std::string.
   std::string symbolName(Value Symbol) const;
@@ -608,11 +608,10 @@ private:
   Arena Segments;
   /// The exchange domain (never null after construction).
   SharedImmutableSpace *Exchange = nullptr;
-  /// Allocation contexts, indexed by space, generation, and tenure age.
-  /// Mutator allocation uses age 0; the collector copies survivors into
-  /// age Age+1 of the same generation until the tenure policy promotes
-  /// them to (generation + 1, age 0).
-  SpaceContext Contexts[NumSpaces][MaxGenerations][MaxTenureCopies];
+  /// Allocation contexts, indexed by space and generation. The mutator
+  /// allocates into generation 0's; a collection copies survivors into
+  /// its target generation's.
+  SpaceContext Contexts[NumSpaces][MaxGenerations];
 
   std::vector<Value *> RootSlots;
   std::vector<RootVector *> RootVectors;

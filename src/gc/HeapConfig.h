@@ -95,15 +95,6 @@ struct HeapConfig {
   /// the less frequently it is collected").
   unsigned CollectionRadix = 4;
 
-  /// Tenure policy ("the promotion and tenure strategies supported by
-  /// the collector are under programmer control"): an object must be
-  /// copied this many times within its generation before it is promoted
-  /// to the next one. 1 reproduces the paper's simple strategy
-  /// (survivors of a collection of generation g move to g+1); larger
-  /// values delay promotion, trading extra copying for less premature
-  /// tenuring.
-  unsigned TenureCopies = 1;
-
   /// Whether allocation safepoints may trigger collection automatically.
   /// Tests that need precise control disable this and call collect()
   /// explicitly.
@@ -142,13 +133,6 @@ struct HeapConfig {
   /// SharedImmutableSpace::process() at Heap construction; tests and the
   /// fuzzer install a private instance for isolated accounting.
   SharedImmutableSpace *Exchange = nullptr;
-
-  /// When true, the symbol intern table holds its symbols weakly:
-  /// symbols reachable only from the table are reclaimed and their
-  /// entries dropped, as in Friedman and Wise's scatter-table collection
-  /// (reference [6] of the paper, used by Chez Scheme for oblist
-  /// entries).
-  bool WeakSymbolTable = true;
 
   //===------------------------------------------------------------------===//
   // Correctness-stress tooling. These knobs make rooting bugs (a bare

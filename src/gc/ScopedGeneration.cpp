@@ -134,20 +134,18 @@ void Collector::scopeSetUpSpaces(ScopedGeneration &Scope) {
   // The to-space is the enclosing extent: the enclosing scope's contexts
   // (in the exchange arena, donation-tagged, when that is a donation
   // scope), or the ordinary generation 0's. Every survivor of a space
-  // lands in its one context, whatever the tenure policy.
+  // lands in its one context.
   ScopedGeneration *Into =
       Scope.Depth >= 2 ? H.ScopeStack[Scope.Depth - 2].get() : nullptr;
   for (unsigned Sp = 0; Sp != NumSpaces; ++Sp) {
     if (Into)
       addToSpace(*Into->ScopeArena, Into->Contexts[Sp],
-                 static_cast<SpaceKind>(Sp), /*Gen=*/0, /*Age=*/0,
-                 Into->Depth,
+                 static_cast<SpaceKind>(Sp), /*Gen=*/0, Into->Depth,
                  Into->Donation ? SegmentInfo::FlagDonated
                                 : static_cast<uint8_t>(0));
     else
-      addToSpace(H.Segments, H.Contexts[Sp][0][0], static_cast<SpaceKind>(Sp),
-                 /*Gen=*/0, /*Age=*/0, /*ScopeDepth=*/0, /*Flags=*/0);
-    CopyTargets[Sp] = ToSpaces[Sp].Ctx;
+      addToSpace(H.Segments, H.Contexts[Sp][0], static_cast<SpaceKind>(Sp),
+                 /*Gen=*/0, /*ScopeDepth=*/0, /*Flags=*/0);
   }
 }
 

@@ -65,7 +65,7 @@ struct ScopedGeneration {
   bool Donation;
 
   /// Bump-allocation contexts, one per space — the scope's private
-  /// nursery. Segments are tagged (Space, Generation 0, Age 0, Depth).
+  /// nursery. Segments are tagged (Space, Generation 0, Depth).
   SpaceContext Contexts[NumSpaces];
 
   /// Containers outside this scope (depth < Depth, any generation) that

@@ -15,10 +15,10 @@
 ///
 /// Failures are accumulated, not fatal one at a time: the verifier
 /// finishes its walk, reports *every* violated invariant — each with the
-/// segment index, generation, space kind, and tenure age of the offending
-/// location — and only then aborts. One rooting bug typically corrupts
-/// several invariants at once; seeing the full set localizes it far
-/// faster than the first symptom alone.
+/// segment index, generation and space kind of the offending location —
+/// and only then aborts. One rooting bug typically corrupts several
+/// invariants at once; seeing the full set localizes it far faster than
+/// the first symptom alone.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -39,8 +39,7 @@ using namespace gengc;
 namespace {
 
 struct Verifier {
-  using ContextsArray =
-      const SpaceContext (*)[MaxGenerations][MaxTenureCopies];
+  using ContextsArray = const SpaceContext (*)[MaxGenerations];
   using ScopeStackArray =
       const std::vector<std::unique_ptr<ScopedGeneration>>;
 
@@ -73,8 +72,8 @@ struct Verifier {
     return EA.infoFor(Address);
   }
 
-  /// Coordinates of \p Address: segment index, generation, space kind,
-  /// and tenure age, from the segment information table.
+  /// Coordinates of \p Address: segment index, generation and space
+  /// kind, from the segment information table.
   std::string describeAddress(uintptr_t Address) {
     if (A.containsAddress(Address))
       return describeSegment(A, A.segmentIndexOf(Address));
@@ -88,11 +87,10 @@ struct Verifier {
     char Buf[128];
     std::snprintf(Buf, sizeof(Buf),
                   "[%ssegment %" PRIu32
-                  ", generation %u, space %s, age %u]",
+                  ", generation %u, space %s]",
                   &In == &EA ? "exchange " : "", Seg,
                   static_cast<unsigned>(Info.Generation),
-                  spaceKindName(Info.Space),
-                  static_cast<unsigned>(Info.Age));
+                  spaceKindName(Info.Space));
     return Buf;
   }
 
@@ -159,9 +157,7 @@ struct Verifier {
   template <typename Fn> void walkHeap(Fn Visit) {
     for (unsigned Sp = 0; Sp != NumSpaces; ++Sp) {
       for (unsigned G = 0; G != Cfg.Generations; ++G)
-        for (unsigned Age = 0; Age != Cfg.TenureCopies; ++Age)
-          walkContext(A, contextOf(Sp, G, Age), static_cast<SpaceKind>(Sp),
-                      Visit);
+        walkContext(A, Contexts[Sp][G], static_cast<SpaceKind>(Sp), Visit);
       // Adopted donation runs are tenured space living in the exchange
       // arena; their runs are sealed, so UsedWords is authoritative.
       for (const SegmentRun &R : Adopted[Sp])
@@ -173,13 +169,8 @@ struct Verifier {
                     static_cast<SpaceKind>(Sp), Visit);
   }
 
-  const SpaceContext &contextOf(unsigned Sp, unsigned G, unsigned Age) {
-    return Contexts[Sp][G][Age];
-  }
-
   void checkRunTagging(const Arena &In, const SegmentRun &R, SpaceKind Space,
-                       unsigned Gen, unsigned Age, unsigned Depth,
-                       bool ExpectDonated) {
+                       unsigned Gen, unsigned Depth, bool ExpectDonated) {
     for (uint32_t Seg = R.FirstSegment; Seg != R.FirstSegment + R.SegmentCount;
          ++Seg) {
       const SegmentInfo &Info = In.infoAt(Seg);
@@ -199,9 +190,6 @@ struct Verifier {
       if (Info.Generation != Gen)
         failSegment(In, Seg,
                     "segment generation tag disagrees with its context");
-      if (Info.Age != Age)
-        failSegment(In, Seg,
-                    "segment tenure-age tag disagrees with its context");
       if (Info.ScopeDepth != Depth)
         failSegment(In, Seg,
                     "segment scope-depth tag disagrees with its context");
@@ -209,10 +197,10 @@ struct Verifier {
   }
 
   void checkSegmentTagging(const Arena &In, const SpaceContext &Ctx,
-                           SpaceKind Space, unsigned Gen, unsigned Age,
-                           unsigned Depth, bool ExpectDonated) {
+                           SpaceKind Space, unsigned Gen, unsigned Depth,
+                           bool ExpectDonated) {
     for (const SegmentRun &R : Ctx.runs())
-      checkRunTagging(In, R, Space, Gen, Age, Depth, ExpectDonated);
+      checkRunTagging(In, R, Space, Gen, Depth, ExpectDonated);
   }
 
   void registerObject(uintptr_t *P, SpaceKind Space) {
@@ -235,31 +223,30 @@ struct Verifier {
       registerObject(P, Space);
     };
     for (unsigned Sp = 0; Sp != NumSpaces; ++Sp) {
-      for (unsigned G = 0; G != Cfg.Generations; ++G)
-       for (unsigned Age = 0; Age != Cfg.TenureCopies; ++Age) {
-        const SpaceContext &Ctx = contextOf(Sp, G, Age);
-        checkSegmentTagging(A, Ctx, static_cast<SpaceKind>(Sp), G, Age,
+      for (unsigned G = 0; G != Cfg.Generations; ++G) {
+        const SpaceContext &Ctx = Contexts[Sp][G];
+        checkSegmentTagging(A, Ctx, static_cast<SpaceKind>(Sp), G,
                             /*Depth=*/0, /*ExpectDonated=*/false);
         walkContext(A, Ctx, static_cast<SpaceKind>(Sp), Register);
-       }
+      }
       // Adopted donation runs: exchange-arena segments retagged to the
       // oldest generation, still carrying the donation flag.
       for (const SegmentRun &R : Adopted[Sp]) {
         checkRunTagging(EA, R, static_cast<SpaceKind>(Sp),
-                        Cfg.Generations - 1, /*Age=*/0, /*Depth=*/0,
+                        Cfg.Generations - 1, /*Depth=*/0,
                         /*ExpectDonated=*/true);
         walkRun(EA, R, R.UsedWords, static_cast<SpaceKind>(Sp), Register);
       }
     }
-    // Open request scopes: their segments are tagged (generation 0,
-    // age 0, the scope's depth) and their objects are as valid as any.
+    // Open request scopes: their segments are tagged (generation 0, the
+    // scope's depth) and their objects are as valid as any.
     // Donation scopes allocate from the exchange arena with the donation
     // flag pre-set.
     for (const auto &SG : Scopes)
       for (unsigned Sp = 0; Sp != NumSpaces; ++Sp) {
         const SpaceContext &Ctx = SG->Contexts[Sp];
         checkSegmentTagging(*SG->ScopeArena, Ctx, static_cast<SpaceKind>(Sp),
-                            /*Gen=*/0, /*Age=*/0, SG->Depth,
+                            /*Gen=*/0, SG->Depth,
                             /*ExpectDonated=*/SG->Donation);
         walkContext(*SG->ScopeArena, Ctx, static_cast<SpaceKind>(Sp),
                     Register);

@@ -91,9 +91,7 @@ HeapCensus Heap::census() const {
   for (unsigned Sp = 0; Sp != NumSpaces; ++Sp) {
     const SpaceKind Space = static_cast<SpaceKind>(Sp);
     for (unsigned G = 0; G != Cfg.Generations; ++G)
-      for (unsigned Age = 0; Age != Cfg.TenureCopies; ++Age)
-        AccumulateContext(Segments, Contexts[Sp][G][Age], Space,
-                          C.Cells[G][Sp]);
+      AccumulateContext(Segments, Contexts[Sp][G], Space, C.Cells[G][Sp]);
     // Adopted donation runs live in the exchange arena but are this
     // heap's tenured space: count them under the oldest generation,
     // which their segments are tagged with. Sealed runs, so UsedWords

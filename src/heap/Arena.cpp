@@ -36,8 +36,8 @@ Arena::~Arena() {
 }
 
 uint32_t Arena::allocateRun(uint32_t NumSegments, SpaceKind Space,
-                            uint8_t Generation, uint8_t Age,
-                            uint8_t ScopeDepth, uint8_t ExtraFlags) {
+                            uint8_t Generation, uint8_t ScopeDepth,
+                            uint8_t ExtraFlags) {
   GENGC_ASSERT(NumSegments > 0, "empty run requested");
   std::lock_guard<std::mutex> Guard(RunLock);
   // First fit over the sorted free list.
@@ -57,7 +57,6 @@ uint32_t Arena::allocateRun(uint32_t NumSegments, SpaceKind Space,
       GENGC_ASSERT(!Info.inUse(), "allocating an in-use segment");
       Info.Space = Space;
       Info.Generation = Generation;
-      Info.Age = Age;
       Info.ScopeDepth = ScopeDepth;
       Info.Flags = SegmentInfo::FlagInUse | ExtraFlags;
     }

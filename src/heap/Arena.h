@@ -100,13 +100,10 @@ struct SegmentInfo {
 
   SpaceKind Space = SpaceKind::Pair;
   uint8_t Generation = 0;
-  /// Copies survived within the current generation (tenure age). Only
-  /// meaningful when the heap's TenureCopies policy exceeds 1.
-  uint8_t Age = 0;
   /// Request-scope ownership: 0 for the ordinary generational ladder,
   /// d > 0 for segments belonging to the d-th open ScopedGeneration
-  /// (1 = outermost). Scope segments always carry Generation 0 and
-  /// Age 0 — a scope is an ephemeral nursery, not a tenure rung.
+  /// (1 = outermost). Scope segments always carry Generation 0 — a
+  /// scope is an ephemeral nursery, not a generation.
   uint8_t ScopeDepth = 0;
   uint8_t Flags = 0;
 
@@ -160,8 +157,8 @@ public:
   /// \p ExtraFlags is OR'd into every segment's flags beyond FlagInUse —
   /// FlagShared for shared-immutable runs, FlagDonated for donation runs.
   uint32_t allocateRun(uint32_t NumSegments, SpaceKind Space,
-                       uint8_t Generation, uint8_t Age = 0,
-                       uint8_t ScopeDepth = 0, uint8_t ExtraFlags = 0);
+                       uint8_t Generation, uint8_t ScopeDepth = 0,
+                       uint8_t ExtraFlags = 0);
 
   /// Returns every run of \p Runs to the free list and clears their
   /// segment entries, under one lock acquisition: the observer sees the

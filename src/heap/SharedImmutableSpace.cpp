@@ -42,7 +42,7 @@ SharedImmutableSpace &SharedImmutableSpace::process() {
 uintptr_t *SharedImmutableSpace::allocateShared(SpaceKind Space,
                                                 size_t Words) {
   return SharedContexts[static_cast<unsigned>(Space)].allocate(
-      Exchange, Space, SharedGeneration, Words, /*Age=*/0, /*ScopeDepth=*/0,
+      Exchange, Space, SharedGeneration, Words, /*ScopeDepth=*/0,
       SegmentInfo::FlagShared);
 }
 

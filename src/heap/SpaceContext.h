@@ -30,12 +30,11 @@ public:
   /// runs from \p A tagged (\p Space, \p Generation) as needed. Never
   /// triggers collection; collection policy lives above this layer.
   uintptr_t *allocate(Arena &A, SpaceKind Space, uint8_t Generation,
-                      size_t Words, uint8_t Age = 0,
-                      uint8_t ScopeDepth = 0, uint8_t ExtraFlags = 0) {
+                      size_t Words, uint8_t ScopeDepth = 0,
+                      uint8_t ExtraFlags = 0) {
     if (uintptr_t *P = tryBump(Words))
       return P;
-    return allocateSlow(A, Space, Generation, Words, Age, ScopeDepth,
-                        ExtraFlags);
+    return allocateSlow(A, Space, Generation, Words, ScopeDepth, ExtraFlags);
   }
 
   /// The bump half of allocate(): \p Words from the current run, or null
@@ -102,14 +101,13 @@ public:
 
 private:
   uintptr_t *allocateSlow(Arena &A, SpaceKind Space, uint8_t Generation,
-                          size_t Words, uint8_t Age, uint8_t ScopeDepth,
+                          size_t Words, uint8_t ScopeDepth,
                           uint8_t ExtraFlags) {
     sealCurrentRun(A);
     uint32_t NumSegments =
         static_cast<uint32_t>(divideCeil(Words, SegmentWords));
     uint32_t First =
-        A.allocateRun(NumSegments, Space, Generation, Age, ScopeDepth,
-                      ExtraFlags);
+        A.allocateRun(NumSegments, Space, Generation, ScopeDepth, ExtraFlags);
     Runs.push_back({First, NumSegments, 0});
     uintptr_t *RunBase = A.segmentBase(First);
     Alloc = RunBase + Words;

@@ -174,23 +174,6 @@ size_t ShadowModel::allocWords(const SObj &O) {
   GENGC_UNREACHABLE("bad shadow kind in allocWords");
 }
 
-namespace {
-
-/// Mirrors Collector::targetFor.
-void modelTargetFor(unsigned Gen, unsigned Age, unsigned T,
-                    unsigned TenureCopies, unsigned &NewGen,
-                    unsigned &NewAge) {
-  if (Age + 1 >= TenureCopies) {
-    NewGen = T;
-    NewAge = 0;
-  } else {
-    NewGen = Gen;
-    NewAge = Age + 1;
-  }
-}
-
-} // namespace
-
 ShadowModel::CollectOutcome
 ShadowModel::collect(unsigned RequestedGeneration) {
   CollectOutcome Out;
@@ -259,8 +242,8 @@ ShadowModel::collect(unsigned RequestedGeneration) {
     }
   };
 
-  // Roots: the runner's root stack and per-op scratch operands, the
-  // symbol table when it is strong, and — the generational contract —
+  // Roots: the runner's root stack and per-op scratch operands, and —
+  // the generational contract —
   // every live object of an uncollected generation, whether or not it
   // is itself reachable. That last clause models the remembered sets'
   // conservatism exactly: old floating garbage retains its young
@@ -270,9 +253,6 @@ ShadowModel::collect(unsigned RequestedGeneration) {
     forwardVal(V);
   for (const SVal &V : Scratch)
     forwardVal(V);
-  if (!WeakSymbolTable)
-    for (const auto &KV : Symbols)
-      forwardObj(KV.second);
   for (size_t Id = 0; Id != PreCount; ++Id) {
     const SObj &O = Objects[Id];
     if (O.Alive && (O.Gen > G || O.Scope != 0))
@@ -333,8 +313,8 @@ ShadowModel::collect(unsigned RequestedGeneration) {
       break;
     for (const SEntry &E : FinalList) {
       forwardVal(E.Agent);
-      // Collector::deliverToTconcs: fresh (#f . #f) cell in (target
-      // generation, age 0); fill the old last cell; publish. The heap
+      // Collector::deliverToTconcs: fresh (#f . #f) cell in the target
+      // generation; fill the old last cell; publish. The heap
       // publishes once per tconc per round; the end state is the same.
       ObjId NewCell = cons(SVal::immediate(Value::falseV()),
                            SVal::immediate(Value::falseV()));
@@ -364,9 +344,7 @@ ShadowModel::collect(unsigned RequestedGeneration) {
     if (Id >= PreCount || O.Scope != 0 || O.Gen > G)
       return O.Gen;
     GENGC_ASSERT(Out.Copied[Id], "post-generation of a reclaimed object");
-    unsigned NG, NA;
-    modelTargetFor(O.Gen, O.Age, T, TenureCopies, NG, NA);
-    return NG;
+    return T;
   };
   for (const SEntry &E : PendHold) {
     if (isFwd(E.Tconc)) {
@@ -415,14 +393,12 @@ ShadowModel::collect(unsigned RequestedGeneration) {
 
   // Weak symbol table: entries whose symbol died are dropped
   // (Friedman-Wise).
-  if (WeakSymbolTable) {
-    for (auto It = Symbols.begin(); It != Symbols.end();) {
-      if (diedThisCycle(It->second)) {
-        It = Symbols.erase(It);
-        ++St.SymbolsDropped;
-      } else {
-        ++It;
-      }
+  for (auto It = Symbols.begin(); It != Symbols.end();) {
+    if (diedThisCycle(It->second)) {
+      It = Symbols.erase(It);
+      ++St.SymbolsDropped;
+    } else {
+      ++It;
     }
   }
 
@@ -432,12 +408,9 @@ ShadowModel::collect(unsigned RequestedGeneration) {
     if (!O.Alive || O.Scope != 0 || O.Gen > G)
       continue;
     if (Out.Copied[Id]) {
-      unsigned NG, NA;
-      modelTargetFor(O.Gen, O.Age, T, TenureCopies, NG, NA);
-      if (NG > O.Gen)
+      if (T > O.Gen)
         ++St.ObjectsPromoted;
-      O.Gen = static_cast<uint8_t>(NG);
-      O.Age = static_cast<uint8_t>(NA);
+      O.Gen = static_cast<uint8_t>(T);
     } else {
       O.Alive = false;
       O.Fields.clear();
@@ -519,8 +492,7 @@ ShadowModel::ScopeCloseOutcome ShadowModel::closeScope() {
     }
   };
 
-  // Evacuation roots: the mutator's roots, the strong symbol table,
-  // and the strong fields of every live non-member. That last clause
+  // Evacuation roots: the mutator's roots and the strong fields of every live non-member. That last clause
   // is what the per-scope escape sets buy the real collector — any
   // outside object that received an into-scope pointer was recorded by
   // the barrier and is rescanned at close, whether or not the outside
@@ -530,9 +502,6 @@ ShadowModel::ScopeCloseOutcome ShadowModel::closeScope() {
     forwardVal(V);
   for (const SVal &V : Scratch)
     forwardVal(V);
-  if (!WeakSymbolTable)
-    for (const auto &KV : Symbols)
-      forwardObj(KV.second);
   for (size_t Id = 0; Id != PreCount; ++Id) {
     const SObj &O = Objects[Id];
     if (O.Alive && O.Scope != D)
@@ -646,14 +615,12 @@ ShadowModel::ScopeCloseOutcome ShadowModel::closeScope() {
 
   // Weak symbol table: in-scope symbols that did not escape die with
   // the scope.
-  if (WeakSymbolTable) {
-    for (auto It = Symbols.begin(); It != Symbols.end();) {
-      if (diedWithScope(It->second)) {
-        It = Symbols.erase(It);
-        ++St.SymbolsDropped;
-      } else {
-        ++It;
-      }
+  for (auto It = Symbols.begin(); It != Symbols.end();) {
+    if (diedWithScope(It->second)) {
+      It = Symbols.erase(It);
+      ++St.SymbolsDropped;
+    } else {
+      ++It;
     }
   }
 
@@ -816,7 +783,7 @@ SVal ShadowModel::adoptGraph(const GraphSnapshot &G) {
   // name first (each may allocate a string + symbol in the nursery).
   // Phase 2 then instantiates the copied nodes directly in the oldest
   // generation — adoption retags whole donated segments tenured, so
-  // every adopted object is born old, age 0, scope 0.
+  // every adopted object is born old, scope 0.
   auto internFixup = [&](const SnapVal &S) {
     if (S.Kind == SnapVal::K::Symbol)
       intern(S.Name);
@@ -833,7 +800,6 @@ SVal ShadowModel::adoptGraph(const GraphSnapshot &G) {
     const ObjId Id = newObject(N.Kind);
     SObj &O = Objects[Id];
     O.Gen = Oldest;
-    O.Age = 0;
     O.Scope = 0;
     O.Length = N.Length;
     O.Data = N.Data;

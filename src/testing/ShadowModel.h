@@ -15,7 +15,7 @@
 /// generation (modeling remembered-set conservatism, floating garbage
 /// included), the Section 4 guardian classification/salvage fixpoint in
 /// entry order, Section 5 agents, weak-car breaking, weak symbol-table
-/// reclamation, and the tenure/promotion schedule — and predicts the
+/// reclamation, and the promotion schedule — and predicts the
 /// collection's GcStats counters and the post-collection census.
 ///
 /// The model is deliberately a *mirror of the specified algorithm*, not
@@ -91,7 +91,6 @@ struct SVal {
 struct SObj {
   SKind Kind = SKind::Pair;
   uint8_t Gen = 0;
-  uint8_t Age = 0;
   /// Request-scope depth (0 = the generational ladder). Objects born
   /// while a scope is open carry the innermost depth, exactly like the
   /// real allocator's segment tag; closeScope() rewrites survivors to
@@ -150,12 +149,11 @@ struct ModelCensus {
 class ShadowModel {
 public:
   explicit ShadowModel(const HeapConfig &Cfg)
-      : Generations(Cfg.Generations), TenureCopies(Cfg.TenureCopies),
-        WeakSymbolTable(Cfg.WeakSymbolTable), Protected(Cfg.Generations) {}
+      : Generations(Cfg.Generations), Protected(Cfg.Generations) {}
 
   //===------------------------------------------------------------------===//
   // Mutator mirror. Each returns the new object's id; new objects are
-  // born in generation 0, age 0, exactly like the real allocator.
+  // born in generation 0, exactly like the real allocator.
   //===------------------------------------------------------------------===//
 
   ObjId cons(SVal Car, SVal Cdr);
@@ -205,8 +203,7 @@ public:
 
   /// Closes the innermost scope: members reachable from outside it
   /// (roots, any live non-member's strong fields — the escape sets'
-  /// conservatism — the strong symbol table, and the Section 4
-  /// guardian fixpoint over the scope's own protected list) graduate
+  /// conservatism — and the Section 4 guardian fixpoint over the scope's own protected list) graduate
   /// to the enclosing depth; the rest die untraced.
   ScopeCloseOutcome closeScope();
 
@@ -291,8 +288,6 @@ public:
   static size_t allocWords(const SObj &O);
 
   unsigned Generations;
-  unsigned TenureCopies;
-  bool WeakSymbolTable;
 
   std::vector<SObj> Objects;
   /// Mirrors the runner's RootVector of explicitly pushed roots.

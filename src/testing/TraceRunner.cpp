@@ -897,53 +897,23 @@ Trace gengc::gcfuzz::shrinkTrace(const Trace &T, const HeapConfig &Cfg,
 }
 
 std::vector<FuzzConfig> gengc::gcfuzz::standardConfigs() {
-  std::vector<FuzzConfig> Configs;
-  const size_t Arena = 16u * 1024 * 1024;
-
-  HeapConfig Paper;
-  Paper.ArenaBytes = Arena;
-  Paper.Generations = 4;
-  Paper.TenureCopies = 1;
-  Paper.CollectionRadix = 4;
-  Paper.Gen0CollectBytes = 6 * 1024;
-  Configs.push_back({"paper", Paper});
-
-  HeapConfig Tenure;
-  Tenure.ArenaBytes = Arena;
-  Tenure.Generations = 3;
-  Tenure.TenureCopies = 3;
-  Tenure.CollectionRadix = 2;
-  Tenure.Gen0CollectBytes = 6 * 1024;
-  Configs.push_back({"tenure3", Tenure});
-
-  HeapConfig TwoGen;
-  TwoGen.ArenaBytes = Arena;
-  TwoGen.Generations = 2;
-  TwoGen.TenureCopies = 2;
-  TwoGen.CollectionRadix = 3;
-  TwoGen.Gen0CollectBytes = 8 * 1024;
-  TwoGen.WeakSymbolTable = false;
-  Configs.push_back({"twogen-strongsym", TwoGen});
-
-  HeapConfig Single;
-  Single.ArenaBytes = Arena;
-  Single.Generations = 1;
-  Single.TenureCopies = 1;
-  Single.Gen0CollectBytes = 10 * 1024;
-  Configs.push_back({"single", Single});
-
-  HeapConfig Stress;
-  Stress.ArenaBytes = Arena;
-  Stress.Generations = 4;
-  Stress.TenureCopies = 2;
-  Stress.CollectionRadix = 4;
-  Stress.Gen0CollectBytes = 6 * 1024;
+  auto Make = [](unsigned Generations, unsigned Radix, size_t Gen0Bytes) {
+    HeapConfig C;
+    C.ArenaBytes = 16u * 1024 * 1024;
+    C.Generations = Generations;
+    C.CollectionRadix = Radix;
+    C.Gen0CollectBytes = Gen0Bytes;
+    return C;
+  };
+  HeapConfig Stress = Make(4, 4, 6 * 1024);
   Stress.StressGC = true;
   Stress.StressInterval = 7;
   Stress.PoisonFromSpace = true;
-  Configs.push_back({"stress", Stress});
-
-  return Configs;
+  return {{"paper", Make(4, 4, 6 * 1024)},
+          {"threegen-radix2", Make(3, 2, 6 * 1024)},
+          {"twogen-radix3", Make(2, 3, 8 * 1024)},
+          {"single", Make(1, 4, 10 * 1024)},
+          {"stress", Stress}};
 }
 
 bool gengc::gcfuzz::findConfig(const std::string &Name, FuzzConfig &Out) {

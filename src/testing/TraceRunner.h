@@ -49,9 +49,10 @@ struct FuzzConfig {
   HeapConfig Config;
 };
 
-/// The standard fuzz matrix: the paper's schedule plus tenure-delayed,
-/// two-generation/strong-symbol, single-generation, and stress-GC
-/// variants. Small Gen0 budgets so every trace triggers automatic
+/// The standard fuzz matrix: the paper's schedule (four generations,
+/// radix 4) plus three-, two- and single-generation shapes with other
+/// radixes and budgets, and a stress-GC variant with from-space
+/// poisoning. Small Gen0 budgets so every trace triggers automatic
 /// collections.
 std::vector<FuzzConfig> standardConfigs();
 

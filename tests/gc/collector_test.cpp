@@ -106,6 +106,11 @@ TEST(CollectorTest, PromotionThroughGenerations) {
   H.collect(3);
   EXPECT_EQ(H.generationOf(P.get()), 3u);
   EXPECT_EQ(pairCar(P.get()).asFixnum(), 7);
+  // Survivors of a collection of generation g go to g+1, not to their
+  // own generation + 1.
+  Root Fresh(H, H.cons(Value::fixnum(4), Value::nil()));
+  H.collect(2);
+  EXPECT_EQ(H.generationOf(Fresh.get()), 3u);
   H.verifyHeap();
 }
 
@@ -166,13 +171,22 @@ TEST(CollectorTest, UnreachableCycleIsReclaimed) {
 }
 
 TEST(CollectorTest, LargeObjectSurvives) {
+  // A 3000-slot vector is a run of several segments: it moves one
+  // generation per collection, whole.
   Heap H(testConfig());
   Root V(H, H.makeVector(3000, Value::fixnum(11)));
-  H.collectMinor();
-  ASSERT_EQ(objectLength(V.get()), 3000u);
-  for (size_t I = 0; I != 3000; ++I)
-    ASSERT_EQ(objectField(V.get(), I).asFixnum(), 11);
-  H.verifyHeap();
+  for (size_t I = 0; I < 3000; I += 7)
+    H.vectorSet(V.get(), I, Value::fixnum(static_cast<intptr_t>(I)));
+  for (unsigned G = 0; G != 2; ++G) {
+    H.collect(G);
+    ASSERT_EQ(H.generationOf(V.get()), G + 1);
+    ASSERT_EQ(objectLength(V.get()), 3000u);
+    for (size_t I = 0; I != 3000; ++I)
+      ASSERT_EQ(objectField(V.get(), I).asFixnum(),
+                I % 7 ? 11 : static_cast<intptr_t>(I))
+          << "slot " << I;
+    H.verifyHeap();
+  }
 }
 
 TEST(CollectorTest, CollectFullRepeatedly) {
@@ -314,43 +328,6 @@ TEST(CollectorTest, WeakSymbolTableDropsDeadSymbols) {
   H.verifyHeap();
 }
 
-TEST(CollectorTest, WeakSymbolTableUnderTenureCopies) {
-  // With TenureCopies = 3 a surviving symbol is copied within generation
-  // 0 twice before promotion; its entry must follow it every time.
-  HeapConfig C = testConfig();
-  C.TenureCopies = 3;
-  Heap H(C);
-  Root Kept(H, H.intern("kept"));
-  Root Aging(H, H.intern("aging"));
-  H.intern("dropped");
-  H.collectMinor();
-  EXPECT_EQ(H.lastStats().SymbolsDropped, 1u);
-  EXPECT_EQ(H.generationOf(Kept.get()), 0u) << "age 1, still generation 0";
-  EXPECT_TRUE(internFinds(H, "kept"));
-  H.verifyHeap();
-
-  Aging = Value::falseV(); // Dies at age 1 of generation 0.
-  H.collectMinor();
-  EXPECT_EQ(H.lastStats().SymbolsDropped, 1u);
-  EXPECT_FALSE(internFinds(H, "aging"));
-  H.verifyHeap();
-
-  H.collectMinor(); // Kept ages out into generation 1; the fresh aging dies.
-  EXPECT_EQ(H.lastStats().SymbolsDropped, 1u);
-  EXPECT_EQ(H.generationOf(Kept.get()), 1u);
-  EXPECT_EQ(H.intern("kept"), Kept.get());
-  H.verifyHeap();
-
-  Kept = Value::falseV();
-  H.collectMinor();
-  EXPECT_EQ(H.lastStats().SymbolsDropped, 0u);
-  EXPECT_TRUE(internFinds(H, "kept"));
-  H.collect(1);
-  EXPECT_EQ(H.lastStats().SymbolsDropped, 1u);
-  EXPECT_FALSE(internFinds(H, "kept"));
-  H.verifyHeap();
-}
-
 TEST(CollectorTest, WeakSymbolTableAtScopeClose) {
   Heap H(testConfig());
   H.openScope();
@@ -419,30 +396,6 @@ TEST(CollectorTest, WeakSymbolTableDonationScopeSymbolsLeave) {
   H.verifyHeap();
 }
 
-TEST(CollectorTest, StrongSymbolTableKeepsSymbols) {
-  HeapConfig C = testConfig();
-  C.WeakSymbolTable = false;
-  Heap H(C);
-  H.intern("never-dropped");
-  H.collectMinor();
-  EXPECT_EQ(H.lastStats().SymbolsDropped, 0u);
-  H.verifyHeap();
-  H.openScope();
-  H.intern("scoped");
-  H.closeScope();
-  EXPECT_EQ(H.lastScopeClose().SymbolsDropped, 0u);
-  EXPECT_EQ(H.generationOf(H.intern("scoped")), 0u);
-  H.verifyHeap();
-  H.collectFull();
-  EXPECT_EQ(H.lastStats().SymbolsDropped, 0u);
-  EXPECT_TRUE(internFinds(H, "never-dropped"));
-  EXPECT_TRUE(internFinds(H, "scoped"));
-  Root S(H, H.intern("never-dropped"));
-  EXPECT_EQ(H.symbolName(S.get()), "never-dropped");
-  EXPECT_EQ(H.generationOf(S.get()), H.oldestGeneration());
-  H.verifyHeap();
-}
-
 //===----------------------------------------------------------------------===//
 // Scavenge order: the Cheney sweep copies objects in exactly the order a
 // breadth-first walk of the graph predicts, per to-space context.
@@ -456,7 +409,6 @@ public:
     SpaceKind Space = SpaceKind::Pair;
     uint64_t Bytes = 0;
     std::vector<uintptr_t> Kids; ///< Strong fields, in sweep order.
-    unsigned Ctx = 0; ///< Index of the to-space context, in sweep order.
   };
 
   /// Walks every object reachable from \p Roots through strong fields
@@ -473,21 +425,6 @@ public:
   bool contains(uintptr_t Bits) const { return Nodes.count(Bits) != 0; }
   size_t size() const { return Nodes.size(); }
 
-  /// Places every node reachable from \p From in to-space context \p Ctx.
-  void setContext(Value From, unsigned Ctx) {
-    std::vector<uintptr_t> Work{From.bits()};
-    std::unordered_set<uintptr_t> Seen;
-    while (!Work.empty()) {
-      const uintptr_t B = Work.back();
-      Work.pop_back();
-      if (!contains(B) || !Seen.insert(B).second)
-        continue;
-      Nodes[B].Ctx = Ctx;
-      for (uintptr_t K : Nodes[B].Kids)
-        Work.push_back(K);
-    }
-  }
-
   uint64_t bytesOf(uintptr_t Bits) const { return Nodes.at(Bits).Bytes; }
   uint64_t bytes() const {
     uint64_t Sum = 0;
@@ -495,45 +432,31 @@ public:
       Sum += KV.second.Bytes;
     return Sum;
   }
-  uint64_t countIf(bool (*Pred)(const Node &)) const {
-    uint64_t N = 0;
-    for (const auto &KV : Nodes)
-      N += Pred(KV.second) ? 1 : 0;
-    return N;
-  }
-
   /// Cheney's algorithm over the model: forward the roots in order, then
-  /// sweep the contexts in order (pair, typed, weak-pair spaces within
-  /// each) to a fixpoint. Returns the bits of every copy, in copy order.
+  /// sweep the pair, typed and weak-pair to-space contexts in turn to a
+  /// fixpoint. Returns the bits of every copy, in copy order.
   std::vector<uintptr_t> copyOrder(const std::vector<Value> &Roots) const {
-    std::map<std::pair<unsigned, unsigned>, std::vector<uintptr_t>> Queues;
+    std::vector<uintptr_t> Queues[NumSpaces];
+    size_t Cursors[NumSpaces] = {};
     std::unordered_set<uintptr_t> Copied;
     std::vector<uintptr_t> Order;
-    unsigned NumCtx = 0;
-    for (const auto &KV : Nodes)
-      NumCtx = std::max(NumCtx, KV.second.Ctx + 1);
     auto Forward = [&](uintptr_t B) {
       if (!contains(B) || !Copied.insert(B).second)
         return;
       Order.push_back(B);
-      const Node &N = Nodes.at(B);
-      Queues[{N.Ctx, static_cast<unsigned>(N.Space)}].push_back(B);
+      Queues[static_cast<unsigned>(Nodes.at(B).Space)].push_back(B);
     };
     for (Value R : Roots)
       Forward(R.bits());
-    std::map<std::pair<unsigned, unsigned>, size_t> Cursors;
     for (bool Progress = true; Progress;) {
       Progress = false;
-      for (unsigned C = 0; C != NumCtx; ++C)
-        for (SpaceKind Sp :
-             {SpaceKind::Pair, SpaceKind::Typed, SpaceKind::WeakPair}) {
-          const std::pair<unsigned, unsigned> Key{C,
-                                                  static_cast<unsigned>(Sp)};
-          std::vector<uintptr_t> &Q = Queues[Key];
-          for (size_t &Cur = Cursors[Key]; Cur < Q.size(); Progress = true)
-            for (uintptr_t K : Nodes.at(Q[Cur++]).Kids)
-              Forward(K);
-        }
+      for (SpaceKind Sp :
+           {SpaceKind::Pair, SpaceKind::Typed, SpaceKind::WeakPair}) {
+        const unsigned S = static_cast<unsigned>(Sp);
+        for (size_t &Cur = Cursors[S]; Cur < Queues[S].size(); Progress = true)
+          for (uintptr_t K : Nodes.at(Queues[S][Cur++]).Kids)
+            Forward(K);
+      }
     }
     return Order;
   }
@@ -584,12 +507,11 @@ struct CopyLog {
   }
 };
 
-HeapConfig scavengeConfig(unsigned TenureCopies) {
+HeapConfig scavengeConfig() {
   HeapConfig C = testConfig();
   // The counts are exact only if nothing collects while the graph is
   // built.
   C.StressGC = false;
-  C.TenureCopies = TenureCopies;
   return C;
 }
 
@@ -712,7 +634,7 @@ void expectCloseMatchesModel(Heap &H, const ScavengeModel &Model,
 }
 
 TEST(ScavengeOrderTest, MinorAndFullCollectionsFollowTheCheneyOrder) {
-  Heap H(scavengeConfig(1));
+  Heap H(scavengeConfig());
   {
     // Leave a partly filled run in the oldest generation of every space,
     // so a minor collection that copied into the wrong generation would
@@ -748,50 +670,10 @@ TEST(ScavengeOrderTest, MinorAndFullCollectionsFollowTheCheneyOrder) {
   EXPECT_TRUE(pairCar(objectField(Rec, 1)).isFalse()) << "dead weak car";
 }
 
-TEST(ScavengeOrderTest, TenureAgesSweepEveryTargetContext) {
-  // TenureCopies = 3: the mixed graph survives two minor collections
-  // (age 2 in generation 0), then gains a young list. The next minor
-  // collection promotes the graph into generation 1 but ages the young
-  // list into (0, 1), so the graph's root vector ends up older than what
-  // it points at and the sweep must re-remember it.
-  Heap H(scavengeConfig(3));
-  Root RootVec(H, Value::nil());
-  buildMixedGraph(H, RootVec);
-  H.collectMinor();
-  H.collectMinor();
-  Root Young(H, Value::nil());
-  for (int I = 0; I != 300; ++I) {
-    Root Car(H, I % 2 ? H.makeString("young") : Value::fixnum(I));
-    Young = H.cons(Car.get(), Young.get());
-  }
-  H.vectorSet(RootVec.get(), 5, Young.get());
-
-  const std::vector<Value> Roots{RootVec.get(), Young.get()};
-  ScavengeModel Model(H, Roots, 0);
-  // Sweep order: (gen 0, age 1) is context 1, (gen 1, age 0) context 3.
-  Model.setContext(RootVec.get(), 3);
-  Model.setContext(Young.get(), 1);
-  expectScavengeMatchesModel(H, 0, Model, Roots,
-                             Model.countIf([](const ScavengeModel::Node &N) {
-                               return N.Ctx == 3;
-                             }));
-  EXPECT_EQ(H.generationOf(RootVec.get()), 1u);
-  EXPECT_EQ(H.generationOf(Young.get()), 0u);
-
-  // Only the re-remembered root vector keeps the young list alive now.
-  Young = Value::nil();
-  H.collectMinor();
-  size_t Length = 0;
-  for (Value P = objectField(RootVec.get(), 5); P.isPair(); P = pairCdr(P))
-    ++Length;
-  EXPECT_EQ(Length, 300u);
-  H.verifyHeap();
-}
-
 TEST(ScavengeOrderTest, OpenScopeObjectsAreRootsInScopeOrder) {
   // With a scope open, scope objects are uncollected containers scanned
   // right after the roots, in the scope's allocation order.
-  Heap H(scavengeConfig(1));
+  Heap H(scavengeConfig());
   Root RootVec(H, Value::nil());
   buildMixedGraph(H, RootVec);
   Root OnlyFromScope(H, H.makeRecord(Value::fixnum(9), 2, Value::nil()));
@@ -818,7 +700,7 @@ TEST(ScavengeOrderTest, ScopeCloseFollowsTheCheneyOrder) {
   // A close is the same evacuation over another extent: roots first, then
   // the escape set, then the Cheney sweep of the enclosing extent's
   // contexts from their pre-close frontiers.
-  Heap H(scavengeConfig(1));
+  Heap H(scavengeConfig());
   // A partly filled generation-0 run in every space, and an escape
   // container outside the scope.
   Root Old(H, H.makeVector(1, Value::nil()));

@@ -195,7 +195,6 @@ TEST(GuardianTest, FifoOrderWithinACollection) {
   // that each guardian hands them back in registration order.
   struct Case {
     const char *Name;
-    unsigned TenureCopies;
     unsigned Guardians;
     /// Guardian 0's header is promoted to an older generation, still
     /// holding undrained elements, before the main registrations.
@@ -206,17 +205,14 @@ TEST(GuardianTest, FifoOrderWithinACollection) {
     bool ScopeOpen;
   };
   const Case Cases[] = {
-      {"one guardian", 1, 1, false, false},
-      {"three interleaved guardians", 1, 3, false, false},
-      {"promoted header with undrained elements", 1, 2, true, false},
-      {"TenureCopies = 3", 3, 3, false, false},
-      {"request scope open", 1, 3, false, true},
+      {"one guardian", 1, false, false},
+      {"three interleaved guardians", 3, false, false},
+      {"promoted header with undrained elements", 2, true, false},
+      {"request scope open", 3, false, true},
   };
   for (const Case &C : Cases) {
     SCOPED_TRACE(C.Name);
-    HeapConfig Cfg = testConfig();
-    Cfg.TenureCopies = C.TenureCopies;
-    Heap H(Cfg);
+    Heap H(testConfig());
     std::vector<std::unique_ptr<Guardian>> Gs;
     std::vector<std::vector<int>> Expected(C.Guardians);
     for (unsigned I = 0; I != C.Guardians; ++I)

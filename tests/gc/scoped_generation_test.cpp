@@ -187,12 +187,17 @@ TEST(ScopedGenerationTest, ReachableGuardedObjectReparksAtScopeExit) {
 TEST(ScopedGenerationTest, WeakPairBrokenForScopeDyingCar) {
   Heap H(testConfig());
   Root Dying(H, Value::nil()), Escaping(H, Value::nil());
+  // A generation-1 weak pair whose car is set to a scope object.
+  Root OldWeak(H, H.weakCons(Value::falseV(), Value::nil()));
+  H.collectMinor();
+  ASSERT_EQ(H.generationOf(OldWeak.get()), 1u);
   H.openScope();
   {
     Root A(H, H.cons(Value::fixnum(1), Value::nil()));
     Root B(H, H.cons(Value::fixnum(2), Value::nil()));
     Dying = H.weakCons(A.get(), Value::nil());
     Escaping = H.weakCons(B.get(), B.get()); // Strong ref via the cdr.
+    H.setCar(OldWeak.get(), B.get());
   }
   H.closeScope();
   EXPECT_TRUE(pairCar(Dying.get()).isFalse())
@@ -201,6 +206,14 @@ TEST(ScopedGenerationTest, WeakPairBrokenForScopeDyingCar) {
       << "weak car of a graduating object is updated, not broken";
   EXPECT_EQ(pairCar(pairCar(Escaping.get())).asFixnum(), 2);
   EXPECT_GE(H.lastScopeClose().WeakPointersBroken, 1u);
+  // The old pair's car graduated into generation 0: the close records
+  // the pair in generation 1's weak remembered set (verifyHeap checks),
+  // so the next minor collection updates the car when it moves again.
+  EXPECT_EQ(pairCar(OldWeak.get()), pairCar(Escaping.get()));
+  H.verifyHeap();
+  H.collectMinor();
+  EXPECT_EQ(pairCar(OldWeak.get()), pairCar(Escaping.get()));
+  EXPECT_EQ(pairCar(pairCar(OldWeak.get())).asFixnum(), 2);
   H.verifyHeap();
 }
 

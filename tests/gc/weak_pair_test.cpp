@@ -134,10 +134,17 @@ TEST(WeakPairTest, GuardianSalvageKeepsWeakPointerIntact) {
   Heap H(testConfig());
   Guardian G(H);
   Root W(H, Value::nil());
+  Root WV(H, Value::nil());
   {
     Root X(H, H.cons(Value::fixnum(42), Value::nil()));
     G.protect(X.get());
     W = H.weakCons(X.get(), Value::nil());
+    // A vector spanning several segments, salvaged as one run.
+    Root V(H, H.makeVector(1500, Value::fixnum(3)));
+    Root Slot0(H, H.cons(Value::fixnum(21), Value::nil()));
+    H.vectorSet(V.get(), 0, Slot0.get());
+    G.protect(V.get());
+    WV = H.weakCons(V.get(), Value::nil());
   }
   H.collectMinor();
   // X was inaccessible, so it moved to G's inaccessible group -- but it
@@ -147,11 +154,22 @@ TEST(WeakPairTest, GuardianSalvageKeepsWeakPointerIntact) {
   EXPECT_EQ(pairCar(Car).asFixnum(), 42);
   Root Y(H, G.retrieve());
   EXPECT_EQ(Y.get(), Car) << "guardian yields the same salvaged object";
+  Root V(H, G.retrieve());
+  EXPECT_EQ(V.get(), pairCar(WV.get()));
+  ASSERT_EQ(objectLength(V.get()), 1500u);
+  EXPECT_EQ(objectField(V.get(), 5).asFixnum(), 3);
+  EXPECT_EQ(pairCar(objectField(V.get(), 0)).asFixnum(), 21);
+  EXPECT_EQ(H.generationOf(V.get()), 1u)
+      << "the salvaged run lands in the target generation";
   // Once retrieved and dropped again (no re-registration), the next
-  // collection of its (promoted) generation finally breaks the pointer.
+  // collection of their (promoted) generation finally breaks the
+  // pointers.
   Y = Value::nil();
+  V = Value::nil();
   H.collect(1);
   EXPECT_TRUE(pairCar(W.get()).isFalse());
+  EXPECT_TRUE(pairCar(WV.get()).isFalse());
+  EXPECT_FALSE(G.hasPending());
   H.verifyHeap();
 }
 
