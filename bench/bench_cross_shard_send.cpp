@@ -18,7 +18,6 @@
 //===----------------------------------------------------------------------===//
 
 #include "BenchCommon.h"
-#include "heap/SharedImmutableSpace.h"
 #include "runtime/SegmentTransfer.h"
 
 #include <chrono>
@@ -38,7 +37,7 @@ struct TransferPair {
         Receiver(withExchange(benchConfig(), Exchange, 0)),
         Payload(Sender, Value::nil()) {}
 
-  static HeapConfig withExchange(HeapConfig C, SharedImmutableSpace &X,
+  static HeapConfig withExchange(HeapConfig C, Arena &X,
                                  size_t Threshold) {
     C.Exchange = &X;
     C.DonationThresholdBytes = Threshold;
@@ -64,7 +63,7 @@ struct TransferPair {
     Receiver.collectFull();
   }
 
-  SharedImmutableSpace Exchange;
+  Arena Exchange;
   Heap Sender;
   Heap Receiver;
   Root Payload;

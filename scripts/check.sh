@@ -177,7 +177,7 @@ run_suite() {
 
 # The rootcheck lint needs no build at all; fail fast on it.
 echo "==> rootcheck"
-python3 tools/rootcheck/rootcheck.py --root . src tests
+python3 tools/rootcheck/rootcheck.py --root .
 python3 tools/rootcheck/rootcheck.py --self-test tools/rootcheck/fixtures
 
 run_suite release -DCMAKE_BUILD_TYPE=Release

@@ -12,7 +12,6 @@
 #include "gc/Roots.h"
 #include "gc/ScopedGeneration.h"
 #include "gc/telemetry/Telemetry.h"
-#include "heap/SharedImmutableSpace.h"
 #include "support/MathExtras.h"
 
 using namespace gengc;
@@ -180,7 +179,7 @@ void Collector::setUpSpaces(unsigned G) {
                                 H.AdoptedRuns[Sp].end());
       H.AdoptedRuns[Sp].clear();
     }
-    markFromSpace(H.Exchange->arena(), H.FromExchangeRuns);
+    markFromSpace(*H.Exchange, H.FromExchangeRuns);
   }
 
   // The to-space: generation T's contexts, where every survivor lands.
@@ -230,7 +229,7 @@ void Collector::freeFromSpace() {
   // setUpSpaces, or a closing donation scope's segments) go back to
   // the process-wide pool; Arena::freeRuns is internally locked, so this
   // is safe against other shards allocating donation segments.
-  releaseRuns(H.Exchange->arena(), H.FromExchangeRuns);
+  releaseRuns(*H.Exchange, H.FromExchangeRuns);
 }
 
 void Collector::releaseRuns(Arena &A, std::vector<SegmentRun> &Runs) {
@@ -270,8 +269,8 @@ inline uintptr_t *Collector::allocateCopy(const SegmentInfo &Info,
 
 Value Collector::forwardFromSpace(Value V, const SegmentInfo *Info) {
   if (!Info) {
-    // Outside the private arena: an adopted donation (from-space only
-    // in a full collection) or a shared immutable (never).
+    // Outside the private arena: an adopted donation, from-space only
+    // in a full collection.
     Info = &H.exchangeInfo(V.heapAddress());
     if (!Info->isFromSpace())
       return V;
@@ -401,8 +400,6 @@ bool Collector::pointsBelowGeneration(Value Container,
                                       unsigned Generation) const {
   auto Below = [&](uintptr_t Bits) {
     Value V = Value::fromBits(Bits);
-    // SharedGeneration (0xFF) never compares below: shared values need
-    // no remembered entries.
     return V.isHeapPointer() &&
            H.segInfo(V.heapAddress()).Generation < Generation;
   };
@@ -718,10 +715,7 @@ void Collector::parkProtectedEntry(Value Obj, Value Tconc, Value Agent) {
   // An entry with a scope participant parks on the deepest such scope's
   // list, so it is revisited no later than that scope's close; entries
   // whose participants are all ordinary heap objects use the paper's
-  // youngest-generation rule. A shared participant's SharedGeneration
-  // (0xFF) loses the min against the oldest real generation, which is
-  // the right list for an entry that can only be reaped when everything
-  // else ages out.
+  // youngest-generation rule.
   unsigned Deepest = 0;
   unsigned Youngest = H.oldestGeneration();
   for (Value V : {Obj, Tconc, Agent}) {
@@ -756,15 +750,13 @@ void Collector::processFinalizeLists(unsigned G) {
   }
   for (const Heap::FinalizeEntry &E : Kept) {
     Value Obj = Value::fromBits(E.ObjectBits);
-    // Clamp SharedGeneration (0xFF): an entry whose object was frozen
-    // into the shared space parks on the oldest list, like a non-heap
-    // one.
-    unsigned Index =
-        Obj.isHeapPointer()
-            ? std::min(static_cast<unsigned>(
-                           H.segInfo(Obj.heapAddress()).Generation),
-                       H.oldestGeneration())
-            : H.oldestGeneration();
+    const unsigned Index = Obj.isHeapPointer()
+                               ? H.segInfo(Obj.heapAddress()).Generation
+                               : H.oldestGeneration();
+    // No entry names an in-flight donation: tryCloseScopeDonating
+    // refuses a scope any entry reaches into.
+    GENGC_ASSERT(Index <= H.oldestGeneration(),
+                 "finalize entry names an in-flight donation");
     H.FinalizeLists[Index].push_back(E);
   }
 }

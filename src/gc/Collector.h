@@ -135,9 +135,9 @@ private:
   /// private-arena objects outside the from-space, which every sweep
   /// meets far more often than objects it must copy. Otherwise sets
   /// \p Info to the value's private-arena segment info, or to null for
-  /// an exchange-arena value (an adopted donation or a shared immutable),
-  /// which forwardFromSpace classifies out of line: that lookup needs
-  /// the exchange arena.
+  /// an exchange-arena value (an adopted donation), which
+  /// forwardFromSpace classifies out of line: that lookup needs the
+  /// exchange arena.
   bool mayMove(Value V, const SegmentInfo *&Info) const {
     if (!V.isHeapPointer())
       return false;

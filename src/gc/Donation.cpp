@@ -8,17 +8,10 @@
 /// \file
 /// The heap-level primitives of zero-copy inter-shard transfer
 /// (DESIGN.md §13): copy-out donation (Heap::donateGraph), adoption
-/// (Heap::adoptDonatedGraph), wholesale donation-scope transfer
-/// (Heap::openDonationScope / Heap::tryCloseScopeDonating), and the
-/// freeze half of the shared immutable space's freeze-and-publish
-/// protocol. All of it builds on the segment information table: a
-/// donated segment changes owner by changing its tags, never by moving
-/// its bytes.
-///
-/// SharedImmutableSpace::freeze is defined here rather than in
-/// heap/SharedImmutableSpace.cpp because classifying the source values
-/// (weak pair? symbol name?) needs the Heap, which the heap/ layer
-/// cannot see.
+/// (Heap::adoptDonatedGraph) and wholesale donation-scope transfer
+/// (Heap::openDonationScope / Heap::tryCloseScopeDonating). All of it
+/// builds on the segment information table: a donated segment changes
+/// owner by changing its tags, never by moving its bytes.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -30,93 +23,10 @@
 #include "gc/Heap.h"
 #include "gc/Roots.h"
 #include "gc/ScopedGeneration.h"
-#include "heap/SharedImmutableSpace.h"
+#include "heap/DonatedGraph.h"
 #include "object/Layout.h"
 
 using namespace gengc;
-
-//===----------------------------------------------------------------------===//
-// Freeze-and-publish (the shared immutable half of the exchange domain).
-//===----------------------------------------------------------------------===//
-
-Value SharedImmutableSpace::freeze(Heap &H, Value V) {
-  std::lock_guard<std::mutex> Guard(Mu);
-  std::unordered_map<uintptr_t, uintptr_t> Memo;
-  return freezeRec(H, V, Memo);
-}
-
-Value SharedImmutableSpace::freezeRec(
-    Heap &H, Value V, std::unordered_map<uintptr_t, uintptr_t> &Memo) {
-  if (!V.isHeapPointer())
-    return V;
-  if (holds(V)) {
-    GENGC_ASSERT(Exchange.infoFor(V.heapAddress()).isShared(),
-                 "freeze of an in-flight donated value");
-    return V; // Already shared: freezing is idempotent.
-  }
-  auto It = Memo.find(V.bits());
-  if (It != Memo.end())
-    return Value::fromBits(It->second);
-
-  if (V.isPair()) {
-    if (H.isWeakPair(V))
-      fatalError(__FILE__, __LINE__,
-                 "cannot freeze a weak pair into the shared immutable "
-                 "space (weakness is mutation by the collector)");
-    // Shell first, then the fields: cycles and sharing within the frozen
-    // graph are preserved.
-    uintptr_t *Cell = allocateShared(SpaceKind::Pair, 2);
-    Value NewV = Value::pair(reinterpret_cast<PairCell *>(Cell));
-    Memo.emplace(V.bits(), NewV.bits());
-    Cell[0] = freezeRec(H, pairCar(V), Memo).bits();
-    Cell[1] = freezeRec(H, pairCdr(V), Memo).bits();
-    return NewV;
-  }
-
-  const uintptr_t Header = *V.objectHeader();
-  switch (headerKind(Header)) {
-  case ObjectKind::String: {
-    Value S = sharedStringLocked(
-        std::string_view(stringData(V), objectLength(V)));
-    Memo.emplace(V.bits(), S.bits());
-    return S;
-  }
-  case ObjectKind::Bytevector:
-  case ObjectKind::Flonum: {
-    const size_t Words = objectSizeInWords(Header);
-    const size_t AllocWords = objectAllocWords(Header);
-    uintptr_t *NewObj = allocateShared(SpaceKind::Data, AllocWords);
-    std::memcpy(NewObj, V.objectHeader(), Words * sizeof(uintptr_t));
-    if (AllocWords > Words)
-      NewObj[Words] = 0;
-    Value NewV = Value::object(NewObj);
-    Memo.emplace(V.bits(), NewV.bits());
-    return NewV;
-  }
-  case ObjectKind::Symbol: {
-    Value S = internSharedLocked(H.symbolName(V));
-    Memo.emplace(V.bits(), S.bits());
-    return S;
-  }
-  case ObjectKind::Vector: {
-    const size_t Len = headerLength(Header);
-    const size_t AllocWords = objectAllocWords(Header);
-    uintptr_t *NewObj = allocateShared(SpaceKind::Typed, AllocWords);
-    NewObj[0] = Header;
-    Value NewV = Value::object(NewObj);
-    Memo.emplace(V.bits(), NewV.bits());
-    for (size_t I = 0; I != Len; ++I)
-      NewObj[1 + I] = freezeRec(H, objectField(V, I), Memo).bits();
-    if (AllocWords > 1 + Len)
-      NewObj[1 + Len] = 0;
-    return NewV;
-  }
-  default:
-    fatalError(__FILE__, __LINE__,
-               "cannot freeze a mutable object kind into the shared "
-               "immutable space");
-  }
-}
 
 //===----------------------------------------------------------------------===//
 // Copy-out donation.
@@ -132,9 +42,9 @@ DonatedGraph Heap::donateGraph(Value Root) {
   if (Cfg.InjectedFault == GcFaultInjection::LeakDonatedSegment)
     G.LeakOnDrop = true;
 
-  // Degenerate roots need no segments: immediates and shared values are
-  // valid on every shard as-is, and symbols transfer by name.
-  if (!Root.isHeapPointer() || isShared(Root)) {
+  // Degenerate roots need no segments: immediates are valid on every
+  // shard as-is, and symbols transfer by name.
+  if (!Root.isHeapPointer()) {
     G.RootBits = Root.bits();
     ++GraphsDonatedTotal;
     return G;
@@ -146,7 +56,7 @@ DonatedGraph Heap::donateGraph(Value Root) {
     return G;
   }
 
-  Arena &EA = Exchange->arena();
+  Arena &EA = *Exchange;
   // Copy-out lanes: in-flight donation segments carry InFlightGeneration
   // and FlagDonated; one run lock acquisition per run, never per object.
   SpaceContext Ctxs[NumSpaces];
@@ -201,11 +111,7 @@ DonatedGraph Heap::donateGraph(Value Root) {
     Value V = Value::fromBits(*Slot);
     if (!V.isHeapPointer())
       return;
-    const SegmentInfo &Info = segInfo(V.heapAddress());
-    if (Info.isShared())
-      return; // Shared immutables are valid on every shard as-is.
-    GENGC_ASSERT(!(Info.isDonated() &&
-                   Info.Generation == InFlightGeneration),
+    GENGC_ASSERT(segInfo(V.heapAddress()).Generation != InFlightGeneration,
                  "donateGraph reached another in-flight donation");
     if (V.isObject() &&
         headerKind(*V.objectHeader()) == ObjectKind::Symbol) {
@@ -291,13 +197,13 @@ Value Heap::adoptDonatedGraph(DonatedGraph &Graph) {
   // heap's oldest generation and append the runs to the adopted tenured
   // space. Addresses do not change; ownership does.
   const uint8_t Oldest = static_cast<uint8_t>(oldestGeneration());
-  Arena &EA = Exchange->arena();
+  Arena &EA = *Exchange;
   for (unsigned Sp = 0; Sp != NumSpaces; ++Sp) {
     for (const SegmentRun &R : Graph.Runs[Sp]) {
       for (uint32_t Seg = R.FirstSegment;
            Seg != R.FirstSegment + R.SegmentCount; ++Seg) {
         SegmentInfo &Info = EA.infoAt(Seg);
-        GENGC_ASSERT(Info.isDonated() && !Info.isShared() &&
+        GENGC_ASSERT(Info.isDonated() &&
                          Info.Generation == InFlightGeneration,
                      "adopting a segment that is not an in-flight donation");
         Info.Generation = Oldest;
@@ -346,7 +252,7 @@ void Heap::openDonationScope() {
   GENGC_ASSERT(ScopeStack.size() < Cfg.MaxScopeDepth,
                "scope nesting deeper than HeapConfig::MaxScopeDepth");
   ScopeStack.push_back(std::make_unique<ScopedGeneration>(
-      static_cast<unsigned>(ScopeStack.size()) + 1, &Exchange->arena(),
+      static_cast<unsigned>(ScopeStack.size()) + 1, Exchange,
       /*Donation=*/true));
   ++ScopeTotalsRec.ScopesOpened;
   if (ScopeStack.size() > ScopeTotalsRec.MaxDepth)
@@ -398,26 +304,23 @@ DonatedGraph Heap::tryCloseScopeDonating(Value Root) {
       if (scopeDepthOf(Value::fromBits(E.ObjectBits)) == Depth)
         return G;
 
-  // The root itself must be donatable: in-scope, shared, a symbol, or
-  // an immediate.
-  Arena &EA = Exchange->arena();
+  // The root itself must be donatable: in-scope, a symbol, or an
+  // immediate.
+  Arena &EA = *Exchange;
   bool RootSymbol = false;
   if (Root.isHeapPointer()) {
-    const SegmentInfo &RInfo = segInfo(Root.heapAddress());
     if (Root.isObject() && objectKind(Root) == ObjectKind::Symbol)
       RootSymbol = true;
-    else if (RInfo.isShared())
-      ; // Valid everywhere.
     else if (Segments.containsAddress(Root.heapAddress()) ||
-             RInfo.ScopeDepth != Depth)
+             segInfo(Root.heapAddress()).ScopeDepth != Depth)
       return G; // Root outside the scope: nothing to hand over.
   }
 
   // Read-only self-containment scan of the scope's pointer-bearing
-  // spaces, O(scope bytes). Every outbound edge must be an immediate, a
-  // shared value, or a symbol (collected as a fixup and blanked only
-  // after all checks pass). Internal edges stay as-is — that is the
-  // zero-copy part. Data space is pointerless: nothing to scan.
+  // spaces, O(scope bytes). Every outbound edge must be an immediate or
+  // a symbol (collected as a fixup and blanked only after all checks
+  // pass). Internal edges stay as-is — that is the zero-copy part.
+  // Data space is pointerless: nothing to scan.
   struct PendingFixup {
     uintptr_t *Slot;
     uintptr_t ContainerBits;
@@ -430,9 +333,6 @@ DonatedGraph Heap::tryCloseScopeDonating(Value Root) {
     Value V = Value::fromBits(*Slot);
     if (!V.isHeapPointer())
       return true;
-    const SegmentInfo &Info = segInfo(V.heapAddress());
-    if (Info.isShared())
-      return true;
     if (V.isObject() &&
         headerKind(*V.objectHeader()) == ObjectKind::Symbol) {
       // In-scope or not, symbols transfer by name; an in-scope symbol's
@@ -443,7 +343,7 @@ DonatedGraph Heap::tryCloseScopeDonating(Value Root) {
     }
     // Internal edges point at this scope's own exchange-arena segments.
     return !Segments.containsAddress(V.heapAddress()) &&
-           Info.ScopeDepth == Depth;
+           segInfo(V.heapAddress()).ScopeDepth == Depth;
   };
   auto ScanSpace = [&](SpaceKind Space) -> bool {
     const unsigned Sp = static_cast<unsigned>(Space);

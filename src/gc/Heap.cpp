@@ -16,7 +16,7 @@
 #include "gc/ScopedGeneration.h"
 #include "gc/Tconc.h"
 #include "gc/telemetry/TraceExport.h"
-#include "heap/SharedImmutableSpace.h"
+#include "heap/DonatedGraph.h"
 
 using namespace gengc;
 
@@ -42,8 +42,7 @@ void applyStressEnvironment(HeapConfig &Cfg) {
 
 Heap::Heap(HeapConfig Config)
     : Cfg(Config), Segments(Config.ArenaBytes),
-      Exchange(Config.Exchange ? Config.Exchange
-                               : &SharedImmutableSpace::process()),
+      Exchange(Config.Exchange ? Config.Exchange : &processExchange()),
       OwnerThread(std::this_thread::get_id()) {
   GENGC_ASSERT(Cfg.Generations >= 1 && Cfg.Generations <= MaxGenerations,
                "generation count out of range");
@@ -369,22 +368,13 @@ Value Heap::makeList(const std::vector<Value> &Elements) {
 //===----------------------------------------------------------------------===//
 
 void Heap::recordStore(Value Container, Value V, bool WeakField) {
-  // Shared immutable containers (Generation == SharedGeneration) are
-  // frozen: a store into one — even of an immediate — would be visible
-  // to every shard with no synchronization and no remembered-set
-  // coverage. Checked before the non-pointer early-out for that reason.
-  const SegmentInfo &CInfo = segInfo(Container.heapAddress());
-  if (CInfo.Generation == SharedGeneration)
-    fatalError(__FILE__, __LINE__,
-               "store into the shared immutable space: frozen objects "
-               "are published read-only to every shard "
-               "(heap/SharedImmutableSpace.h)");
   if (!V.isHeapPointer())
     return;
   if (!ScopeStack.empty()) {
     scopeBarrier(Container, V, WeakField);
     return;
   }
+  const SegmentInfo &CInfo = segInfo(Container.heapAddress());
   if (CInfo.Generation == 0)
     return;
   const SegmentInfo &VInfo = segInfo(V.heapAddress());
@@ -409,11 +399,6 @@ void Heap::scopeBarrier(Value Container, Value V, bool WeakField) {
   // generational early-outs because even a generation-0 container can
   // hold the only outside reference into a scope.
   const SegmentInfo &CInfo = segInfo(Container.heapAddress());
-  if (CInfo.Generation == SharedGeneration)
-    fatalError(__FILE__, __LINE__,
-               "store into the shared immutable space: frozen objects "
-               "are published read-only to every shard "
-               "(heap/SharedImmutableSpace.h)");
   const SegmentInfo &VInfo = segInfo(V.heapAddress());
   if (VInfo.ScopeDepth > CInfo.ScopeDepth) {
     ScopedGeneration &SG = *ScopeStack[VInfo.ScopeDepth - 1];
@@ -586,7 +571,7 @@ SpaceKind Heap::spaceOf(Value V) const {
 }
 
 const SegmentInfo &Heap::exchangeInfo(uintptr_t Address) const {
-  return Exchange->arena().infoFor(Address);
+  return Exchange->infoFor(Address);
 }
 
 Heap::GenerationUsage Heap::generationUsage(unsigned Generation) const {

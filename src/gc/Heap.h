@@ -51,7 +51,6 @@ namespace gengc {
 class Collector;
 class NoGcScope;
 class RootVector;
-class SharedImmutableSpace;
 struct DonatedGraph;
 struct HeapCensus;
 struct ScopedGeneration;
@@ -191,16 +190,11 @@ public:
   }
   /// Space a heap value lives in.
   SpaceKind spaceOf(Value V) const;
-  /// True if \p V lives in the shared immutable space.
-  bool isShared(Value V) const {
-    return V.isHeapPointer() && segInfo(V.heapAddress()).isShared();
-  }
 
   /// Segment info for any heap address this heap can reference: its
-  /// private arena, or the exchange arena (shared immutable segments and
-  /// donated segments, which adoption makes part of this heap's tenured
-  /// space). The single classification point every barrier/collector
-  /// path routes through.
+  /// private arena, or the exchange arena (donated segments, which
+  /// adoption makes part of this heap's tenured space). The single
+  /// classification point every barrier/collector path routes through.
   const SegmentInfo &segInfo(uintptr_t Address) const {
     if (const SegmentInfo *Info = Segments.findInfo(Address))
       return *Info;
@@ -211,10 +205,6 @@ public:
         static_cast<const Heap *>(this)->segInfo(Address));
   }
 
-  /// The exchange domain this heap donates into and adopts from
-  /// (HeapConfig::Exchange, resolved at construction).
-  SharedImmutableSpace &exchange() const { return *Exchange; }
-
   //===------------------------------------------------------------------===//
   // Zero-copy segment donation (gc/Donation.cpp; DESIGN.md §13). The
   // heap-level primitives under runtime/SegmentTransfer.h's protocol.
@@ -223,8 +213,8 @@ public:
   /// Evacuates the object graph rooted at \p Root into fresh sealed
   /// donation segments of the exchange arena and returns the handle.
   /// The sender's graph is left untouched (the copy-out uses a side
-  /// map, not forwarding markers); symbols transfer by name as fixups;
-  /// shared-immutable references are kept as-is. Not a safepoint.
+  /// map, not forwarding markers); symbols transfer by name as fixups.
+  /// Not a safepoint.
   DonatedGraph donateGraph(Value Root);
 
   /// Adopts \p Graph: re-interns its symbol fixups, retags its segments
@@ -244,7 +234,7 @@ public:
   /// Attempts the wholesale close of the innermost scope (which must be
   /// a donation scope): if nothing escaped, no root or guardian still
   /// reaches into the scope, and a read-only scan proves the scope
-  /// self-contained (every outbound edge immediate / shared / symbol),
+  /// self-contained (every outbound edge immediate or symbol),
   /// the scope's segments are sealed and handed over as a DonatedGraph
   /// rooted at \p Root, and the scope is popped. Returns an empty
   /// handle (Domain == nullptr) WITHOUT closing the scope when any
@@ -572,9 +562,9 @@ private:
   void writeBarrier(Value Container, Value V, bool WeakField);
 
   /// The bookkeeping half of writeBarrier, without the owner check and
-  /// the mutator barrier count: the shared-space fatal check, then the
-  /// remembered-set or scope escape-set entry the store needs. The
-  /// collector calls it directly for the tconc stores it performs.
+  /// the mutator barrier count: the remembered-set or scope escape-set
+  /// entry the store needs. The collector calls it directly for the
+  /// tconc stores it performs.
   void recordStore(Value Container, Value V, bool WeakField);
 
   /// Slow tail of recordStore taken only while scopes are open: stores
@@ -600,14 +590,14 @@ private:
   /// actual container generation / value tag, aborting on violation.
   void elidedStore(Value Container, Value V, StoreElision Claim);
 
-  /// Out-of-line tail of segInfo() for exchange-arena addresses (needs
-  /// the SharedImmutableSpace definition). Asserts containment.
+  /// Out-of-line cold tail of segInfo() for exchange-arena addresses.
+  /// Asserts containment.
   const SegmentInfo &exchangeInfo(uintptr_t Address) const;
 
   HeapConfig Cfg;
   Arena Segments;
-  /// The exchange domain (never null after construction).
-  SharedImmutableSpace *Exchange = nullptr;
+  /// The exchange arena (never null after construction).
+  Arena *Exchange = nullptr;
   /// Allocation contexts, indexed by space and generation. The mutator
   /// allocates into generation 0's; a collection copies survivors into
   /// its target generation's.

@@ -31,7 +31,7 @@
 
 namespace gengc {
 
-class SharedImmutableSpace;
+class Arena;
 
 /// Word written over every evacuated (from-space) segment when
 /// HeapConfig::PoisonFromSpace is on. The low tag bits (0b111) are not a
@@ -118,7 +118,7 @@ struct HeapConfig {
   unsigned MaxScopeDepth = 8;
 
   //===------------------------------------------------------------------===//
-  // Zero-copy inter-shard transfer (heap/SharedImmutableSpace.h,
+  // Zero-copy inter-shard transfer (heap/DonatedGraph.h,
   // runtime/SegmentTransfer.h; DESIGN.md §13).
   //===------------------------------------------------------------------===//
 
@@ -128,11 +128,11 @@ struct HeapConfig {
   /// copy through a PinnedMessage. 0 disables donation entirely.
   size_t DonationThresholdBytes = 0;
 
-  /// The exchange domain this heap donates into and adopts from.
+  /// The exchange arena this heap donates into and adopts from.
   /// nullptr — the default — resolves to the process-wide
-  /// SharedImmutableSpace::process() at Heap construction; tests and the
-  /// fuzzer install a private instance for isolated accounting.
-  SharedImmutableSpace *Exchange = nullptr;
+  /// processExchange() at Heap construction; tests and the fuzzer
+  /// install a private arena for isolated accounting.
+  Arena *Exchange = nullptr;
 
   //===------------------------------------------------------------------===//
   // Correctness-stress tooling. These knobs make rooting bugs (a bare

@@ -31,7 +31,6 @@
 #include "gc/Heap.h"
 #include "gc/Roots.h"
 #include "gc/ScopedGeneration.h"
-#include "heap/SharedImmutableSpace.h"
 #include "support/PtrHashSet.h"
 
 using namespace gengc;
@@ -178,8 +177,6 @@ struct Verifier {
         failSegment(In, Seg, "live run contains a free segment");
       if (Info.isFromSpace())
         failSegment(In, Seg, "live segment still flagged as from-space");
-      if (Info.isShared())
-        failSegment(In, Seg, "heap-owned segment tagged as shared");
       if (Info.isDonated() != ExpectDonated)
         failSegment(In, Seg,
                     ExpectDonated
@@ -266,15 +263,8 @@ struct Verifier {
         fail("heap pointer outside the arena");
         return;
       }
-      const SegmentInfo &Info = EA.infoFor(V.heapAddress());
-      if (Info.isShared())
-        return; // Shared immutables are immortal and never move; the
-                // publisher guarantees object starts, which this heap
-                // cannot re-derive (the shared bump frontier is private
-                // to the SharedImmutableSpace).
-      if (!Info.isDonated()) {
-        failAt(V.heapAddress(),
-               "pointer into a non-shared, non-donated exchange segment");
+      if (!EA.infoFor(V.heapAddress()).isDonated()) {
+        failAt(V.heapAddress(), "pointer into a non-donated exchange segment");
         return;
       }
       // Donated segments this heap references must be its own: adopted
@@ -296,9 +286,6 @@ struct Verifier {
                           : "strong field points to a reclaimed object");
     if (!Field.isHeapPointer() || !inAnyArena(Field.heapAddress()))
       return;
-    // Shared immutables are barrier-exempt: SharedGeneration (0xFF) never
-    // compares below any container generation, so the generational rule
-    // below is vacuous for them by construction.
     const unsigned CD = depthOf(Container), FD = depthOf(Field);
     if (FD > CD) {
       // A pointer into a deeper scope must be covered by that scope's
@@ -355,7 +342,7 @@ struct Verifier {
 
 void Heap::verifyHeap() {
   GENGC_ASSERT(!InGc, "verifyHeap during collection");
-  Verifier V(Segments, Exchange->arena(), Cfg, Contexts, ScopeStack,
+  Verifier V(Segments, *Exchange, Cfg, Contexts, ScopeStack,
              AdoptedRuns);
   V.collectValidObjects();
   V.checkReferences(Remembered, WeakRemembered);

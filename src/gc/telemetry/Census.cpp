@@ -10,7 +10,6 @@
 #include <cstdint>
 
 #include "gc/ScopedGeneration.h"
-#include "heap/SharedImmutableSpace.h"
 #include "heap/SpaceContext.h"
 #include "object/Layout.h"
 
@@ -97,7 +96,7 @@ HeapCensus Heap::census() const {
     // which their segments are tagged with. Sealed runs, so UsedWords
     // is authoritative.
     for (const SegmentRun &R : AdoptedRuns[Sp])
-      AccumulateRun(Exchange->arena(), R, R.UsedWords, Space,
+      AccumulateRun(*Exchange, R, R.UsedWords, Space,
                     C.Cells[Cfg.Generations - 1][Sp]);
   }
 

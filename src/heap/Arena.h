@@ -66,12 +66,6 @@ constexpr const char *spaceKindName(SpaceKind Space) {
   return "unknown";
 }
 
-/// Generation sentinel carried by shared-immutable segments. Deliberately
-/// above any collectible generation: the write barrier's "value older than
-/// container" test then skips shared values for free, and every
-/// entry-list/remembered-set index that might see it clamps explicitly.
-constexpr uint8_t SharedGeneration = 0xFF;
-
 /// Generation sentinel carried by in-flight donation segments: copied out
 /// by a sender (or detached wholesale from a donation scope) but not yet
 /// adopted by any heap. Distinct from every collectible generation so that
@@ -87,16 +81,12 @@ struct SegmentInfo {
   /// duration of one collection. forwarded?(x) is "x is not in a
   /// from-space segment, or x carries a forwarding marker".
   static constexpr uint8_t FlagFromSpace = 1 << 1;
-  /// Shared immutable space: frozen, barrier-exempt, never collected,
-  /// referenceable from every shard. Always paired with Generation ==
-  /// SharedGeneration.
-  static constexpr uint8_t FlagShared = 1 << 2;
   /// Donation segment: allocated in the process exchange arena by a
   /// sending shard's copy-out (Generation == InFlightGeneration while in
   /// flight), adopted by the receiver's heap as tenured space (retagged to
   /// its oldest generation). The flag survives adoption so ownership
   /// accounting can audit the exchange arena.
-  static constexpr uint8_t FlagDonated = 1 << 3;
+  static constexpr uint8_t FlagDonated = 1 << 2;
 
   SpaceKind Space = SpaceKind::Pair;
   uint8_t Generation = 0;
@@ -109,7 +99,6 @@ struct SegmentInfo {
 
   bool inUse() const { return Flags & FlagInUse; }
   bool isFromSpace() const { return Flags & FlagFromSpace; }
-  bool isShared() const { return Flags & FlagShared; }
   bool isDonated() const { return Flags & FlagDonated; }
 };
 
@@ -150,12 +139,12 @@ public:
   /// with \p Space and \p Generation. Returns the index of the first
   /// segment. Aborts if the arena is exhausted (the reservation is the
   /// heap-size limit). Thread-safe: the process-wide exchange arena
-  /// (SharedImmutableSpace::process()) is shared by every shard thread,
-  /// so the free list, the affected SegmentInfo entries, and the
-  /// observer callback are all updated under one internal lock (runs,
-  /// not objects — the allocation fast path never comes here).
+  /// (processExchange()) is shared by every shard thread, so the free
+  /// list, the affected SegmentInfo entries, and the observer callback
+  /// are all updated under one internal lock (runs, not objects — the
+  /// allocation fast path never comes here).
   /// \p ExtraFlags is OR'd into every segment's flags beyond FlagInUse —
-  /// FlagShared for shared-immutable runs, FlagDonated for donation runs.
+  /// FlagDonated for donation runs.
   uint32_t allocateRun(uint32_t NumSegments, SpaceKind Space,
                        uint8_t Generation, uint8_t ScopeDepth = 0,
                        uint8_t ExtraFlags = 0);

@@ -36,7 +36,7 @@
 #include <string>
 #include <vector>
 
-#include "heap/SharedImmutableSpace.h"
+#include "heap/DonatedGraph.h"
 #include "object/Value.h"
 
 namespace gengc {

@@ -11,25 +11,24 @@
 #include <vector>
 
 #include "gc/Heap.h"
-#include "heap/SharedImmutableSpace.h"
 #include "object/Layout.h"
 #include "support/PtrHashSet.h"
 
 namespace gengc {
 namespace runtime {
 
-TransferPlan estimateTransfer(Heap &H, Value V) {
+TransferPlan estimateTransfer(Value V) {
   TransferPlan Plan;
-  if (!V.isHeapPointer() || H.isShared(V))
+  if (!V.isHeapPointer())
     return Plan;
 
   // Non-allocating sizing walk mirroring Heap::donateGraph's traversal:
   // one visit per distinct object, weak cars followed strongly, symbols
-  // and shared values terminal.
+  // terminal.
   PtrHashSet Seen;
   std::vector<Value> Pending;
   auto Visit = [&](Value X) {
-    if (!X.isHeapPointer() || H.isShared(X))
+    if (!X.isHeapPointer())
       return;
     if (X.isObject() && objectKind(X) == ObjectKind::Symbol)
       return; // Transfers by name; nothing donated.
@@ -76,7 +75,7 @@ TransferPlan planTransfer(Heap &H, Value V) {
   const size_t Threshold = H.config().DonationThresholdBytes;
   if (Threshold == 0)
     return TransferPlan{}; // Donation disabled: size nothing.
-  TransferPlan Plan = estimateTransfer(H, V);
+  TransferPlan Plan = estimateTransfer(V);
   Plan.Donate = Plan.Transferable && Plan.EstimatedBytes >= Threshold;
   return Plan;
 }

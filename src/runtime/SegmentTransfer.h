@@ -21,11 +21,10 @@
 ///
 /// Both mechanisms produce byte-identical receiver semantics: sharing
 /// and cycles preserved, weak pairs stay weak, symbols re-interned by
-/// name on the receiving heap, shared immutables passed through
-/// untouched. Kinds that cannot cross shards (closures, primitives,
-/// port handles, guardians) disqualify a graph from donation; such
-/// sends fall back to the deep copy, whose TransferPolicy decides
-/// whether to reject or sever.
+/// name on the receiving heap. Kinds that cannot cross shards
+/// (closures, primitives, port handles, guardians) disqualify a graph
+/// from donation; such sends fall back to the deep copy, whose
+/// TransferPolicy decides whether to reject or sever.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -54,15 +53,15 @@ struct TransferPlan {
   /// send by segment donation.
   bool Donate = false;
   /// Bytes the graph would occupy in donation segments (the bytes the
-  /// receiver does not copy). Symbols and already-shared values
-  /// contribute nothing — they are not donated.
+  /// receiver does not copy). Symbols contribute nothing — they
+  /// transfer by name.
   size_t EstimatedBytes = 0;
 };
 
 /// Sizes the graph rooted at \p V and checks its transferability in one
 /// non-allocating walk. Weak cars are traversed like strong edges
 /// (message parity with the deep-copy encoder).
-TransferPlan estimateTransfer(Heap &H, Value V);
+TransferPlan estimateTransfer(Value V);
 
 /// estimateTransfer resolved against the heap's donation policy
 /// (HeapConfig::DonationThresholdBytes; 0 disables donation).

@@ -16,7 +16,7 @@
 #include "gc/Heap.h"
 #include "gc/Roots.h"
 #include "gc/telemetry/Census.h"
-#include "heap/SharedImmutableSpace.h"
+#include "heap/DonatedGraph.h"
 #include "object/Layout.h"
 #include "testing/ShadowModel.h"
 
@@ -95,7 +95,7 @@ private:
   /// A private exchange arena per session: donated segments never leak
   /// across traces, so the ownership audit can demand exact counts.
   /// Declared before H — the config handed to the Heap points at it.
-  SharedImmutableSpace DonationExchange;
+  Arena DonationExchange;
   Heap H;
   ShadowModel M;
   /// Mirror of M.RootStack (explicitly pushed long-lived roots).
@@ -125,8 +125,7 @@ private:
   uint64_t Collections = 0;
   size_t CurOp = 0;
 
-  static HeapConfig withExchange(HeapConfig Cfg,
-                                 SharedImmutableSpace *X) {
+  static HeapConfig withExchange(HeapConfig Cfg, Arena *X) {
     Cfg.Exchange = X;
     return Cfg;
   }
@@ -172,7 +171,7 @@ private:
     size_t Expect = H.adoptedSegments();
     for (const InFlightDonation &D : InFlight)
       Expect += D.G.segmentCount();
-    const size_t Actual = DonationExchange.donatedSegmentsInUse();
+    const size_t Actual = donatedSegmentsInUse(DonationExchange);
     if (Actual != Expect)
       diverge("donation ownership: exchange arena holds " +
               std::to_string(Actual) +

@@ -7,7 +7,7 @@
 
 #include "gc/Heap.h"
 #include "gc/Roots.h"
-#include "heap/SharedImmutableSpace.h"
+#include "heap/DonatedGraph.h"
 
 #include <map>
 #include <tuple>
@@ -373,7 +373,7 @@ TEST(CollectorTest, WeakSymbolTableAtScopeClose) {
 }
 
 TEST(CollectorTest, WeakSymbolTableDonationScopeSymbolsLeave) {
-  SharedImmutableSpace X(16u * 1024 * 1024);
+  Arena X(16u * 1024 * 1024);
   HeapConfig C = testConfig();
   C.Exchange = &X;
   Heap H(C);

@@ -1,4 +1,4 @@
-//===- tests/gc/donation_test.cpp - Segment donation + shared space ------===//
+//===- tests/gc/donation_test.cpp - Segment donation ---------------------===//
 //
 // Part of the gengc project: a reproduction of "Guardians in a
 // Generation-Based Garbage Collector" (Dybvig, Bruggeman, Eby, PLDI 1993).
@@ -8,29 +8,31 @@
 /// \file
 /// The heap-level halves of zero-copy inter-shard transfer (DESIGN.md
 /// §13): copy-out donation and adoption between two heaps bound to one
-/// private exchange domain, segment-ownership accounting across drops
+/// private exchange arena, segment-ownership accounting across drops
 /// and full collections, symbol fixups and their remembered-set edges,
-/// weak-pair space preservation, and the freeze-and-publish protocol of
-/// the shared immutable space (including the store-into-shared abort).
+/// weak-pair space preservation, and onward donation of an adopted
+/// graph.
 ///
 //===----------------------------------------------------------------------===//
 
 #include "gc/Heap.h"
 #include "gc/Roots.h"
 #include "gc/telemetry/Census.h"
-#include "heap/SharedImmutableSpace.h"
+#include "heap/DonatedGraph.h"
 #include "object/Layout.h"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstring>
 #include <string>
+#include <vector>
 
 using namespace gengc;
 
 namespace {
 
-HeapConfig exchangeConfig(SharedImmutableSpace &X) {
+HeapConfig exchangeConfig(Arena &X) {
   HeapConfig C;
   C.ArenaBytes = 64u * 1024 * 1024;
   C.AutoCollect = false;
@@ -51,7 +53,7 @@ Value makeCountList(Heap &H, int N) {
 //===----------------------------------------------------------------------===//
 
 TEST(DonationTest, GraphCrossesHeapsWithoutReceiverCopies) {
-  SharedImmutableSpace X(16u * 1024 * 1024);
+  Arena X(16u * 1024 * 1024);
   Heap Sender(exchangeConfig(X));
   Heap Receiver(exchangeConfig(X));
 
@@ -60,7 +62,7 @@ TEST(DonationTest, GraphCrossesHeapsWithoutReceiverCopies) {
   EXPECT_GT(G.segmentCount(), 0u);
   EXPECT_GT(G.Bytes, 0u);
   EXPECT_EQ(Sender.graphsDonated(), 1u);
-  EXPECT_EQ(X.donatedSegmentsInUse(), G.segmentCount());
+  EXPECT_EQ(donatedSegmentsInUse(X), G.segmentCount());
 
   // The sender's graph is untouched (side-map copy-out, no forwarding).
   {
@@ -93,7 +95,7 @@ TEST(DonationTest, GraphCrossesHeapsWithoutReceiverCopies) {
 }
 
 TEST(DonationTest, SharingCyclesAndAllKindsSurviveDonation) {
-  SharedImmutableSpace X(16u * 1024 * 1024);
+  Arena X(16u * 1024 * 1024);
   Heap Sender(exchangeConfig(X));
   Heap Receiver(exchangeConfig(X));
 
@@ -138,19 +140,19 @@ TEST(DonationTest, SharingCyclesAndAllKindsSurviveDonation) {
 }
 
 TEST(DonationTest, DroppedGraphReturnsItsSegments) {
-  SharedImmutableSpace X(16u * 1024 * 1024);
+  Arena X(16u * 1024 * 1024);
   Heap Sender(exchangeConfig(X));
   {
     Root Payload(Sender, makeCountList(Sender, 500));
     DonatedGraph G = Sender.donateGraph(Payload.get());
-    EXPECT_GT(X.donatedSegmentsInUse(), 0u);
+    EXPECT_GT(donatedSegmentsInUse(X), 0u);
     // G dropped without adoption: a lost message leaks nothing.
   }
-  EXPECT_EQ(X.donatedSegmentsInUse(), 0u);
+  EXPECT_EQ(donatedSegmentsInUse(X), 0u);
 }
 
 TEST(DonationTest, LeakFaultInjectionLeaksDroppedSegments) {
-  SharedImmutableSpace X(16u * 1024 * 1024);
+  Arena X(16u * 1024 * 1024);
   HeapConfig C = exchangeConfig(X);
   C.InjectedFault = GcFaultInjection::LeakDonatedSegment;
   Heap Sender(C);
@@ -163,11 +165,11 @@ TEST(DonationTest, LeakFaultInjectionLeaksDroppedSegments) {
   }
   // The fault makes the drop leak — exactly what the fuzzer's exchange
   // ownership audit must catch.
-  EXPECT_EQ(X.donatedSegmentsInUse(), Leaked);
+  EXPECT_EQ(donatedSegmentsInUse(X), Leaked);
 }
 
 TEST(DonationTest, DegenerateRootsCarryNoSegments) {
-  SharedImmutableSpace X(16u * 1024 * 1024);
+  Arena X(16u * 1024 * 1024);
   Heap Sender(exchangeConfig(X));
   Heap Receiver(exchangeConfig(X));
 
@@ -185,7 +187,7 @@ TEST(DonationTest, DegenerateRootsCarryNoSegments) {
 }
 
 TEST(DonationTest, SymbolFixupsReinternAndRememberContainers) {
-  SharedImmutableSpace X(16u * 1024 * 1024);
+  Arena X(16u * 1024 * 1024);
   Heap Sender(exchangeConfig(X));
   Heap Receiver(exchangeConfig(X));
 
@@ -213,7 +215,7 @@ TEST(DonationTest, SymbolFixupsReinternAndRememberContainers) {
 }
 
 TEST(DonationTest, WeakPairsStayWeakAfterAdoption) {
-  SharedImmutableSpace X(16u * 1024 * 1024);
+  Arena X(16u * 1024 * 1024);
   Heap Sender(exchangeConfig(X));
   Heap Receiver(exchangeConfig(X));
 
@@ -237,7 +239,7 @@ TEST(DonationTest, WeakPairsStayWeakAfterAdoption) {
 }
 
 TEST(DonationTest, FullCollectionEvacuatesAdoptedRuns) {
-  SharedImmutableSpace X(16u * 1024 * 1024);
+  Arena X(16u * 1024 * 1024);
   Heap Sender(exchangeConfig(X));
   Heap Receiver(exchangeConfig(X));
 
@@ -245,18 +247,18 @@ TEST(DonationTest, FullCollectionEvacuatesAdoptedRuns) {
   DonatedGraph G = Sender.donateGraph(Payload.get());
   const size_t Donated = G.segmentCount();
   Root Adopted(Receiver, Receiver.adoptDonatedGraph(G));
-  EXPECT_EQ(X.donatedSegmentsInUse(), Donated);
+  EXPECT_EQ(donatedSegmentsInUse(X), Donated);
 
   // A minor collection leaves adopted (oldest-generation) runs alone.
   Receiver.collectMinor();
-  EXPECT_EQ(X.donatedSegmentsInUse(), Donated);
+  EXPECT_EQ(donatedSegmentsInUse(X), Donated);
   EXPECT_EQ(Receiver.generationOf(Adopted.get()),
             Receiver.oldestGeneration());
 
   // A full collection evacuates the survivors into the private arena
   // and returns every donated segment to the exchange arena.
   Receiver.collectFull();
-  EXPECT_EQ(X.donatedSegmentsInUse(), 0u);
+  EXPECT_EQ(donatedSegmentsInUse(X), 0u);
   Value P = Adopted.get();
   for (int I = 0; I != 1000; ++I) {
     ASSERT_TRUE(P.isPair());
@@ -272,13 +274,114 @@ TEST(DonationTest, FullCollectionEvacuatesAdoptedRuns) {
     DonatedGraph G2 = Sender.donateGraph(Payload2.get());
     (void)Receiver.adoptDonatedGraph(G2); // Deliberately unrooted.
   }
-  EXPECT_GT(X.donatedSegmentsInUse(), 0u);
+  EXPECT_GT(donatedSegmentsInUse(X), 0u);
   Receiver.collectFull();
-  EXPECT_EQ(X.donatedSegmentsInUse(), 0u);
+  EXPECT_EQ(donatedSegmentsInUse(X), 0u);
+}
+
+TEST(DonationTest, AdoptedGraphIsDonatedOnward) {
+  Arena X(16u * 1024 * 1024);
+  Heap A(exchangeConfig(X));
+  Heap B(exchangeConfig(X));
+  Heap C(exchangeConfig(X));
+
+  // (onward 0 1 ... 499): a symbol fixup and a pair chain.
+  constexpr int N = 500;
+  Root Payload(A, makeCountList(A, N));
+  Root Msg(A, A.cons(A.intern("onward"), Payload));
+  DonatedGraph GAB = A.donateGraph(Msg.get());
+  const size_t ABSegs = GAB.segmentCount();
+  EXPECT_EQ(donatedSegmentsInUse(X), ABSegs);
+  Root InB(B, B.adoptDonatedGraph(GAB));
+  EXPECT_EQ(B.adoptedSegments(), ABSegs);
+  EXPECT_EQ(donatedSegmentsInUse(X), ABSegs);
+
+  // Reads \p R as (onward 0 1 ... N-1) on \p H and returns the exchange
+  // segments its pairs occupy.
+  auto readMessage = [&](Heap &H, const Root &R) {
+    std::vector<uint32_t> Segs;
+    const Value Sym = H.intern("onward");
+    Value L = R.get();
+    EXPECT_EQ(pairCar(L).bits(), Sym.bits());
+    for (int I = -1; I != N; ++I) {
+      if (!L.isPair()) {
+        ADD_FAILURE() << "list ends after " << I + 1 << " cells";
+        return Segs;
+      }
+      if (I >= 0) {
+        EXPECT_EQ(pairCar(L).asFixnum(), I);
+      }
+      if (X.containsAddress(L.heapAddress()))
+        Segs.push_back(X.segmentIndexOf(L.heapAddress()));
+      L = pairCdr(L);
+    }
+    EXPECT_TRUE(L.isNil());
+    return Segs;
+  };
+
+  // B's root lives in the exchange arena but belongs to B: donating it
+  // onward must copy it into fresh in-flight segments like any other
+  // graph, not pass it through.
+  DonatedGraph GBC = B.donateGraph(InB.get());
+  const size_t BCSegs = GBC.segmentCount();
+  EXPECT_GT(BCSegs, 0u);
+  EXPECT_EQ(GBC.Fixups.size(), 1u);
+  EXPECT_EQ(donatedSegmentsInUse(X), ABSegs + BCSegs);
+  Root InC(C, C.adoptDonatedGraph(GBC));
+  EXPECT_EQ(C.adoptedSegments(), BCSegs);
+  EXPECT_EQ(donatedSegmentsInUse(X), ABSegs + BCSegs);
+
+  const std::vector<uint32_t> BSegs = readMessage(B, InB);
+  const std::vector<uint32_t> CSegs = readMessage(C, InC);
+  EXPECT_EQ(BSegs.size(), static_cast<size_t>(N) + 1);
+  EXPECT_EQ(CSegs.size(), static_cast<size_t>(N) + 1);
+  for (uint32_t Seg : CSegs) {
+    EXPECT_EQ(std::count(BSegs.begin(), BSegs.end(), Seg), 0)
+        << "C's copy shares exchange segment " << Seg << " with B";
+    EXPECT_EQ(X.infoAt(Seg).Generation, C.oldestGeneration());
+  }
+  A.verifyHeap();
+  B.verifyHeap();
+  C.verifyHeap();
+
+  // B's full collection evacuates its adopted runs and frees them; C's
+  // copy does not notice.
+  B.collectFull();
+  EXPECT_EQ(B.adoptedSegments(), 0u);
+  EXPECT_EQ(donatedSegmentsInUse(X), BCSegs);
+  EXPECT_TRUE(readMessage(B, InB).empty());
+  readMessage(C, InC);
+  B.verifyHeap();
+  C.verifyHeap();
+
+  C.collectFull();
+  EXPECT_EQ(donatedSegmentsInUse(X), 0u);
+  readMessage(C, InC);
+  C.verifyHeap();
+}
+
+TEST(DonationTest, StoreIntoAdoptedContainerIsRemembered) {
+  Arena X(16u * 1024 * 1024);
+  Heap Sender(exchangeConfig(X));
+  Heap Receiver(exchangeConfig(X));
+
+  Root Payload(Sender, makeCountList(Sender, 100));
+  DonatedGraph G = Sender.donateGraph(Payload.get());
+  Root Adopted(Receiver, Receiver.adoptDonatedGraph(G));
+
+  // An adopted container is oldest-generation data like any other: a
+  // store of a young value into it must enter the remembered set, or
+  // the next minor collection reclaims the value under it.
+  Receiver.setCar(Adopted, Receiver.cons(Value::fixnum(41), Value::nil()));
+  Receiver.verifyHeap();
+  Receiver.collectMinor();
+  Receiver.verifyHeap();
+  ASSERT_TRUE(pairCar(Adopted.get()).isPair());
+  EXPECT_EQ(pairCar(pairCar(Adopted.get())).asFixnum(), 41);
 }
 
 TEST(DonationTest, CensusCountsAdoptedRunsInOldestGeneration) {
-  SharedImmutableSpace X(16u * 1024 * 1024);
+  Arena X(16u * 1024 * 1024);
   Heap Sender(exchangeConfig(X));
   Heap Receiver(exchangeConfig(X));
 
@@ -291,84 +394,6 @@ TEST(DonationTest, CensusCountsAdoptedRunsInOldestGeneration) {
   size_t OldestPairs =
       C.Cells[Oldest][static_cast<unsigned>(SpaceKind::Pair)].ObjectCount;
   EXPECT_GE(OldestPairs, 500u);
-}
-
-//===----------------------------------------------------------------------===//
-// Shared immutable space.
-//===----------------------------------------------------------------------===//
-
-TEST(SharedImmutableSpaceTest, FreezePublishesGraphReferencedByAllHeaps) {
-  SharedImmutableSpace X(16u * 1024 * 1024);
-  Heap A(exchangeConfig(X));
-  Heap B(exchangeConfig(X));
-
-  Root Src(A, A.makeVector(3, Value::fixnum(0)));
-  A.vectorSet(Src, 0, A.makeString("config-key"));
-  A.vectorSet(Src, 1, A.intern("option"));
-  A.vectorSet(Src, 2, A.cons(Value::fixnum(1), Value::fixnum(2)));
-
-  Value Frozen = X.freeze(A, Src.get());
-  EXPECT_TRUE(A.isShared(Frozen));
-  EXPECT_TRUE(B.isShared(Frozen));
-  // Freezing is idempotent and identity-preserving on shared values.
-  EXPECT_EQ(X.freeze(A, Frozen).bits(), Frozen.bits());
-
-  // Both heaps can hold and read it; the reference needs no adoption,
-  // no copies, and never enters a remembered set.
-  Root InA(A, A.cons(Frozen, Value::nil()));
-  Root InB(B, B.cons(Frozen, Value::nil()));
-  A.collectFull();
-  B.collectFull();
-  Value FA = pairCar(InA.get());
-  EXPECT_EQ(FA.bits(), Frozen.bits()); // Shared objects never move.
-  EXPECT_EQ(std::string(stringData(objectField(FA, 0)), 10), "config-key");
-  EXPECT_EQ(pairCar(objectField(FA, 2)).asFixnum(), 1);
-  A.verifyHeap();
-  B.verifyHeap();
-}
-
-TEST(SharedImmutableSpaceTest, FreezeDeduplicatesStringsAndSymbols) {
-  SharedImmutableSpace X(16u * 1024 * 1024);
-  Heap A(exchangeConfig(X));
-  Heap B(exchangeConfig(X));
-
-  Root S1(A, A.makeString("dedup"));
-  Root S2(B, B.makeString("dedup"));
-  EXPECT_EQ(X.freeze(A, S1.get()).bits(), X.freeze(B, S2.get()).bits());
-
-  Root Y1(A, A.intern("shared-sym"));
-  Value Shared1 = X.freeze(A, Y1.get());
-  EXPECT_EQ(Shared1.bits(), X.internShared("shared-sym").bits());
-}
-
-TEST(SharedImmutableSpaceTest, DonationPassesSharedReferencesThrough) {
-  SharedImmutableSpace X(16u * 1024 * 1024);
-  Heap Sender(exchangeConfig(X));
-  Heap Receiver(exchangeConfig(X));
-
-  Root Str(Sender, Sender.makeString("frozen-constant"));
-  Value Frozen = X.freeze(Sender, Str.get());
-  const size_t SharedSegs = X.sharedSegmentsInUse();
-
-  Root Msg(Sender, Sender.cons(Frozen, Value::nil()));
-  DonatedGraph G = Sender.donateGraph(Msg.get());
-  Root Out(Receiver, Receiver.adoptDonatedGraph(G));
-  // The shared reference crossed by identity: no new shared segments,
-  // no copy, same bits.
-  EXPECT_EQ(pairCar(Out.get()).bits(), Frozen.bits());
-  EXPECT_EQ(X.sharedSegmentsInUse(), SharedSegs);
-  Receiver.verifyHeap();
-}
-
-TEST(SharedImmutableSpaceDeathTest, StoreIntoSharedContainerAborts) {
-  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
-  SharedImmutableSpace X(16u * 1024 * 1024);
-  Heap H(exchangeConfig(X));
-  Root P(H, H.cons(Value::fixnum(1), Value::fixnum(2)));
-  Value Frozen = X.freeze(H, P.get());
-  // This store is the abort under test. rootcheck:allow(shared-store)
-  ASSERT_DEATH(H.setCar(Frozen, Value::fixnum(3)),
-               "store into the shared immutable space");
 }
 
 } // namespace

@@ -16,7 +16,7 @@
 #include "gc/Heap.h"
 #include "gc/Roots.h"
 #include "gc/ScopedGeneration.h"
-#include "heap/SharedImmutableSpace.h"
+#include "heap/DonatedGraph.h"
 
 #include <gtest/gtest.h>
 
@@ -304,7 +304,7 @@ TEST(ScopedGenerationTest, NestedGuardianChurnUnderStress) {
 // owner at close by retagging — zero evacuation, zero copies.
 //===----------------------------------------------------------------------===//
 
-HeapConfig donationConfig(SharedImmutableSpace &X) {
+HeapConfig donationConfig(Arena &X) {
   HeapConfig C;
   C.ArenaBytes = 64u * 1024 * 1024;
   C.AutoCollect = false;
@@ -313,7 +313,7 @@ HeapConfig donationConfig(SharedImmutableSpace &X) {
 }
 
 TEST(ScopeDonationTest, SelfContainedScopeClosesByHandover) {
-  SharedImmutableSpace X(16u * 1024 * 1024);
+  Arena X(16u * 1024 * 1024);
   Heap Sender(donationConfig(X));
   Heap Receiver(donationConfig(X));
 
@@ -330,7 +330,7 @@ TEST(ScopeDonationTest, SelfContainedScopeClosesByHandover) {
 
   // The scope's nursery is already donation-tagged exchange storage;
   // the close changes its owner, not the segment count.
-  const uint64_t InFlightBefore = X.donatedSegmentsInUse();
+  const uint64_t InFlightBefore = donatedSegmentsInUse(X);
   EXPECT_GT(InFlightBefore, 0u);
   DonatedGraph G = Sender.tryCloseScopeDonating(Msg);
   ASSERT_FALSE(G.empty()) << "self-contained scope must hand over";
@@ -339,9 +339,9 @@ TEST(ScopeDonationTest, SelfContainedScopeClosesByHandover) {
   EXPECT_GT(G.segmentCount(), 0u);
   EXPECT_EQ(G.Bytes, Sender.lastScopeClose().BytesInScope)
       << "close stats report the donated bytes, not an evacuation";
-  EXPECT_EQ(X.donatedSegmentsInUse(), InFlightBefore)
+  EXPECT_EQ(donatedSegmentsInUse(X), InFlightBefore)
       << "zero-copy close: the same segments change hands";
-  EXPECT_EQ(X.donatedSegmentsInUse(), G.segmentCount());
+  EXPECT_EQ(donatedSegmentsInUse(X), G.segmentCount());
   Sender.verifyHeap();
 
   // Adoption retags the same segments tenured; no per-object copy.
@@ -372,7 +372,7 @@ TEST(ScopeDonationTest, InnerCloseGraduatesIntoTheDonationScope) {
   // the donation scope's exchange-arena contexts: its survivors are
   // donation-tagged storage at the donation scope's depth, so the outer
   // scope can still hand over wholesale.
-  SharedImmutableSpace X(16u * 1024 * 1024);
+  Arena X(16u * 1024 * 1024);
   Heap Sender(donationConfig(X));
   Heap Receiver(donationConfig(X));
 
@@ -395,7 +395,7 @@ TEST(ScopeDonationTest, InnerCloseGraduatesIntoTheDonationScope) {
       << "the list and the string graduate; the garbage pairs die";
   auto ExpectDonationScopeStorage = [&](Value V) {
     EXPECT_EQ(Sender.scopeDepthOf(V), 1u);
-    EXPECT_NE(X.arena().findInfo(V.heapAddress()), nullptr)
+    EXPECT_NE(X.findInfo(V.heapAddress()), nullptr)
         << "survivor outside the exchange arena";
     EXPECT_NE(Sender.segInfo(V.heapAddress()).Flags &
                   SegmentInfo::FlagDonated,
@@ -433,7 +433,7 @@ TEST(ScopeDonationTest, InnerCloseGraduatesIntoTheDonationScope) {
 }
 
 TEST(ScopeDonationTest, EscapeVetoesWholesaleClose) {
-  SharedImmutableSpace X(16u * 1024 * 1024);
+  Arena X(16u * 1024 * 1024);
   Heap H(donationConfig(X));
   Root Keep(H, H.cons(Value::falseV(), Value::nil()));
 
@@ -456,7 +456,7 @@ TEST(ScopeDonationTest, EscapeVetoesWholesaleClose) {
 }
 
 TEST(ScopeDonationTest, RootReachingInVetoesWholesaleClose) {
-  SharedImmutableSpace X(16u * 1024 * 1024);
+  Arena X(16u * 1024 * 1024);
   Heap H(donationConfig(X));
   H.openDonationScope();
   Root Pin(H, H.cons(Value::fixnum(7), Value::nil()));
@@ -474,7 +474,7 @@ TEST(ScopeDonationTest, RootReachingInVetoesWholesaleClose) {
 }
 
 TEST(ScopeDonationTest, OutboundEdgeVetoesWholesaleClose) {
-  SharedImmutableSpace X(16u * 1024 * 1024);
+  Arena X(16u * 1024 * 1024);
   Heap H(donationConfig(X));
   Root Old(H, H.cons(Value::fixnum(9), Value::nil()));
   H.openDonationScope();
@@ -494,7 +494,7 @@ TEST(ScopeDonationTest, OutboundEdgeVetoesWholesaleClose) {
 }
 
 TEST(ScopeDonationTest, WholesaleCloseReintersSymbolsByName) {
-  SharedImmutableSpace X(16u * 1024 * 1024);
+  Arena X(16u * 1024 * 1024);
   Heap Sender(donationConfig(X));
   Heap Receiver(donationConfig(X));
 

@@ -34,13 +34,6 @@ Rules
     (``vectorSetInitializing``/``setCarElided``/...), which route the
     soundness claim through ``HeapConfig::VerifyElision``.
 
-``shared-store``
-    A ``Heap`` mutation call (``setCar``/``vectorSet``/... or an elided
-    variant) whose target was obtained from ``freeze()``/
-    ``internShared()`` in the same function. Shared immutable space is
-    frozen and barrier-exempt; the runtime aborts such stores, and this
-    rule flags the pattern before it ever runs.
-
 ``unique-unreachable``
     Two ``GENGC_UNREACHABLE`` sites share a message string. Messages
     are the only thing a crash report shows, so each must identify its
@@ -376,82 +369,6 @@ def check_barrier_bypass(path: str, rel: str,
 
 
 # ---------------------------------------------------------------------------
-# Rule: shared-store.
-# ---------------------------------------------------------------------------
-
-# Calls that publish into the shared immutable space and return a shared
-# Value: anything they return is frozen — storing into it is a runtime
-# abort (the write barrier's shared-container check).
-SHARED_PUBLISH_RE = re.compile(
-    r"=\s*[\w.>()\-]*\b(?:freeze|internShared)\s*\(")
-
-# The Heap mutation surface, barriered and elided alike. The *target*
-# (first argument) is what must not be shared.
-MUTATOR_CALL_RE = re.compile(
-    r"\b(?:setCar|setCdr|vectorSet|boxSet|recordSet|"
-    r"setCarElided|setCdrElided|vectorSetElided|recordSetElided|"
-    r"vectorSetInitializing|recordSetInitializing)\s*\(\s*(\w+)")
-
-
-def check_shared_store(path: str, rel: str,
-                       lines: list[str]) -> list[Diagnostic]:
-    """Per-function dataflow, one level deep: a local assigned from
-    freeze()/internShared() is a shared immutable; passing it as the
-    target of a Heap mutation call is flagged. Reassignment from any
-    other expression clears the taint; function scope close (brace
-    depth 0) clears everything."""
-    if rel.replace(os.sep, "/").startswith("src/heap/"):
-        return []  # The publisher's own internals.
-    diags: list[Diagnostic] = []
-    depth = 0
-    shared_locals: dict[str, int] = {}  # name -> publishing line (0-based)
-    for index, raw in enumerate(lines):
-        line = strip_code(raw)
-
-        assign = re.match(r"^\s*(?:(?:const\s+)?Value\s+)?(\w+)\s*=[^=]",
-                          line)
-        if assign:
-            name = assign.group(1)
-            if SHARED_PUBLISH_RE.search(line):
-                shared_locals[name] = index
-            else:
-                shared_locals.pop(name, None)
-        else:
-            # A Root constructed directly from a publishing call:
-            # Root S(H, Shared.freeze(H, V));
-            rooted = re.match(
-                r"^\s*Root\s+(\w+)\s*\(.*\b(?:freeze|internShared)\s*\(",
-                line)
-            if rooted:
-                shared_locals[rooted.group(1)] = index
-
-        for match in MUTATOR_CALL_RE.finditer(line):
-            target = match.group(1)
-            if target not in shared_locals:
-                continue
-            if "shared-store" in allowed_rules(lines, index):
-                continue
-            diags.append(Diagnostic(
-                path, index + 1, "shared-store",
-                f"'{target}' was published into shared immutable space "
-                f"at line {shared_locals[target] + 1}; shared objects "
-                "are frozen and barrier-exempt, and this store aborts "
-                "at runtime. Mutate before freezing, or copy into the "
-                "private heap first",
-            ))
-
-        for ch in line:
-            if ch == "{":
-                depth += 1
-            elif ch == "}":
-                depth -= 1
-                if depth <= 0:
-                    depth = 0
-                    shared_locals = {}
-    return diags
-
-
-# ---------------------------------------------------------------------------
 # Rule: unique-unreachable.
 # ---------------------------------------------------------------------------
 
@@ -595,7 +512,6 @@ def run(project_root: str, paths: list[str]) -> list[Diagnostic]:
             diags.extend(check_unrooted_values(path, lines))
         diags.extend(check_segment_base(path, rel, lines))
         diags.extend(check_barrier_bypass(path, rel, lines))
-        diags.extend(check_shared_store(path, rel, lines))
         if path.endswith(".h") and rel.replace(os.sep, "/").startswith("src/"):
             diags.extend(check_iwyu_lite(path, lines, project_root,
                                          closure_cache))
@@ -623,7 +539,6 @@ def run_self_test(fixture_dir: str) -> int:
         for diag in (check_unrooted_values(path, lines)
                      + check_segment_base(path, rel, lines)
                      + check_barrier_bypass(path, rel, lines)
-                     + check_shared_store(path, rel, lines)
                      + check_unique_unreachable(files)):
             got.add((diag.line, diag.rule))
 
@@ -639,11 +554,18 @@ def run_self_test(fixture_dir: str) -> int:
     return 1 if failures else 0
 
 
+# Every tree the lint covers. CTest, CI and scripts/check.sh pass no
+# paths, so this list is the only copy. The fixtures stay out: they are
+# bad on purpose and are checked by --self-test instead.
+DEFAULT_PATHS = ["src", "tests", "bench", "examples", "tools/gcfuzz",
+                 "tools/loadgen"]
+
+
 def main(argv: list[str]) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("paths", nargs="*", default=None,
-                        help="files or directories to scan "
-                             "(default: src tests)")
+                        help="files or directories to scan (default: "
+                             + " ".join(DEFAULT_PATHS) + ")")
     parser.add_argument("--root", default=".",
                         help="project root (for src/heap/ scoping and "
                              "include resolution)")
@@ -655,7 +577,7 @@ def main(argv: list[str]) -> int:
     if args.self_test:
         return run_self_test(args.self_test)
 
-    paths = args.paths or ["src", "tests"]
+    paths = args.paths or DEFAULT_PATHS
     for path in paths:
         if not os.path.exists(os.path.join(args.root, path)):
             print(f"rootcheck: no such path: {path} (under root "
