@@ -15,15 +15,19 @@
 //    against the full barrier on the store shape the compiler proves,
 //    and an environment-frame-heavy VM workload with the elision pass
 //    toggled via HeapConfig::ElideBarriers.
+//  * the finalization executor hand-off -- a burst of tickets from one
+//    submitter to the background worker, per ticket and per burst.
 //
 //===----------------------------------------------------------------------===//
 
 #include "BenchCommon.h"
 #include "core/Guardian.h"
 #include "gc/ScopedGeneration.h"
+#include "runtime/FinalizationExecutor.h"
 #include "scheme/Interpreter.h"
 #include "scheme/VM.h"
 
+#include <chrono>
 #include <memory>
 #include <optional>
 #include <vector>
@@ -335,6 +339,42 @@ BENCHMARK(BM_ScopedRequestChurn)
     ->Arg(0)
     ->Arg(1)
     ->Unit(benchmark::kMicrosecond);
+
+//===--- Finalization executor hand-off ------------------------------------===//
+
+// One thread submits a burst of N tickets to a live executor whose action
+// spins for about 500 ns, then waits for the executor to go idle: the
+// shape of a shard's guardian drain. What a burst costs beyond N x 500 ns
+// is the hand-off, where the submitter and the worker take turns at the
+// executor's one lock.
+void BM_TicketBurst(benchmark::State &State) {
+  const int64_t N = State.range(0);
+  runtime::FinalizationExecutor Exec;
+  const auto Q = Exec.registerQueue(
+      "spin", [](const runtime::FinalizationTicket &) {
+        const auto Until =
+            std::chrono::steady_clock::now() + std::chrono::nanoseconds(500);
+        while (std::chrono::steady_clock::now() < Until) {
+        }
+        return true;
+      });
+  const auto Start = std::chrono::steady_clock::now();
+  for (auto _ : State) {
+    for (int64_t I = 0; I != N; ++I)
+      benchmark::DoNotOptimize(Exec.submit(Q, static_cast<intptr_t>(I)));
+    Exec.waitIdle();
+  }
+  const double Nanos = std::chrono::duration<double, std::nano>(
+                           std::chrono::steady_clock::now() - Start)
+                           .count();
+  Exec.drainAndStop();
+  const double Bursts = static_cast<double>(State.iterations());
+  State.counters["ns_per_burst"] = benchmark::Counter(Nanos / Bursts);
+  State.counters["ns_per_ticket"] =
+      benchmark::Counter(Nanos / (Bursts * static_cast<double>(N)));
+  State.SetItemsProcessed(State.iterations() * N);
+}
+BENCHMARK(BM_TicketBurst)->Arg(1)->Arg(16)->Arg(64)->UseRealTime();
 
 } // namespace
 

@@ -171,6 +171,13 @@ run_suite() {
       exit 1
     fi
   fi
+  # Executor interleavings: batch claim and retire race the submitters,
+  # and which interleavings one pass hits depends on timing.
+  if [ "$name" = tsan ]; then
+    echo "==> [$name] executor repeat"
+    "$dir/tests/runtime/runtime_tests" --gtest_filter='ExecutorTest.*' \
+      --gtest_repeat=20 >/dev/null
+  fi
   # Summarizer key-derivation fixture (also runs inside CTest).
   python3 tests/scripts/bench_summarize_test.py .
 }

@@ -635,12 +635,15 @@ void Collector::processGuardians(unsigned G) {
 
 void Collector::deliverToTconcs(bool &FaultDroppedOne) {
   // Only stores into a tconc's pre-existing cells can need an entry in
-  // the remembered or escape sets. A fresh cell lives in the target
-  // generation and everything it points at (the forwarded agent, the next
-  // fresh cell) is there or older. While a scope is open or closing,
-  // though, an agent or a cell may sit in a scope, and only the escape
-  // sets see that edge, so every store then takes the bookkeeping.
-  const bool RecordEveryStore = !H.ScopeStack.empty();
+  // the remembered or escape sets, with one exception. A fresh cell lives
+  // in the to-space extent, and everything it points at (the forwarded
+  // agent, the next fresh cell) is there, older, or no deeper in the
+  // scope stack: a scope close's to-space is the enclosing extent, as
+  // deep as any agent outside the closing scope. The exception is a
+  // collection with scopes open. It leaves scope residents in place, so
+  // a fresh generation-T cell may point at an agent that stays in an
+  // open scope, and only that scope's escape set sees the edge.
+  const bool AgentsMayStayInScopes = !ClosingScope && !H.ScopeStack.empty();
   H.TconcBatches.clear();
   size_t IndexSlots = 16;
   while (IndexSlots < 2 * H.FinalList.size())
@@ -672,9 +675,13 @@ void Collector::deliverToTconcs(bool &FaultDroppedOne) {
     // Fill the tail cell: its car becomes the element, its cdr the new
     // last pair. The mutator cannot see either store before the header's
     // cdr moves past the cell.
-    if (RecordEveryStore || B.Tail == pairCdr(Tconc)) {
+    if (B.Tail == pairCdr(Tconc)) {
       H.recordStore(B.Tail, Agent, /*WeakField=*/H.isWeakPair(B.Tail));
       H.recordStore(B.Tail, NewLast, /*WeakField=*/false);
+    } else if (AgentsMayStayInScopes && Agent.isHeapPointer() &&
+               H.segInfo(Agent.heapAddress()).ScopeDepth != 0) {
+      // A fresh cell is an ordinary pair: its car is a strong field.
+      H.recordStore(B.Tail, Agent, /*WeakField=*/false);
     }
     pairSetCarRaw(B.Tail, Agent);
     pairSetCdrRaw(B.Tail, NewLast);

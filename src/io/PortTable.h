@@ -22,7 +22,10 @@
 /// opens and writes ports on the shard thread while the
 /// FinalizationExecutor flushes and closes dropped ones from its own
 /// thread. Port state lives in a deque so ids stay stable and open
-/// never invalidates another thread's port.
+/// never invalidates another thread's port. The lock spins before it
+/// sleeps: the executor closes a guardian's burst of dropped ports back
+/// to back while the mutator writes, and a waiter that slept would lose
+/// more to its wake-up than it waited for the lock.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -36,6 +39,7 @@
 #include <vector>
 
 #include "io/FileSystem.h"
+#include "support/AdaptiveMutex.h"
 #include "support/Assert.h"
 
 namespace gengc {
@@ -52,7 +56,7 @@ public:
     std::string Contents;
     bool Ok = FS.read(Path, Contents);
     GENGC_ASSERT(Ok, "open-input-file: file does not exist");
-    std::lock_guard<std::mutex> Lock(M);
+    std::lock_guard<AdaptiveMutex> Lock(M);
     Ports.push_back(PortState{Path, {Contents.begin(), Contents.end()},
                               0, PortKind::Input, true});
     ++OpenedCount;
@@ -62,7 +66,7 @@ public:
   /// Opens (creates/truncates) a file for writing. Returns the port id.
   intptr_t openOutput(const std::string &Path) {
     FS.create(Path);
-    std::lock_guard<std::mutex> Lock(M);
+    std::lock_guard<AdaptiveMutex> Lock(M);
     Ports.push_back(PortState{Path, {}, 0, PortKind::Output, true});
     ++OpenedCount;
     return static_cast<intptr_t>(Ports.size() - 1);
@@ -70,7 +74,7 @@ public:
 
   /// Reads one character, or -1 at end of file.
   int readChar(intptr_t Id) {
-    std::lock_guard<std::mutex> Lock(M);
+    std::lock_guard<AdaptiveMutex> Lock(M);
     PortState &P = state(Id);
     GENGC_ASSERT(P.Kind == PortKind::Input, "readChar on output port");
     GENGC_ASSERT(P.Open, "readChar on closed port");
@@ -82,7 +86,7 @@ public:
   /// Buffered character write; spills to the file system when the
   /// buffer fills.
   void writeChar(intptr_t Id, char C) {
-    std::lock_guard<std::mutex> Lock(M);
+    std::lock_guard<AdaptiveMutex> Lock(M);
     PortState &P = state(Id);
     GENGC_ASSERT(P.Kind == PortKind::Output, "writeChar on input port");
     GENGC_ASSERT(P.Open, "writeChar on closed port");
@@ -92,7 +96,7 @@ public:
   }
 
   void writeString(intptr_t Id, const std::string &S) {
-    std::lock_guard<std::mutex> Lock(M);
+    std::lock_guard<AdaptiveMutex> Lock(M);
     PortState &P = state(Id);
     GENGC_ASSERT(P.Kind == PortKind::Output, "writeString on input port");
     GENGC_ASSERT(P.Open, "writeString on closed port");
@@ -105,7 +109,7 @@ public:
 
   /// flush-output-port: pushes buffered bytes to the file system.
   void flush(intptr_t Id) {
-    std::lock_guard<std::mutex> Lock(M);
+    std::lock_guard<AdaptiveMutex> Lock(M);
     PortState &P = state(Id);
     GENGC_ASSERT(P.Open, "flush on closed port");
     flushLocked(P);
@@ -114,7 +118,7 @@ public:
   /// close-input-port / close-output-port. Closing an output port
   /// flushes first. Idempotent, mirroring Scheme's tolerant close.
   void close(intptr_t Id) {
-    std::lock_guard<std::mutex> Lock(M);
+    std::lock_guard<AdaptiveMutex> Lock(M);
     PortState &P = state(Id);
     if (!P.Open)
       return;
@@ -127,26 +131,26 @@ public:
   }
 
   bool isOpen(intptr_t Id) const {
-    std::lock_guard<std::mutex> Lock(M);
+    std::lock_guard<AdaptiveMutex> Lock(M);
     return state(Id).Open;
   }
   PortKind kindOf(intptr_t Id) const {
-    std::lock_guard<std::mutex> Lock(M);
+    std::lock_guard<AdaptiveMutex> Lock(M);
     return state(Id).Kind;
   }
   std::string pathOf(intptr_t Id) const {
-    std::lock_guard<std::mutex> Lock(M);
+    std::lock_guard<AdaptiveMutex> Lock(M);
     return state(Id).Path;
   }
   size_t bufferedBytes(intptr_t Id) const {
-    std::lock_guard<std::mutex> Lock(M);
+    std::lock_guard<AdaptiveMutex> Lock(M);
     return state(Id).Buffer.size();
   }
 
   /// Number of ports currently open: the "tied up system resources" the
   /// paper worries about.
   size_t openPortCount() const {
-    std::lock_guard<std::mutex> Lock(M);
+    std::lock_guard<AdaptiveMutex> Lock(M);
     size_t N = 0;
     for (const PortState &P : Ports)
       if (P.Open)
@@ -154,15 +158,15 @@ public:
     return N;
   }
   uint64_t totalOpened() const {
-    std::lock_guard<std::mutex> Lock(M);
+    std::lock_guard<AdaptiveMutex> Lock(M);
     return OpenedCount;
   }
   uint64_t totalClosed() const {
-    std::lock_guard<std::mutex> Lock(M);
+    std::lock_guard<AdaptiveMutex> Lock(M);
     return ClosedCount;
   }
   uint64_t totalFlushes() const {
-    std::lock_guard<std::mutex> Lock(M);
+    std::lock_guard<AdaptiveMutex> Lock(M);
     return FlushCount;
   }
 
@@ -196,7 +200,9 @@ private:
 
   MemoryFileSystem &FS;
   size_t BufferSize;
-  mutable std::mutex M;
+  /// Held briefly, by the mutator and the finalization executor in
+  /// turn: a waiter spins before it sleeps.
+  mutable AdaptiveMutex M;
   /// Deque, not vector: a concurrent open must not move the PortState
   /// another thread holds a reference to inside a member function.
   std::deque<PortState> Ports;

@@ -63,86 +63,96 @@ bool FinalizationExecutor::submit(QueueId QId, intptr_t Payload,
 size_t FinalizationExecutor::runPassLocked(
     std::unique_lock<std::mutex> &Lock,
     std::chrono::steady_clock::time_point Now) {
+  using Clock = std::chrono::steady_clock;
+  const auto Nanos = [](Clock::duration D) {
+    return static_cast<uint64_t>(
+        std::chrono::duration_cast<std::chrono::nanoseconds>(D).count());
+  };
   size_t Ran = 0;
   for (size_t QI = 0; QI != Queues.size(); ++QI) {
-    for (size_t B = 0; B != Cfg.BatchSize; ++B) {
-      Queue &Q = Queues[QI]; // Re-index: registerQueue may grow the vector
-                             // while the lock is dropped below.
-      if (Q.Pending.empty())
-        break;
-      PendingTicket P = Q.Pending.front();
-      // A head still backing off blocks its whole queue: running a
-      // younger ticket first would break per-queue FIFO. Draining
-      // ignores the delay (but not the retry cap).
-      if (!Draining && P.NotBefore > Now)
-        break;
+    // Claim: move up to BatchSize ready tickets off the queue head under
+    // this one acquisition. A head still backing off blocks its whole
+    // queue: running a younger ticket first would break per-queue FIFO.
+    // Draining ignores the delay (but not the retry cap).
+    Queue &Q = Queues[QI];
+    Claimed.clear();
+    while (Claimed.size() != Cfg.BatchSize && !Q.Pending.empty() &&
+           (Draining || Q.Pending.front().NotBefore <= Now)) {
+      Claimed.push_back(Q.Pending.front());
       Q.Pending.pop_front();
+    }
+    if (Claimed.empty())
+      continue;
 
-      // Copy the action out: registerQueue may reallocate Queues while
-      // the lock is dropped around the call.
-      Action Act = Q.Act;
-      bool Ok = false;
-      Lock.unlock();
-      const auto Start = std::chrono::steady_clock::now();
+    // Run with the lock released. The action is copied out because
+    // registerQueue may reallocate Queues meanwhile. Marks[I] is ticket
+    // I's start and Marks[I + 1] its end: one clock read per boundary.
+    // A failed action stops the batch.
+    Action Act = Q.Act;
+    Lock.unlock();
+    Marks.clear();
+    Marks.push_back(Clock::now());
+    bool Ok = true;
+    while (Ok && Marks.size() <= Claimed.size()) {
       try {
-        Ok = Act(P.Ticket);
+        Ok = Act(Claimed[Marks.size() - 1].Ticket);
       } catch (...) {
         Ok = false;
       }
-      const auto End = std::chrono::steady_clock::now();
-      Lock.lock();
-      ++Ran;
+      Marks.push_back(Clock::now());
+    }
+    Lock.lock();
 
-      const auto ToNanos = [this](std::chrono::steady_clock::time_point T) {
-        return static_cast<uint64_t>(
-            std::chrono::duration_cast<std::chrono::nanoseconds>(T - Epoch)
-                .count());
-      };
-      S.WaitNanos.record(static_cast<uint64_t>(
-          std::chrono::duration_cast<std::chrono::nanoseconds>(
-              Start - P.SubmitTime)
-              .count()));
-      S.RunNanos.record(static_cast<uint64_t>(
-          std::chrono::duration_cast<std::chrono::nanoseconds>(End - Start)
-              .count()));
+    // Retire: record every ticket that ran, then put the unrun ones back
+    // at the queue head in their order, and the failed one ahead of them
+    // unless it is quarantined. Both still count as pending, as they did
+    // while claimed.
+    const size_t Attempted = Marks.size() - 1;
+    const size_t Succeeded = Ok ? Attempted : Attempted - 1;
+    Ran += Attempted;
+    for (size_t I = 0; I != Attempted; ++I) {
+      const PendingTicket &P = Claimed[I];
+      S.WaitNanos.record(Nanos(Marks[I] - P.SubmitTime));
+      S.RunNanos.record(Nanos(Marks[I + 1] - Marks[I]));
       if (Cfg.Tracing) {
         FinalizeSpan Sp;
         Sp.TraceId = P.Ticket.TraceId;
         Sp.SpanId = P.Ticket.SpanId;
         Sp.Queue = static_cast<uint32_t>(QI);
         Sp.Attempt = P.Attempts + 1;
-        Sp.SubmitNanos = ToNanos(P.SubmitTime);
-        Sp.StartNanos = ToNanos(Start);
-        Sp.EndNanos = ToNanos(End);
-        Sp.Ok = Ok;
+        Sp.SubmitNanos = Nanos(P.SubmitTime - Epoch);
+        Sp.StartNanos = Nanos(Marks[I] - Epoch);
+        Sp.EndNanos = Nanos(Marks[I + 1] - Epoch);
+        Sp.Ok = I < Succeeded;
         Spans.push_back(Sp);
       }
-
-      if (Ok) {
-        ++S.Executed;
+    }
+    S.Executed += Succeeded;
+    PendingCount -= Succeeded;
+    if (!Ok) {
+      std::deque<PendingTicket> &Head = Queues[QI].Pending;
+      for (size_t I = Claimed.size(); I != Attempted; --I)
+        Head.push_front(Claimed[I - 1]);
+      PendingTicket &P = Claimed[Succeeded];
+      ++S.Failed;
+      ++P.Attempts;
+      if (P.Attempts >= Cfg.MaxRetries) {
+        Quarantine.push_back(
+            QuarantinedTicket{static_cast<QueueId>(QI), P.Ticket, P.Attempts});
+        ++S.Quarantined;
         --PendingCount;
       } else {
-        ++S.Failed;
-        ++P.Attempts;
-        if (P.Attempts >= Cfg.MaxRetries) {
-          Quarantine.push_back(QuarantinedTicket{
-              static_cast<QueueId>(QI), P.Ticket, P.Attempts});
-          ++S.Quarantined;
-          --PendingCount;
-        } else {
-          // Exponential backoff, waiting at the queue head.
-          P.NotBefore =
-              Now + Cfg.BaseBackoff * (uint64_t{1} << (P.Attempts - 1));
-          Queues[QI].Pending.push_front(P);
-          ++S.Retried;
-          break; // Head is backing off; move to the next queue.
-        }
+        // Exponential backoff, waiting at the queue head.
+        P.NotBefore =
+            Now + Cfg.BaseBackoff * (uint64_t{1} << (P.Attempts - 1));
+        Head.push_front(P);
+        ++S.Retried;
       }
-      if (PendingCount < Cfg.HighWatermark)
-        SpaceAvailable.notify_all();
-      if (PendingCount == 0)
-        Idle.notify_all();
     }
+    if (PendingCount < Cfg.HighWatermark)
+      SpaceAvailable.notify_all();
+    if (PendingCount == 0)
+      Idle.notify_all();
   }
   return Ran;
 }
@@ -160,6 +170,17 @@ void FinalizationExecutor::workerMain() {
       Idle.notify_all();
       if (Stopping)
         return;
+      // A shard submits the tickets of one guardian drain one at a time,
+      // microseconds apart, and the worker runs dry between them. A
+      // sleep there costs a wake-up per gap: 15-20 us on a virtual
+      // machine, and up to milliseconds when its host is busy. So the
+      // worker watches the pending count, unlocked, for IdleSpin first.
+      Lock.unlock();
+      const auto Until = std::chrono::steady_clock::now() + IdleSpin;
+      while (PendingCount.load(std::memory_order_relaxed) == 0 &&
+             std::chrono::steady_clock::now() < Until) {
+      }
+      Lock.lock();
       WorkAvailable.wait(Lock,
                          [this] { return PendingCount != 0 || Stopping; });
       continue;

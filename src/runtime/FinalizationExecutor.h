@@ -19,12 +19,14 @@
 /// Guarantees:
 ///  - per-queue FIFO: tickets of one queue run in submission order,
 ///    matching the guardian tconc order they were drained in;
-///  - bounded batches: the worker round-robins queues, running at most
+///  - bounded batches: the worker round-robins queues, claiming at most
 ///    Config::BatchSize tickets per queue per turn, so one noisy queue
-///    cannot starve the rest;
-///  - retry with backoff: a failing action (returns false or throws) is
-///    retried at the queue head after BaseBackoff * 2^attempt, queue
-///    FIFO preserved while it waits;
+///    cannot starve the rest; a batch costs one lock acquisition to
+///    claim and one to retire, whatever its size;
+///  - retry with backoff: a failing action (returns false or throws)
+///    stops its batch and is retried at the queue head, ahead of the
+///    batch's unrun tickets, after BaseBackoff * 2^attempt, queue FIFO
+///    preserved while it waits;
 ///  - quarantine, never silent drop: after MaxRetries failures the
 ///    ticket moves to a queryable quarantine list;
 ///  - backpressure: submit() blocks while the total pending count is at
@@ -43,6 +45,7 @@
 #ifndef GENGC_RUNTIME_FINALIZATIONEXECUTOR_H
 #define GENGC_RUNTIME_FINALIZATIONEXECUTOR_H
 
+#include <atomic>
 #include <chrono>
 #include <condition_variable>
 #include <cstdint>
@@ -171,9 +174,13 @@ private:
     uint64_t NextSeq = 0;
   };
 
+  /// How long the worker watches for a new ticket before it sleeps.
+  static constexpr std::chrono::microseconds IdleSpin{20};
+
   void workerMain();
-  /// Runs one round-robin pass; returns tickets executed. Called with
-  /// the lock held; drops it around each action.
+  /// Runs one round-robin pass; returns tickets attempted. Called with
+  /// the lock held. Per queue it holds the lock once to claim a batch
+  /// and once to retire it, and drops it while the batch runs.
   size_t runPassLocked(std::unique_lock<std::mutex> &Lock,
                        std::chrono::steady_clock::time_point Now);
 
@@ -188,7 +195,14 @@ private:
   std::vector<QuarantinedTicket> Quarantine;
   std::vector<FinalizeSpan> Spans; ///< Config::Tracing only.
   Stats S;
-  size_t PendingCount = 0;
+  /// Tickets claimed and not yet retired, and the clock reads at their
+  /// boundaries. Worker thread only; reused across batches.
+  std::vector<PendingTicket> Claimed;
+  std::vector<std::chrono::steady_clock::time_point> Marks;
+  /// Queued plus claimed tickets: a claimed ticket stays pending until
+  /// the worker retires it. Written under M; the idle worker also reads
+  /// it unlocked while it spins.
+  std::atomic<size_t> PendingCount{0};
   bool Stopping = false;
   bool Draining = false;
   std::thread Worker;

@@ -34,6 +34,23 @@ private:
   TransportGuardian TG;
 };
 
+/// Records one causal-trace event in \p H's ring. The clock is read
+/// only when tracing is on: sends, receives and ticket submissions call
+/// this once each.
+static void traceEvent(Heap &H, GcEventType Type, uint64_t TraceId,
+                       uint64_t SpanId, uint16_t Detail) {
+  GcTelemetry &Tel = H.telemetry();
+  if (!Tel.TraceEnabled)
+    return;
+  GcEvent E;
+  E.Type = Type;
+  E.TimeNanos = Tel.now();
+  E.A = TraceId;
+  E.B = SpanId;
+  E.Detail = Detail;
+  Tel.emit(E);
+}
+
 //===----------------------------------------------------------------------===//
 // Shard
 //===----------------------------------------------------------------------===//
@@ -100,16 +117,8 @@ bool Shard::sendValue(Shard &To, Value V, TransferPolicy Policy) {
   // we are handling (message-triggered sends chain) or starts here.
   Msg.SpanId = newSpanId();
   Msg.TraceId = CurrentTraceId ? CurrentTraceId : Msg.SpanId;
-  {
-    GcTelemetry &Tel = HeapPtr->telemetry();
-    GcEvent E;
-    E.Type = GcEventType::MessageSend;
-    E.TimeNanos = Tel.now();
-    E.A = Msg.TraceId;
-    E.B = Msg.SpanId;
-    E.Detail = static_cast<uint16_t>(To.id());
-    Tel.emit(E);
-  }
+  traceEvent(*HeapPtr, GcEventType::MessageSend, Msg.TraceId, Msg.SpanId,
+             static_cast<uint16_t>(To.id()));
   return To.Inbox.trySend(std::move(Msg));
 }
 
@@ -118,17 +127,9 @@ void Shard::deliverMessage(PinnedMessage &Msg) {
   Rep.MessagesDecodedNodes += Msg.nodeCount();
   if (Msg.Donated)
     ++Rep.MessagesAdopted;
-  {
-    GcTelemetry &Tel = HeapPtr->telemetry();
-    GcEvent E;
-    E.Type = GcEventType::MessageReceive;
-    E.TimeNanos = Tel.now();
-    E.A = Msg.TraceId;
-    E.B = Msg.SpanId;
-    // The sending shard is recoverable from the span id's high word.
-    E.Detail = static_cast<uint16_t>((Msg.SpanId >> 32) - 1);
-    Tel.emit(E);
-  }
+  // The sending shard is recoverable from the span id's high word.
+  traceEvent(*HeapPtr, GcEventType::MessageReceive, Msg.TraceId, Msg.SpanId,
+             static_cast<uint16_t>((Msg.SpanId >> 32) - 1));
   {
     Root RV(*HeapPtr, receiveTransfer(*HeapPtr, Msg));
     // The handler runs inside the sender's trace: sends and ticket
@@ -147,16 +148,8 @@ bool Shard::submitTicket(FinalizationExecutor::QueueId Queue,
                "submitTicket must run on the shard thread");
   const uint64_t SpanId = newSpanId();
   const uint64_t TraceId = CurrentTraceId ? CurrentTraceId : SpanId;
-  {
-    GcTelemetry &Tel = HeapPtr->telemetry();
-    GcEvent E;
-    E.Type = GcEventType::TicketSubmit;
-    E.TimeNanos = Tel.now();
-    E.A = TraceId;
-    E.B = SpanId;
-    E.Detail = static_cast<uint16_t>(Queue);
-    Tel.emit(E);
-  }
+  traceEvent(*HeapPtr, GcEventType::TicketSubmit, TraceId, SpanId,
+             static_cast<uint16_t>(Queue));
   return Exec.submit(Queue, Payload, Aux, TraceId, SpanId);
 }
 

@@ -246,6 +246,43 @@ TEST(ScopedGenerationTest, FullGcWhileScopesOpen) {
   H.verifyHeap();
 }
 
+// A collection with a scope open delivers a Section 5 agent that stays
+// in the scope. The second delivery to a tconc fills a fresh tail cell,
+// allocated in the target generation outside the scope, so that cell's
+// car is an outside pointer into the scope: the scope's escape set must
+// hold it, or the close reclaims the agent under the guardian's queue.
+TEST(ScopedGenerationTest, FreshTconcCellKeepsInScopeAgentAlive) {
+  Heap H(testConfig());
+  Guardian G(H);
+  Root First(H, H.cons(Value::fixnum(1), Value::nil()));
+  Root Second(H, H.cons(Value::fixnum(2), Value::nil()));
+  ASSERT_EQ(H.generationOf(Second.get()), 0u);
+  H.openScope();
+  {
+    Root Agent(H, H.cons(Value::fixnum(42), Value::fixnum(43)));
+    ASSERT_EQ(H.scopeDepthOf(Agent.get()), 1u);
+    G.protect(First.get()); // Fills the tconc's pre-existing tail cell.
+    G.protectWithAgent(Second.get(), Agent.get());
+  }
+  First = Value::nil();
+  Second = Value::nil();
+  H.verifyHeap();
+  H.collect(0);
+  H.verifyHeap();
+  H.closeScope();
+  H.verifyHeap();
+  Root X(H, G.retrieve());
+  ASSERT_TRUE(X.get().isPair());
+  EXPECT_EQ(pairCar(X.get()).asFixnum(), 1);
+  Root Y(H, G.retrieve());
+  ASSERT_TRUE(Y.get().isPair()) << "the in-scope agent was not delivered";
+  EXPECT_EQ(H.scopeDepthOf(Y.get()), 0u) << "the agent graduates at close";
+  EXPECT_EQ(pairCar(Y.get()).asFixnum(), 42);
+  EXPECT_EQ(pairCdr(Y.get()).asFixnum(), 43);
+  EXPECT_TRUE(G.retrieve().isFalse());
+  H.verifyHeap();
+}
+
 // The same request-churn shape under the stress schedule: a full
 // poisoning collection at every safepoint while scopes open, allocate,
 // escape, and close. Any scope segment wrongly treated as from-space,

@@ -10,6 +10,10 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <string>
+#include <thread>
+
 using namespace gengc;
 
 namespace {
@@ -57,6 +61,39 @@ TEST(PortTableTest, CloseIsIdempotent) {
   Ports.close(Out);
   Ports.close(Out);
   EXPECT_EQ(Ports.totalClosed(), 1u);
+}
+
+// The shard runtime's shape: the mutator opens and writes ports while
+// the finalization executor flushes and closes earlier ones on its own
+// thread. Every byte lands in its file and every port closes once.
+TEST(PortTableTest, WriterAndCloserOnTwoThreads) {
+  constexpr intptr_t N = 2000;
+  MemoryFileSystem FS;
+  PortTable Ports(FS, /*BufferSize=*/8);
+  std::atomic<intptr_t> Published{0};
+  std::thread Closer([&] {
+    for (intptr_t Id = 0; Id != N; ++Id) {
+      while (Published.load(std::memory_order_acquire) <= Id)
+        std::this_thread::yield();
+      if (Ports.isOpen(Id)) {
+        Ports.flush(Id);
+        Ports.close(Id);
+      }
+    }
+  });
+  for (intptr_t I = 0; I != N; ++I) {
+    const intptr_t Id = Ports.openOutput("f" + std::to_string(I));
+    EXPECT_EQ(Id, I);
+    for (char C = 'a'; C != 'a' + 16; ++C)
+      Ports.writeChar(Id, C);
+    Published.store(I + 1, std::memory_order_release);
+  }
+  Closer.join();
+  EXPECT_EQ(Ports.totalOpened(), static_cast<uint64_t>(N));
+  EXPECT_EQ(Ports.totalClosed(), static_cast<uint64_t>(N));
+  EXPECT_EQ(Ports.openPortCount(), 0u);
+  for (intptr_t I = 0; I != N; ++I)
+    EXPECT_EQ(FS.sizeOf("f" + std::to_string(I)), 16u);
 }
 
 // The paper's scenario: "a port may not be closed explicitly by a user

@@ -20,6 +20,7 @@
 #include <atomic>
 #include <mutex>
 #include <set>
+#include <thread>
 #include <vector>
 
 using namespace gengc::runtime;
@@ -327,6 +328,96 @@ TEST(ExecutorTest, TracingDisabledKeepsNoSpans) {
   EXPECT_TRUE(Exec.finalizeSpans().empty());
   EXPECT_EQ(Exec.stats().Executed, 50u); // latency stats still recorded
   EXPECT_EQ(Exec.stats().WaitNanos.count(), 50u);
+}
+
+TEST(ExecutorTest, FailureMidBatchKeepsQueueFifo) {
+  // Ticket 5 fails once, the 5th of a 16-ticket batch. The batch stops
+  // there: 6..16 go back behind 5, ahead of 17..20 (submitted while the
+  // batch ran), and wait out 5's backoff.
+  FinalizationExecutor::Config C = fastConfig();
+  C.BatchSize = 16;
+  Recorder Rec;
+  std::atomic<intptr_t> Running{-1};
+  std::atomic<intptr_t> Released{-1};
+  std::atomic<bool> Failed{false};
+  FinalizationExecutor Exec(C);
+  auto Q = Exec.registerQueue("mid", [&](const FinalizationTicket &T) {
+    Running = T.Payload;
+    while (T.Payload <= 1 && Released.load() < T.Payload)
+      std::this_thread::yield();
+    if (T.Payload == 5 && !Failed.exchange(true))
+      return false;
+    return Rec.record(T.Payload);
+  });
+  // Ticket 0 holds the worker while 1..16 queue up, so the next claim
+  // takes exactly those sixteen; ticket 1 holds it while 17..20 queue.
+  ASSERT_TRUE(Exec.submit(Q, 0));
+  while (Running.load() != 0)
+    std::this_thread::yield();
+  for (intptr_t I = 1; I <= 16; ++I)
+    ASSERT_TRUE(Exec.submit(Q, I));
+  Released = 0;
+  while (Running.load() != 1)
+    std::this_thread::yield();
+  for (intptr_t I = 17; I <= 20; ++I)
+    ASSERT_TRUE(Exec.submit(Q, I));
+  Released = 1;
+  Exec.waitIdle();
+  std::vector<intptr_t> Got = Rec.order();
+  ASSERT_EQ(Got.size(), 21u);
+  for (intptr_t I = 0; I <= 20; ++I)
+    EXPECT_EQ(Got[static_cast<size_t>(I)], I) << "FIFO broken at " << I;
+  auto S = Exec.stats();
+  EXPECT_EQ(S.Failed, 1u);
+  EXPECT_EQ(S.Retried, 1u);
+  EXPECT_EQ(S.Executed, 21u);
+  EXPECT_EQ(S.WaitNanos.count(), 22u) << "one sample per attempt";
+  EXPECT_TRUE(Exec.quarantined().empty());
+  Exec.drainAndStop();
+}
+
+TEST(ExecutorTest, WaitIdleWaitsForClaimedTickets) {
+  // A claimed ticket has left its queue but not finished: it is still
+  // pending, so waitIdle must not return while it runs.
+  std::atomic<bool> Started{false};
+  std::atomic<bool> Finished{false};
+  FinalizationExecutor Exec(fastConfig());
+  auto Q = Exec.registerQueue("slow", [&](const FinalizationTicket &) {
+    Started = true;
+    std::this_thread::sleep_for(std::chrono::milliseconds(50));
+    Finished = true;
+    return true;
+  });
+  ASSERT_TRUE(Exec.submit(Q, 1));
+  while (!Started.load())
+    std::this_thread::yield();
+  EXPECT_EQ(Exec.pending(), 1u) << "a running ticket counts as pending";
+  Exec.waitIdle();
+  EXPECT_TRUE(Finished.load()) << "waitIdle returned mid-action";
+  EXPECT_EQ(Exec.pending(), 0u);
+  Exec.drainAndStop();
+}
+
+TEST(ExecutorTest, ActionMaySubmitToAnotherQueue) {
+  // Actions run with the executor's lock released: an action may feed
+  // another queue (below the watermark) without deadlocking.
+  Recorder Rec;
+  FinalizationExecutor Exec(fastConfig());
+  auto Second = Exec.registerQueue("second", [&](const FinalizationTicket &T) {
+    return Rec.record(T.Payload);
+  });
+  auto First = Exec.registerQueue("first", [&](const FinalizationTicket &T) {
+    return Exec.submit(Second, 100 + T.Payload);
+  });
+  for (intptr_t I = 0; I != 40; ++I)
+    ASSERT_TRUE(Exec.submit(First, I));
+  Exec.waitIdle();
+  std::vector<intptr_t> Got = Rec.order();
+  ASSERT_EQ(Got.size(), 40u);
+  for (intptr_t I = 0; I != 40; ++I)
+    EXPECT_EQ(Got[static_cast<size_t>(I)], 100 + I);
+  EXPECT_EQ(Exec.stats().Executed, 80u);
+  Exec.drainAndStop();
 }
 
 } // namespace
