@@ -5,15 +5,14 @@
 //
 // T1 -- zero-copy inter-shard transfer: the deep-copy transport encodes
 // and decodes every node of the payload (two full traversals plus two
-// full copies), donateGraph evacuates once and the receiver adopts by
-// retagging (one copy), and a payload built inside a donation scope is
-// donated wholesale at close — zero copies, O(segments) on both sides.
+// full copies), while copy-out donation (donateGraph) copies once and
+// the receiver adopts by retagging segments, copying nothing.
 //
 // Series: the transfer operation (send + receive) of an N-byte pair
 // list, manually timed so payload construction and receiver reclamation
 // stay out of the measurement, N swept from one segment (4 KiB) to
-// 1 MiB, once per transfer mechanism. The headline claim (DESIGN.md
-// §13) is wholesale donation >= 10x deep copy at 64 KiB and above.
+// 1 MiB, once per transfer mechanism. The headline (DESIGN.md §13) is
+// copy-out donation against deep copy at each size.
 //
 //===----------------------------------------------------------------------===//
 
@@ -133,46 +132,6 @@ void BM_CrossShardSendDonate(benchmark::State &State) {
       benchmark::Counter(static_cast<double>(ZeroCopyBytes));
 }
 BENCHMARK(BM_CrossShardSendDonate)
-    ->RangeMultiplier(4)
-    ->Range(4096, 1 << 20)
-    ->UseManualTime()
-    ->Unit(benchmark::kMicrosecond);
-
-// The zero-copy fast path: the payload is built inside a donation scope
-// (its nursery segments are exchange-arena segments pre-tagged for
-// donation), so the send is the wholesale scope close — a
-// self-containment scan plus O(segments) retagging, no copying at all
-// on either side. Payload construction runs untimed: the application
-// builds its reply either way; the mechanisms differ only in what the
-// send itself costs.
-void BM_CrossShardSendWholesale(benchmark::State &State) {
-  TransferPair P(/*DonationThreshold=*/1);
-  uint64_t DonatedSegments = 0, ZeroCopyBytes = 0;
-  int SinceDrain = 0;
-  for (auto _ : State) {
-    P.Sender.openDonationScope();
-    const Value L = P.buildPayload(State.range(0));
-    const auto T0 = BenchClock::now();
-    DonatedGraph G = P.Sender.tryCloseScopeDonating(L);
-    GENGC_ASSERT(G.Domain, "self-contained scope must donate wholesale");
-    PinnedMessage Msg;
-    Msg.Donated = std::make_unique<DonatedGraph>(std::move(G));
-    DonatedSegments += Msg.Donated->segmentCount();
-    ZeroCopyBytes += Msg.Donated->Bytes;
-    benchmark::DoNotOptimize(receiveTransfer(P.Receiver, Msg));
-    timeIteration(State, T0);
-    if (++SinceDrain == 16) {
-      P.drainReceiver();
-      SinceDrain = 0;
-    }
-  }
-  addThroughputCounters(State);
-  State.counters["transfer_donated_segments"] =
-      benchmark::Counter(static_cast<double>(DonatedSegments));
-  State.counters["transfer_bytes_zero_copy"] =
-      benchmark::Counter(static_cast<double>(ZeroCopyBytes));
-}
-BENCHMARK(BM_CrossShardSendWholesale)
     ->RangeMultiplier(4)
     ->Range(4096, 1 << 20)
     ->UseManualTime()

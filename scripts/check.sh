@@ -2,6 +2,7 @@
 # Full local gate: everything CI runs, in one command.
 #
 #   scripts/check.sh            # Release build + tests + rootcheck
+#                               # + the mutant gate (scripts/mutants.sh)
 #   scripts/check.sh --stress   # additionally run the suite with
 #                               # GENGC_STRESS=ON (collect-on-every-
 #                               # allocation + fromspace poisoning)
@@ -74,6 +75,11 @@ run_suite() {
   # collection and at end of trace.
   echo "==> [$name] donation corpus"
   "$dir/tools/gcfuzz/gcfuzz" --seed-corpus --donation on --out "$dir"
+  # With scopes open as well: adoption then interns fixup symbols into
+  # an open scope and records their containers as escapes, a path only
+  # this combination reaches.
+  "$dir/tools/gcfuzz/gcfuzz" --seed-corpus --scoped on --donation on \
+    --out "$dir"
   # Canary: a deliberately leaked scope escape must be caught by the
   # scope-aware oracle — a zero exit means scope closes are unchecked.
   echo "==> [$name] scope-leak canary"
@@ -188,6 +194,11 @@ python3 tools/rootcheck/rootcheck.py --root .
 python3 tools/rootcheck/rootcheck.py --self-test tools/rootcheck/fixtures
 
 run_suite release -DCMAKE_BUILD_TYPE=Release
+
+# Standing mutant gate: each tests/mutants/*.patch must be caught by the
+# check its header names (its own build tree under build-check/).
+echo "==> mutant gate"
+scripts/mutants.sh
 
 if [ "$STRESS" = 1 ]; then
   run_suite stress -DCMAKE_BUILD_TYPE=RelWithDebInfo -DGENGC_STRESS=ON

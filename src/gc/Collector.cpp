@@ -188,8 +188,8 @@ void Collector::setUpSpaces(unsigned G) {
   // covered by the remembered sets, so each sweep starts at the current
   // frontier.
   for (unsigned Sp = 0; Sp != NumSpaces; ++Sp)
-    addToSpace(H.Segments, H.Contexts[Sp][T], static_cast<SpaceKind>(Sp), T,
-               /*ScopeDepth=*/0, /*Flags=*/0);
+    addToSpace(H.Contexts[Sp][T], static_cast<SpaceKind>(Sp), T,
+               /*ScopeDepth=*/0);
 
   // Stale remembered entries of collected generations refer to
   // from-space containers; their survivors are rescanned by the sweep.
@@ -199,16 +199,16 @@ void Collector::setUpSpaces(unsigned G) {
   }
 }
 
-void Collector::addToSpace(Arena &A, SpaceContext &Ctx, SpaceKind Space,
-                           unsigned Gen, unsigned ScopeDepth, uint8_t Flags) {
+void Collector::addToSpace(SpaceContext &Ctx, SpaceKind Space, unsigned Gen,
+                           unsigned ScopeDepth) {
   SweepCursor Frontier{0, 0};
   if (!Ctx.runs().empty()) {
     const size_t Last = Ctx.runs().size() - 1;
-    Frontier = SweepCursor{Last, Ctx.usedWordsOf(A, Last)};
+    Frontier = SweepCursor{Last, Ctx.usedWordsOf(H.Segments, Last)};
   }
   ToSpaces[static_cast<unsigned>(Space)] =
-      ToSpace{&A, &Ctx, Space, static_cast<uint8_t>(Gen),
-              static_cast<uint8_t>(ScopeDepth), Flags, Frontier, Frontier};
+      ToSpace{&Ctx, Space, static_cast<uint8_t>(Gen),
+              static_cast<uint8_t>(ScopeDepth), Frontier, Frontier};
 }
 
 void Collector::markFromSpace(Arena &A, const std::vector<SegmentRun> &Runs) {
@@ -225,10 +225,10 @@ void Collector::markFromSpace(Arena &A, const std::vector<SegmentRun> &Runs) {
 
 void Collector::freeFromSpace() {
   releaseRuns(H.Segments, H.FromSpaceRuns);
-  // Evacuated exchange-arena runs (adopted donations taken by
-  // setUpSpaces, or a closing donation scope's segments) go back to
-  // the process-wide pool; Arena::freeRuns is internally locked, so this
-  // is safe against other shards allocating donation segments.
+  // Evacuated exchange-arena runs (adopted donations taken by a full
+  // collection's setUpSpaces) go back to the process-wide pool;
+  // Arena::freeRuns is internally locked, so this is safe against other
+  // shards allocating donation segments.
   releaseRuns(*H.Exchange, H.FromExchangeRuns);
 }
 
@@ -264,7 +264,8 @@ inline uintptr_t *Collector::allocateCopy(const SegmentInfo &Info,
   // scope close graduates survivors within generation 0: never a
   // promotion.
   Promoted = T > Info.Generation ? 1 : 0;
-  return ToSpaces[static_cast<unsigned>(Info.Space)].allocate(Words);
+  return ToSpaces[static_cast<unsigned>(Info.Space)].allocate(H.Segments,
+                                                              Words);
 }
 
 Value Collector::forwardFromSpace(Value V, const SegmentInfo *Info) {
@@ -428,7 +429,7 @@ void Collector::kleeneSweep() {
   // dispatch per object.
   auto Sweep = [this](SpaceKind Space) {
     ToSpace &To = ToSpaces[static_cast<unsigned>(Space)];
-    return sweepRange(*To.A, *To.Ctx, To.Scan, Space);
+    return sweepRange(*To.Ctx, To.Scan, Space);
   };
   bool Progress = true;
   while (Progress) {
@@ -438,9 +439,9 @@ void Collector::kleeneSweep() {
   }
 }
 
-inline bool Collector::nextSpan(const Arena &A, const SpaceContext &Ctx,
-                                SweepCursor &Cur, uintptr_t *&P,
-                                uintptr_t *&End) {
+inline bool Collector::nextSpan(const SpaceContext &Ctx, SweepCursor &Cur,
+                                uintptr_t *&P, uintptr_t *&End) {
+  const Arena &A = H.Segments;
   while (true) {
     const std::vector<SegmentRun> &Runs = Ctx.runs();
     if (Cur.RunIndex >= Runs.size())
@@ -468,10 +469,10 @@ inline bool Collector::nextSpan(const Arena &A, const SpaceContext &Ctx,
   }
 }
 
-bool Collector::sweepRange(const Arena &A, const SpaceContext &Ctx,
-                           SweepCursor &Cur, SpaceKind Space) {
+bool Collector::sweepRange(const SpaceContext &Ctx, SweepCursor &Cur,
+                           SpaceKind Space) {
   bool Progress = false;
-  for (uintptr_t *P, *End; nextSpan(A, Ctx, Cur, P, End); Progress = true)
+  for (uintptr_t *P, *End; nextSpan(Ctx, Cur, P, End); Progress = true)
     sweepSpan(P, End, Space);
   return Progress;
 }
@@ -698,7 +699,8 @@ void Collector::deliverToTconcs(bool &FaultDroppedOne) {
 }
 
 uintptr_t *Collector::allocateTconcCell() {
-  return ToSpaces[static_cast<unsigned>(SpaceKind::Pair)].allocate(2);
+  return ToSpaces[static_cast<unsigned>(SpaceKind::Pair)].allocate(H.Segments,
+                                                                   2);
 }
 
 Heap::TconcBatch &Collector::batchFor(Value Tconc) {
@@ -760,8 +762,8 @@ void Collector::processFinalizeLists(unsigned G) {
     const unsigned Index = Obj.isHeapPointer()
                                ? H.segInfo(Obj.heapAddress()).Generation
                                : H.oldestGeneration();
-    // No entry names an in-flight donation: tryCloseScopeDonating
-    // refuses a scope any entry reaches into.
+    // A kept entry's object was forwarded into private or adopted
+    // space, so its generation is never the in-flight sentinel.
     GENGC_ASSERT(Index <= H.oldestGeneration(),
                  "finalize entry names an in-flight donation");
     H.FinalizeLists[Index].push_back(E);
@@ -776,7 +778,7 @@ void Collector::weakPairPass(unsigned G) {
   // (a) Weak pairs copied during this evacuation, in the to-space
   // weak-pair context: their cars may still point into the from-space.
   const ToSpace &To = ToSpaces[static_cast<unsigned>(SpaceKind::WeakPair)];
-  fixWeakCars(*To.A, *To.Ctx, To.Start);
+  fixWeakCars(*To.Ctx, To.Start);
 
   // (b) Weak pairs outside the from-space whose car may point into it.
   if (ClosingScope) {
@@ -808,17 +810,15 @@ void Collector::weakPairPass(unsigned G) {
     scopeWeakContextPass();
 }
 
-void Collector::fixWeakCars(const Arena &A, const SpaceContext &Ctx,
-                            SweepCursor Cur) {
-  for (uintptr_t *P, *End; nextSpan(A, Ctx, Cur, P, End);)
+void Collector::fixWeakCars(const SpaceContext &Ctx, SweepCursor Cur) {
+  for (uintptr_t *P, *End; nextSpan(Ctx, Cur, P, End);)
     for (; P < End; P += 2)
       fixWeakCar(Value::pair(reinterpret_cast<PairCell *>(P)));
 }
 
 void Collector::scopeWeakContextPass() {
   for (auto &SG : H.ScopeStack)
-    fixWeakCars(*SG->ScopeArena,
-                SG->Contexts[static_cast<unsigned>(SpaceKind::WeakPair)],
+    fixWeakCars(SG->Contexts[static_cast<unsigned>(SpaceKind::WeakPair)],
                 SweepCursor{0, 0});
 }
 
@@ -834,7 +834,7 @@ void Collector::scanOpenScopes() {
          {SpaceKind::Pair, SpaceKind::Typed, SpaceKind::WeakPair}) {
       const unsigned Sp = static_cast<unsigned>(Space);
       SweepCursor Cur{0, 0};
-      sweepRange(*SG->ScopeArena, SG->Contexts[Sp], Cur, Space);
+      sweepRange(SG->Contexts[Sp], Cur, Space);
     }
   }
 }

@@ -84,21 +84,20 @@ private:
   };
 
   /// The context every copy of one space lands in: where it allocates
-  /// from, the tags its new runs get, and the two positions the
-  /// evacuation walks from.
+  /// from (always in the private arena), the tags its new runs get, and
+  /// the two positions the evacuation walks from.
   struct ToSpace {
-    Arena *A;
     SpaceContext *Ctx;
     SpaceKind Space;
-    uint8_t Generation, ScopeDepth, Flags;
+    uint8_t Generation, ScopeDepth;
     /// The frontier when the evacuation began: everything past it was
     /// copied by this evacuation (the weak pass starts here).
     SweepCursor Start;
     /// The Cheney scan pointer.
     SweepCursor Scan;
 
-    uintptr_t *allocate(size_t Words) {
-      return Ctx->allocate(*A, Space, Generation, Words, ScopeDepth, Flags);
+    uintptr_t *allocate(Arena &A, size_t Words) {
+      return Ctx->allocate(A, Space, Generation, Words, ScopeDepth);
     }
   };
 
@@ -113,8 +112,8 @@ private:
   template <typename Fn> void phase(GcPhase P, Fn Body);
   /// Sets \p Space's to-space entry to \p Ctx, with its sweep at the
   /// context's current frontier.
-  void addToSpace(Arena &A, SpaceContext &Ctx, SpaceKind Space,
-                  unsigned Gen, unsigned ScopeDepth, uint8_t Flags);
+  void addToSpace(SpaceContext &Ctx, SpaceKind Space, unsigned Gen,
+                  unsigned ScopeDepth);
   /// Dickey-style finalization thunks queued by the evacuation, run with
   /// allocation disabled once its statistics are published.
   void runFinalizerThunks();
@@ -214,12 +213,11 @@ private:
   /// past it; false once \p Cur has caught up with the allocation
   /// frontier. The frontier is re-read at each call, so whatever the
   /// caller allocates into \p Ctx while visiting a span is visited too.
-  bool nextSpan(const Arena &A, const SpaceContext &Ctx, SweepCursor &Cur,
-                uintptr_t *&P, uintptr_t *&End);
+  bool nextSpan(const SpaceContext &Ctx, SweepCursor &Cur, uintptr_t *&P,
+                uintptr_t *&End);
   /// Cheney-sweeps \p Ctx from \p Cur to its frontier: the to-space
   /// sweep, and the open-scope root scan from {0, 0}.
-  bool sweepRange(const Arena &A, const SpaceContext &Ctx, SweepCursor &Cur,
-                  SpaceKind Space);
+  bool sweepRange(const SpaceContext &Ctx, SweepCursor &Cur, SpaceKind Space);
   /// Sweeps the objects in [\p P, \p End) of one run of \p Space, in
   /// address order. \p End must be an object boundary.
   void sweepSpan(uintptr_t *P, uintptr_t *End, SpaceKind Space);
@@ -250,7 +248,7 @@ private:
   void weakPairPass(unsigned G);
   /// fixWeakCar over every weak pair of \p Ctx from \p Cur to its
   /// frontier.
-  void fixWeakCars(const Arena &A, const SpaceContext &Ctx, SweepCursor Cur);
+  void fixWeakCars(const SpaceContext &Ctx, SweepCursor Cur);
   void fixWeakCar(Value WeakPair);
   /// The weak symbol table's collection: visits the symbol lists of the
   /// collected extent (generations 0..G, or the closing scope's list),

@@ -7,11 +7,11 @@
 ///
 /// \file
 /// The heap-level primitives of zero-copy inter-shard transfer
-/// (DESIGN.md §13): copy-out donation (Heap::donateGraph), adoption
-/// (Heap::adoptDonatedGraph) and wholesale donation-scope transfer
-/// (Heap::openDonationScope / Heap::tryCloseScopeDonating). All of it
-/// builds on the segment information table: a donated segment changes
-/// owner by changing its tags, never by moving its bytes.
+/// (DESIGN.md §13): copy-out donation (Heap::donateGraph) and adoption
+/// (Heap::adoptDonatedGraph). Both build on the segment information
+/// table: the sender copies the graph once into donation segments of
+/// the exchange arena, and those segments change owner by changing
+/// their tags, never by moving their bytes.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -238,209 +238,4 @@ Value Heap::adoptDonatedGraph(DonatedGraph &Graph) {
   Graph.Domain = nullptr;
   Graph.Bytes = 0;
   return Root;
-}
-
-//===----------------------------------------------------------------------===//
-// Donation scopes: wholesale transfer without even the one copy.
-//===----------------------------------------------------------------------===//
-
-void Heap::openDonationScope() {
-  checkOwner("openDonationScope");
-  GENGC_ASSERT(!InGc, "openDonationScope during a collection");
-  GENGC_ASSERT(!NoAllocMode, "openDonationScope inside a finalizer thunk");
-  GENGC_ASSERT(NoGcScopeDepth == 0, "openDonationScope inside a NoGcScope");
-  GENGC_ASSERT(ScopeStack.size() < Cfg.MaxScopeDepth,
-               "scope nesting deeper than HeapConfig::MaxScopeDepth");
-  ScopeStack.push_back(std::make_unique<ScopedGeneration>(
-      static_cast<unsigned>(ScopeStack.size()) + 1, Exchange,
-      /*Donation=*/true));
-  ++ScopeTotalsRec.ScopesOpened;
-  if (ScopeStack.size() > ScopeTotalsRec.MaxDepth)
-    ScopeTotalsRec.MaxDepth = ScopeStack.size();
-}
-
-DonatedGraph Heap::tryCloseScopeDonating(Value Root) {
-  checkOwner("tryCloseScopeDonating");
-  GENGC_ASSERT(!InGc, "tryCloseScopeDonating during a collection");
-  GENGC_ASSERT(!NoAllocMode, "tryCloseScopeDonating inside a finalizer");
-  GENGC_ASSERT(NoGcScopeDepth == 0, "tryCloseScopeDonating in NoGcScope");
-  GENGC_ASSERT(!ScopeStack.empty(), "tryCloseScopeDonating with no scope");
-  ScopedGeneration &Scope = *ScopeStack.back();
-  GENGC_ASSERT(Scope.Donation,
-               "tryCloseScopeDonating on a non-donation scope");
-
-  // An empty handle (Domain == nullptr) means "checks failed, scope
-  // still open" — the caller falls back to closeScope() + donateGraph.
-  DonatedGraph G;
-
-  // Cheap vetoes first: anything that escaped, and any guardian
-  // registration with a scope participant, pins the scope to the
-  // ordinary evacuating close.
-  if (!Scope.Escapes.empty() || !Scope.WeakEscapes.empty() ||
-      !Scope.Protected.empty())
-    return G;
-
-  // No root may reach into the scope.
-  const unsigned Depth = Scope.Depth;
-  for (Value *Slot : RootSlots)
-    if (scopeDepthOf(*Slot) == Depth)
-      return G;
-  for (RootVector *Vec : RootVectors)
-    for (Value &V : Vec->slots())
-      if (scopeDepthOf(V) == Depth)
-        return G;
-  bool ExternalReaches = false;
-  for (auto &Entry : ExternalRootScanners)
-    Entry.second([&](Value *Slot) {
-      if (scopeDepthOf(*Slot) == Depth)
-        ExternalReaches = true;
-    });
-  if (ExternalReaches)
-    return G;
-  // register-for-finalization entries referencing scope objects would
-  // need their death observed by the close; wholesale transfer cannot.
-  for (unsigned I = 0; I != Cfg.Generations; ++I)
-    for (const FinalizeEntry &E : FinalizeLists[I])
-      if (scopeDepthOf(Value::fromBits(E.ObjectBits)) == Depth)
-        return G;
-
-  // The root itself must be donatable: in-scope, a symbol, or an
-  // immediate.
-  Arena &EA = *Exchange;
-  bool RootSymbol = false;
-  if (Root.isHeapPointer()) {
-    if (Root.isObject() && objectKind(Root) == ObjectKind::Symbol)
-      RootSymbol = true;
-    else if (Segments.containsAddress(Root.heapAddress()) ||
-             segInfo(Root.heapAddress()).ScopeDepth != Depth)
-      return G; // Root outside the scope: nothing to hand over.
-  }
-
-  // Read-only self-containment scan of the scope's pointer-bearing
-  // spaces, O(scope bytes). Every outbound edge must be an immediate or
-  // a symbol (collected as a fixup and blanked only after all checks
-  // pass). Internal edges stay as-is — that is the zero-copy part.
-  // Data space is pointerless: nothing to scan.
-  struct PendingFixup {
-    uintptr_t *Slot;
-    uintptr_t ContainerBits;
-    bool WeakCar;
-    Value Sym;
-  };
-  std::vector<PendingFixup> Fixups;
-  auto Classify = [&](uintptr_t *Slot, bool WeakCar,
-                      uintptr_t ContainerBits) -> bool {
-    Value V = Value::fromBits(*Slot);
-    if (!V.isHeapPointer())
-      return true;
-    if (V.isObject() &&
-        headerKind(*V.objectHeader()) == ObjectKind::Symbol) {
-      // In-scope or not, symbols transfer by name; an in-scope symbol's
-      // storage rides along as unreferenced words and is reclaimed by
-      // the receiver's first full collection.
-      Fixups.push_back({Slot, ContainerBits, WeakCar, V});
-      return true;
-    }
-    // Internal edges point at this scope's own exchange-arena segments.
-    return !Segments.containsAddress(V.heapAddress()) &&
-           segInfo(V.heapAddress()).ScopeDepth == Depth;
-  };
-  auto ScanSpace = [&](SpaceKind Space) -> bool {
-    const unsigned Sp = static_cast<unsigned>(Space);
-    SpaceContext &Ctx = Scope.Contexts[Sp];
-    Ctx.sealCurrentRun(EA);
-    const std::vector<SegmentRun> &Runs = Ctx.runs();
-    for (size_t R = 0; R != Runs.size(); ++R) {
-      // rootcheck:allow(segment-base) — replays the scope's bump walk.
-      uintptr_t *Base = EA.segmentBase(Runs[R].FirstSegment);
-      const size_t Used = Ctx.usedWordsOf(EA, R);
-      size_t Off = 0;
-      while (Off != Used) {
-        uintptr_t *P = Base + Off;
-        if (Space == SpaceKind::Pair || Space == SpaceKind::WeakPair) {
-          uintptr_t CB =
-              Value::pair(reinterpret_cast<PairCell *>(P)).bits();
-          if (!Classify(&P[0], Space == SpaceKind::WeakPair, CB) ||
-              !Classify(&P[1], /*WeakCar=*/false, CB))
-            return false;
-          Off += 2;
-        } else {
-          const uintptr_t CB = Value::object(P).bits();
-          const size_t Fields = objectPointerFieldCount(*P);
-          for (size_t I = 0; I != Fields; ++I)
-            if (!Classify(P + 1 + I, /*WeakCar=*/false, CB))
-              return false;
-          Off += objectAllocWords(*P);
-        }
-      }
-    }
-    return true;
-  };
-  if (!ScanSpace(SpaceKind::Pair) || !ScanSpace(SpaceKind::WeakPair) ||
-      !ScanSpace(SpaceKind::Typed))
-    return G;
-
-  // All checks passed — commit. Mutation starts here and cannot fail.
-  G.Domain = Exchange;
-  if (Cfg.InjectedFault == GcFaultInjection::LeakDonatedSegment)
-    G.LeakOnDrop = true;
-
-  // The root's name must be captured before the intern-table erase (the
-  // object itself stays readable until the handle leaves this thread).
-  if (RootSymbol) {
-    G.RootIsSymbol = true;
-    G.RootSymbolName = symbolName(Root);
-  } else {
-    G.RootBits = Root.bits();
-  }
-
-  // Symbols interned while the scope was open live in its segments;
-  // their storage leaves this heap with the donation, so the sender's
-  // intern entries must go (semantically the symbols die here and would
-  // be re-interned on demand, exactly as under a weak symbol table).
-  // The scope's symbol list names exactly those entries.
-  for (SymbolEntry *E : Scope.Symbols)
-    SymbolTable.erase(SymbolTable.find(E->first));
-  Scope.Symbols.clear();
-
-  for (const PendingFixup &F : Fixups) {
-    G.Fixups.push_back({F.Slot, F.ContainerBits, F.WeakCar,
-                        symbolName(F.Sym)});
-    *F.Slot = Value::falseV().bits();
-  }
-
-  // Detach the runs and drop the scope tags: in-flight donations carry
-  // (Generation == InFlightGeneration, ScopeDepth 0, FlagDonated).
-  uint64_t Bytes = 0;
-  for (unsigned Sp = 0; Sp != NumSpaces; ++Sp) {
-    Scope.Contexts[Sp].detachRuns(EA, G.Runs[Sp]);
-    for (const SegmentRun &R : G.Runs[Sp]) {
-      for (uint32_t Seg = R.FirstSegment;
-           Seg != R.FirstSegment + R.SegmentCount; ++Seg) {
-        SegmentInfo &Info = EA.infoAt(Seg);
-        Info.ScopeDepth = 0;
-        Info.Generation = InFlightGeneration;
-      }
-      Bytes += static_cast<uint64_t>(R.UsedWords) * sizeof(uintptr_t);
-    }
-  }
-  G.Bytes = Bytes;
-
-  // The wholesale transfer IS this scope's close: zero evacuation, zero
-  // segments freed — they changed owner instead.
-  ScopeStack.pop_back();
-  ScopeCloseStats Out;
-  Out.Depth = Depth;
-  Out.BytesInScope = Bytes;
-  LastScopeClose = Out;
-  ScopeTotalsRec.accumulate(Out);
-
-  ++ScopesDonatedTotal;
-  ++GraphsDonatedTotal;
-  SegmentsDonatedTotal += G.segmentCount();
-  BytesDonatedTotal += Bytes;
-
-  if (CloseScopeHook)
-    CloseScopeHook(*this, LastScopeClose);
-  return G;
 }

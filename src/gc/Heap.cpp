@@ -122,8 +122,7 @@ uintptr_t *Heap::allocateRaw(SpaceKind Space, size_t Words) {
     // safepoint counter, not the byte budget.
     ScopedGeneration &SG = *ScopeStack.back();
     W = SG.Contexts[static_cast<unsigned>(Space)].allocate(
-        *SG.ScopeArena, Space, 0, Words, static_cast<uint8_t>(SG.Depth),
-        SG.Donation ? SegmentInfo::FlagDonated : static_cast<uint8_t>(0));
+        Segments, Space, 0, Words, static_cast<uint8_t>(SG.Depth));
   } else {
     BytesSinceGc += Bytes;
     if (BytesSinceGc >= Cfg.Gen0CollectBytes)
@@ -601,7 +600,7 @@ size_t Heap::liveBytes() const {
       Words += Contexts[S][G].usedWords(Segments);
   for (const auto &SG : ScopeStack)
     for (unsigned S = 0; S != NumSpaces; ++S)
-      Words += SG->Contexts[S].usedWords(*SG->ScopeArena);
+      Words += SG->Contexts[S].usedWords(Segments);
   for (unsigned S = 0; S != NumSpaces; ++S)
     for (const SegmentRun &R : AdoptedRuns[S])
       Words += R.UsedWords;

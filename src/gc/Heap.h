@@ -225,28 +225,11 @@ public:
   /// before the graph becomes reachable.
   Value adoptDonatedGraph(DonatedGraph &Graph);
 
-  /// Opens a donation scope: like openScope(), but the scope's nursery
-  /// segments are allocated in the exchange arena, pre-tagged
-  /// FlagDonated, so a fully self-contained scope can be donated
-  /// wholesale at close — zero copies, O(segments) retagging.
-  void openDonationScope();
-
-  /// Attempts the wholesale close of the innermost scope (which must be
-  /// a donation scope): if nothing escaped, no root or guardian still
-  /// reaches into the scope, and a read-only scan proves the scope
-  /// self-contained (every outbound edge immediate or symbol),
-  /// the scope's segments are sealed and handed over as a DonatedGraph
-  /// rooted at \p Root, and the scope is popped. Returns an empty
-  /// handle (Domain == nullptr) WITHOUT closing the scope when any
-  /// check fails — the caller falls back to closeScope() + donateGraph.
-  DonatedGraph tryCloseScopeDonating(Value Root);
-
   /// Monotonic donation counters (runtime transfer reports).
   uint64_t graphsDonated() const { return GraphsDonatedTotal; }
   uint64_t graphsAdopted() const { return GraphsAdoptedTotal; }
   uint64_t segmentsDonated() const { return SegmentsDonatedTotal; }
   uint64_t bytesDonated() const { return BytesDonatedTotal; }
-  uint64_t scopesDonatedWholesale() const { return ScopesDonatedTotal; }
 
   /// Exchange segments this heap currently holds as adopted tenured
   /// runs (they return to the exchange arena at the next full
@@ -642,7 +625,6 @@ private:
   uint64_t GraphsAdoptedTotal = 0;
   uint64_t SegmentsDonatedTotal = 0;
   uint64_t BytesDonatedTotal = 0;
-  uint64_t ScopesDonatedTotal = 0;
 
   /// Open request scopes, innermost last (gc/ScopedGeneration.h). While
   /// non-empty, allocateRaw redirects into the innermost scope's
@@ -670,7 +652,7 @@ private:
 
   /// From-space of the collection or scope close in progress: the runs
   /// detached from the private arena and those to return to the
-  /// exchange arena (adopted donations, a donation scope's segments).
+  /// exchange arena (adopted donations, taken by a full collection).
   /// Owned here and cleared after every free, like the buffers below,
   /// so a warmed-up collection allocates nothing for its bookkeeping.
   std::vector<SegmentRun> FromSpaceRuns;

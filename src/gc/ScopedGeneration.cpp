@@ -42,8 +42,7 @@ void Heap::openScope() {
   GENGC_ASSERT(ScopeStack.size() < Cfg.MaxScopeDepth,
                "scope nesting deeper than HeapConfig::MaxScopeDepth");
   ScopeStack.push_back(std::make_unique<ScopedGeneration>(
-      static_cast<unsigned>(ScopeStack.size()) + 1, &Segments,
-      /*Donation=*/false));
+      static_cast<unsigned>(ScopeStack.size()) + 1));
   ++ScopeTotalsRec.ScopesOpened;
   if (ScopeStack.size() > ScopeTotalsRec.MaxDepth)
     ScopeTotalsRec.MaxDepth = ScopeStack.size();
@@ -121,31 +120,22 @@ void Collector::runScopeClose(ScopedGeneration &Scope, ScopeCloseStats &Out) {
 }
 
 void Collector::scopeSetUpSpaces(ScopedGeneration &Scope) {
-  // Donation scopes live in the exchange arena; their dead segments are
-  // freed back there (Heap::FromExchangeRuns), never into the private
-  // arena's free list.
-  Arena &A = *Scope.ScopeArena;
-  std::vector<SegmentRun> &Dst =
-      &A != &H.Segments ? H.FromExchangeRuns : H.FromSpaceRuns;
   for (unsigned Sp = 0; Sp != NumSpaces; ++Sp)
-    Scope.Contexts[Sp].detachRuns(A, Dst);
-  markFromSpace(A, Dst);
+    Scope.Contexts[Sp].detachRuns(H.Segments, H.FromSpaceRuns);
+  markFromSpace(H.Segments, H.FromSpaceRuns);
 
-  // The to-space is the enclosing extent: the enclosing scope's contexts
-  // (in the exchange arena, donation-tagged, when that is a donation
-  // scope), or the ordinary generation 0's. Every survivor of a space
-  // lands in its one context.
+  // The to-space is the enclosing extent: the enclosing scope's contexts,
+  // or the ordinary generation 0's. Every survivor of a space lands in
+  // its one context.
   ScopedGeneration *Into =
       Scope.Depth >= 2 ? H.ScopeStack[Scope.Depth - 2].get() : nullptr;
   for (unsigned Sp = 0; Sp != NumSpaces; ++Sp) {
     if (Into)
-      addToSpace(*Into->ScopeArena, Into->Contexts[Sp],
-                 static_cast<SpaceKind>(Sp), /*Gen=*/0, Into->Depth,
-                 Into->Donation ? SegmentInfo::FlagDonated
-                                : static_cast<uint8_t>(0));
+      addToSpace(Into->Contexts[Sp], static_cast<SpaceKind>(Sp), /*Gen=*/0,
+                 Into->Depth);
     else
-      addToSpace(H.Segments, H.Contexts[Sp][0], static_cast<SpaceKind>(Sp),
-                 /*Gen=*/0, /*ScopeDepth=*/0, /*Flags=*/0);
+      addToSpace(H.Contexts[Sp][0], static_cast<SpaceKind>(Sp), /*Gen=*/0,
+                 /*ScopeDepth=*/0);
   }
 }
 

@@ -46,26 +46,15 @@
 namespace gengc {
 
 struct ScopedGeneration {
-  ScopedGeneration(unsigned Depth, Arena *ScopeArena, bool Donation)
-      : Depth(Depth), ScopeArena(ScopeArena), Donation(Donation) {}
+  explicit ScopedGeneration(unsigned Depth) : Depth(Depth) {}
 
   /// 1-based nesting depth; equals the ScopeDepth tag of every segment
   /// this scope allocates.
   unsigned Depth;
 
-  /// The arena this scope's segments come from: the heap's private
-  /// arena for ordinary scopes, the exchange arena for donation scopes
-  /// (Heap::openDonationScope) — whose segments can be handed to
-  /// another shard wholesale at close.
-  Arena *ScopeArena;
-
-  /// Donation scope: segments are pre-tagged SegmentInfo::FlagDonated
-  /// and Heap::tryCloseScopeDonating may close the scope by ownership
-  /// transfer instead of evacuation.
-  bool Donation;
-
   /// Bump-allocation contexts, one per space — the scope's private
-  /// nursery. Segments are tagged (Space, Generation 0, Depth).
+  /// nursery, in the heap's private arena. Segments are tagged (Space,
+  /// Generation 0, Depth).
   SpaceContext Contexts[NumSpaces];
 
   /// Containers outside this scope (depth < Depth, any generation) that
@@ -89,8 +78,8 @@ struct ScopedGeneration {
 
   /// Intern-table entries of the symbols that live in this scope (those
   /// interned while it was innermost, plus graduates of inner scopes).
-  /// Visited at this scope's close and by a wholesale donation, never
-  /// by an ordinary collection, which does not collect scopes.
+  /// Visited at this scope's close, never by an ordinary collection,
+  /// which does not collect scopes.
   std::vector<Heap::SymbolEntry *> Symbols;
 };
 

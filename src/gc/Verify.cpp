@@ -43,7 +43,7 @@ struct Verifier {
       const std::vector<std::unique_ptr<ScopedGeneration>>;
 
   Arena &A;  ///< The heap's private arena.
-  Arena &EA; ///< The exchange arena (shared + adopted/donation segments).
+  Arena &EA; ///< The exchange arena (adopted and in-flight donations).
   const HeapConfig &Cfg;
   ContextsArray Contexts;
   ScopeStackArray &Scopes;
@@ -143,20 +143,19 @@ struct Verifier {
                   "object walk overshot the run's used extent");
   }
 
-  /// Walks every object in a context's runs. \p In is the arena the
-  /// context allocates from — the exchange arena for donation scopes.
+  /// Walks every object in a context's runs. Every context, a scope's
+  /// included, allocates from the private arena.
   template <typename Fn>
-  void walkContext(Arena &In, const SpaceContext &Ctx, SpaceKind Space,
-                   Fn Visit) {
+  void walkContext(const SpaceContext &Ctx, SpaceKind Space, Fn Visit) {
     const std::vector<SegmentRun> &Runs = Ctx.runs();
     for (size_t RI = 0; RI != Runs.size(); ++RI)
-      walkRun(In, Runs[RI], Ctx.usedWordsOf(In, RI), Space, Visit);
+      walkRun(A, Runs[RI], Ctx.usedWordsOf(A, RI), Space, Visit);
   }
 
   template <typename Fn> void walkHeap(Fn Visit) {
     for (unsigned Sp = 0; Sp != NumSpaces; ++Sp) {
       for (unsigned G = 0; G != Cfg.Generations; ++G)
-        walkContext(A, Contexts[Sp][G], static_cast<SpaceKind>(Sp), Visit);
+        walkContext(Contexts[Sp][G], static_cast<SpaceKind>(Sp), Visit);
       // Adopted donation runs are tenured space living in the exchange
       // arena; their runs are sealed, so UsedWords is authoritative.
       for (const SegmentRun &R : Adopted[Sp])
@@ -164,8 +163,7 @@ struct Verifier {
     }
     for (const auto &SG : Scopes)
       for (unsigned Sp = 0; Sp != NumSpaces; ++Sp)
-        walkContext(*SG->ScopeArena, SG->Contexts[Sp],
-                    static_cast<SpaceKind>(Sp), Visit);
+        walkContext(SG->Contexts[Sp], static_cast<SpaceKind>(Sp), Visit);
   }
 
   void checkRunTagging(const Arena &In, const SegmentRun &R, SpaceKind Space,
@@ -193,11 +191,11 @@ struct Verifier {
     }
   }
 
-  void checkSegmentTagging(const Arena &In, const SpaceContext &Ctx,
-                           SpaceKind Space, unsigned Gen, unsigned Depth,
-                           bool ExpectDonated) {
+  /// Checks a context's runs: private-arena segments, never donated.
+  void checkSegmentTagging(const SpaceContext &Ctx, SpaceKind Space,
+                           unsigned Gen, unsigned Depth) {
     for (const SegmentRun &R : Ctx.runs())
-      checkRunTagging(In, R, Space, Gen, Depth, ExpectDonated);
+      checkRunTagging(A, R, Space, Gen, Depth, /*ExpectDonated=*/false);
   }
 
   void registerObject(uintptr_t *P, SpaceKind Space) {
@@ -222,9 +220,8 @@ struct Verifier {
     for (unsigned Sp = 0; Sp != NumSpaces; ++Sp) {
       for (unsigned G = 0; G != Cfg.Generations; ++G) {
         const SpaceContext &Ctx = Contexts[Sp][G];
-        checkSegmentTagging(A, Ctx, static_cast<SpaceKind>(Sp), G,
-                            /*Depth=*/0, /*ExpectDonated=*/false);
-        walkContext(A, Ctx, static_cast<SpaceKind>(Sp), Register);
+        checkSegmentTagging(Ctx, static_cast<SpaceKind>(Sp), G, /*Depth=*/0);
+        walkContext(Ctx, static_cast<SpaceKind>(Sp), Register);
       }
       // Adopted donation runs: exchange-arena segments retagged to the
       // oldest generation, still carrying the donation flag.
@@ -235,18 +232,15 @@ struct Verifier {
         walkRun(EA, R, R.UsedWords, static_cast<SpaceKind>(Sp), Register);
       }
     }
-    // Open request scopes: their segments are tagged (generation 0, the
-    // scope's depth) and their objects are as valid as any.
-    // Donation scopes allocate from the exchange arena with the donation
-    // flag pre-set.
+    // Open request scopes: their segments are private-arena segments
+    // tagged (generation 0, the scope's depth), never donated, and their
+    // objects are as valid as any.
     for (const auto &SG : Scopes)
       for (unsigned Sp = 0; Sp != NumSpaces; ++Sp) {
         const SpaceContext &Ctx = SG->Contexts[Sp];
-        checkSegmentTagging(*SG->ScopeArena, Ctx, static_cast<SpaceKind>(Sp),
-                            /*Gen=*/0, SG->Depth,
-                            /*ExpectDonated=*/SG->Donation);
-        walkContext(*SG->ScopeArena, Ctx, static_cast<SpaceKind>(Sp),
-                    Register);
+        checkSegmentTagging(Ctx, static_cast<SpaceKind>(Sp), /*Gen=*/0,
+                            SG->Depth);
+        walkContext(Ctx, static_cast<SpaceKind>(Sp), Register);
       }
   }
 
@@ -263,12 +257,17 @@ struct Verifier {
         fail("heap pointer outside the arena");
         return;
       }
-      if (!EA.infoFor(V.heapAddress()).isDonated()) {
+      const SegmentInfo &Info = EA.infoFor(V.heapAddress());
+      if (!Info.isDonated()) {
         failAt(V.heapAddress(), "pointer into a non-donated exchange segment");
         return;
       }
+      if (Info.ScopeDepth != 0) {
+        failAt(V.heapAddress(), "scope segment in the exchange arena");
+        return;
+      }
       // Donated segments this heap references must be its own: adopted
-      // runs or an open donation scope, both registered in ValidBits.
+      // runs, registered in ValidBits.
     }
     if (!ValidBits.contains(V.bits()))
       failAt(V.heapAddress(), What);

@@ -80,17 +80,19 @@ HeapCensus Heap::census() const {
     }
   };
 
-  auto AccumulateContext = [&](const Arena &A, const SpaceContext &Ctx,
-                               SpaceKind Space, HeapCensus::Cell &Cell) {
+  // Every context, a scope's included, allocates from the private arena.
+  auto AccumulateContext = [&](const SpaceContext &Ctx, SpaceKind Space,
+                               HeapCensus::Cell &Cell) {
     const std::vector<SegmentRun> &Runs = Ctx.runs();
     for (size_t RI = 0; RI != Runs.size(); ++RI)
-      AccumulateRun(A, Runs[RI], Ctx.usedWordsOf(A, RI), Space, Cell);
+      AccumulateRun(Segments, Runs[RI], Ctx.usedWordsOf(Segments, RI), Space,
+                    Cell);
   };
 
   for (unsigned Sp = 0; Sp != NumSpaces; ++Sp) {
     const SpaceKind Space = static_cast<SpaceKind>(Sp);
     for (unsigned G = 0; G != Cfg.Generations; ++G)
-      AccumulateContext(Segments, Contexts[Sp][G], Space, C.Cells[G][Sp]);
+      AccumulateContext(Contexts[Sp][G], Space, C.Cells[G][Sp]);
     // Adopted donation runs live in the exchange arena but are this
     // heap's tenured space: count them under the oldest generation,
     // which their segments are tagged with. Sealed runs, so UsedWords
@@ -102,11 +104,10 @@ HeapCensus Heap::census() const {
 
   // Open request scopes are counted under generation 0: their segments
   // are tagged generation 0 and their survivors graduate toward it.
-  // Donation scopes allocate from the exchange arena.
   for (const auto &SG : ScopeStack)
     for (unsigned Sp = 0; Sp != NumSpaces; ++Sp)
-      AccumulateContext(*SG->ScopeArena, SG->Contexts[Sp],
-                        static_cast<SpaceKind>(Sp), C.Cells[0][Sp]);
+      AccumulateContext(SG->Contexts[Sp], static_cast<SpaceKind>(Sp),
+                        C.Cells[0][Sp]);
 
   return C;
 }

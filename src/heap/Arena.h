@@ -67,11 +67,11 @@ constexpr const char *spaceKindName(SpaceKind Space) {
 }
 
 /// Generation sentinel carried by in-flight donation segments: copied out
-/// by a sender (or detached wholesale from a donation scope) but not yet
-/// adopted by any heap. Distinct from every collectible generation so that
-/// "in flight" can be told apart from "adopted" even on single-generation
-/// heaps, where the oldest generation is also 0. Adoption retags the
-/// segments to the receiver's oldest generation.
+/// by a sender but not yet adopted by any heap. Distinct from every
+/// collectible generation so that "in flight" can be told apart from
+/// "adopted" even on single-generation heaps, where the oldest generation
+/// is also 0. Adoption retags the segments to the receiver's oldest
+/// generation.
 constexpr uint8_t InFlightGeneration = 0xFE;
 
 /// Per-segment bookkeeping, one entry per segment in the arena.

@@ -6,8 +6,8 @@
 //===----------------------------------------------------------------------===//
 //
 // The heap-layer half of donation: the process exchange arena,
-// DonatedGraph lifetime and the ownership count. Copy-out, adoption and
-// donation scopes need the Heap and live in gc/Donation.cpp.
+// DonatedGraph lifetime and the ownership count. Copy-out and adoption
+// need the Heap and live in gc/Donation.cpp.
 //
 //===----------------------------------------------------------------------===//
 

@@ -11,8 +11,7 @@
 /// exchange arena is an ordinary Arena, distinct from every shard's
 /// private arena, whose segments are all donation segments
 /// (SegmentInfo::FlagDonated): sealed segments holding a self-contained
-/// message graph copied out (or re-tagged wholesale from a donation
-/// scope) by a sending shard. While in flight they carry
+/// message graph copied out by a sending shard. While in flight they carry
 /// InFlightGeneration and are owned by the DonatedGraph handle; on
 /// receipt, Heap::adoptDonatedGraph retags them to the receiver's oldest
 /// generation and appends them to its tenured run lists — ownership

@@ -7,7 +7,6 @@
 
 #include "gc/Heap.h"
 #include "gc/Roots.h"
-#include "heap/DonatedGraph.h"
 
 #include <map>
 #include <tuple>
@@ -369,30 +368,6 @@ TEST(CollectorTest, WeakSymbolTableAtScopeClose) {
   EXPECT_EQ(H.lastStats().SymbolsDropped, 1u) << "the fresh to-outer";
   EXPECT_EQ(H.generationOf(Escapes.get()), 1u);
   EXPECT_EQ(H.intern("escapes"), Escapes.get());
-  H.verifyHeap();
-}
-
-TEST(CollectorTest, WeakSymbolTableDonationScopeSymbolsLeave) {
-  Arena X(16u * 1024 * 1024);
-  HeapConfig C = testConfig();
-  C.Exchange = &X;
-  Heap H(C);
-  Root Outside(H, H.intern("outside"));
-  H.openDonationScope();
-  H.intern("scoped-unused");
-  Value Sym = H.intern("scoped-sent");
-  Value Msg = H.cons(Sym, Value::nil());
-  DonatedGraph G = H.tryCloseScopeDonating(Msg);
-  ASSERT_FALSE(G.empty());
-  EXPECT_EQ(H.scopeDepth(), 0u);
-  // The scope's entries left with its segments; the rest stay.
-  H.verifyHeap();
-  EXPECT_FALSE(internFinds(H, "scoped-unused"));
-  EXPECT_FALSE(internFinds(H, "scoped-sent"));
-  EXPECT_TRUE(internFinds(H, "outside"));
-  H.collectFull();
-  EXPECT_EQ(H.lastStats().SymbolsDropped, 2u) << "the two fresh symbols";
-  EXPECT_EQ(H.intern("outside"), Outside.get());
   H.verifyHeap();
 }
 

@@ -9,9 +9,10 @@
 /// The heap-level halves of zero-copy inter-shard transfer (DESIGN.md
 /// §13): copy-out donation and adoption between two heaps bound to one
 /// private exchange arena, segment-ownership accounting across drops
-/// and full collections, symbol fixups and their remembered-set edges,
-/// weak-pair space preservation, and onward donation of an adopted
-/// graph.
+/// and full collections, symbol fixups and their remembered-set or
+/// escape-set edges (also with a receiver that collects at every
+/// safepoint), weak-pair space preservation, and onward donation of an
+/// adopted graph.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -394,6 +395,91 @@ TEST(DonationTest, CensusCountsAdoptedRunsInOldestGeneration) {
   size_t OldestPairs =
       C.Cells[Oldest][static_cast<unsigned>(SpaceKind::Pair)].ObjectCount;
   EXPECT_GE(OldestPairs, 500u);
+}
+
+TEST(DonationTest, AdoptionSurvivesStressCollections) {
+  // Stress collections fire only on a heap that collects automatically:
+  // the receiver collects in full at every safepoint, so adoption's
+  // phase 1 collects before each of its interns while the graph is
+  // still in flight.
+  Arena X(16u * 1024 * 1024);
+  Heap Sender(exchangeConfig(X));
+  HeapConfig RC = exchangeConfig(X);
+  RC.AutoCollect = true;
+  RC.StressGC = true;
+  RC.StressInterval = 1;
+  Heap Receiver(RC);
+
+  // (stress-0 stress-1 ... stress-11): twelve distinct symbol fixups.
+  constexpr int N = 12;
+  auto NameOf = [](int I) { return "stress-" + std::to_string(I); };
+  Root Msg(Sender, Value::nil());
+  for (int I = N - 1; I >= 0; --I)
+    Msg = Sender.cons(Sender.intern(NameOf(I)), Msg);
+  DonatedGraph G = Sender.donateGraph(Msg.get());
+  ASSERT_EQ(G.Fixups.size(), static_cast<size_t>(N));
+  const size_t Donated = G.segmentCount();
+
+  const uint64_t CollectionsBefore = Receiver.totals().Collections;
+  Root Out(Receiver, Receiver.adoptDonatedGraph(G));
+  EXPECT_GE(Receiver.totals().Collections - CollectionsBefore,
+            static_cast<uint64_t>(N))
+      << "every phase-1 intern is a stress collection";
+  EXPECT_EQ(donatedSegmentsInUse(X), Donated);
+  EXPECT_EQ(Receiver.adoptedSegments(), Donated);
+  Receiver.verifyHeap();
+
+  // Reads Out as (stress-0 ... stress-11) without allocating.
+  auto ReadMessage = [&] {
+    Value P = Out.get();
+    for (int I = 0; I != N; ++I) {
+      ASSERT_TRUE(P.isPair());
+      EXPECT_EQ(Receiver.symbolName(pairCar(P)), NameOf(I));
+      P = pairCdr(P);
+    }
+    EXPECT_TRUE(P.isNil());
+  };
+  ReadMessage();
+
+  Receiver.collectFull();
+  EXPECT_EQ(donatedSegmentsInUse(X), 0u);
+  EXPECT_EQ(Receiver.adoptedSegments(), 0u);
+  ReadMessage();
+  Receiver.verifyHeap();
+}
+
+TEST(DonationTest, AdoptIntoOpenScopeRecordsEscape) {
+  Arena X(16u * 1024 * 1024);
+  Heap Sender(exchangeConfig(X));
+  Heap Receiver(exchangeConfig(X));
+
+  Root Msg(Sender, Sender.cons(Sender.intern("scope-fixup"), Value::nil()));
+  DonatedGraph G = Sender.donateGraph(Msg.get());
+  ASSERT_EQ(G.Fixups.size(), 1u);
+
+  // The fixup's symbol is interned into the receiver's open scope while
+  // its container is adopted into the oldest generation: the container
+  // is an escape of the scope, not a remembered-set entry.
+  Receiver.openScope();
+  Root Out(Receiver, Receiver.adoptDonatedGraph(G));
+  EXPECT_EQ(Receiver.scopeDepthOf(Out.get()), 0u);
+  EXPECT_EQ(Receiver.scopeDepthOf(pairCar(Out.get())), 1u);
+  Receiver.verifyHeap();
+
+  // The escape keeps the symbol alive through the close: it graduates
+  // into generation 0 and the container reads the graduate.
+  Receiver.closeScope();
+  Value Sym = pairCar(Out.get());
+  EXPECT_EQ(Receiver.scopeDepthOf(Sym), 0u);
+  EXPECT_EQ(Receiver.generationOf(Sym), 0u);
+  EXPECT_EQ(Receiver.symbolName(Sym), "scope-fixup");
+  EXPECT_EQ(Receiver.intern("scope-fixup").bits(), Sym.bits());
+  Receiver.verifyHeap();
+
+  Receiver.collectFull();
+  EXPECT_EQ(Receiver.symbolName(pairCar(Out.get())), "scope-fixup");
+  EXPECT_EQ(donatedSegmentsInUse(X), 0u);
+  Receiver.verifyHeap();
 }
 
 } // namespace

@@ -16,7 +16,6 @@
 #include "gc/Heap.h"
 #include "gc/Roots.h"
 #include "gc/ScopedGeneration.h"
-#include "heap/DonatedGraph.h"
 
 #include <gtest/gtest.h>
 
@@ -66,6 +65,26 @@ TEST(ScopedGenerationTest, NestedLifoDiscipline) {
   EXPECT_EQ(H.scopeDepth(), 0u);
   EXPECT_EQ(H.scopeDepthOf(D1.get()), 0u);
   EXPECT_EQ(H.scopeDepthOf(D2.get()), 0u);
+  H.verifyHeap();
+}
+
+TEST(ScopedGenerationTest, NestedGraduatesOpenRunsAtTheEnclosingDepth) {
+  // The enclosing scope holds no pairs, so the inner close opens the
+  // first run of its pair context: that run must carry the enclosing
+  // scope's depth, not the ordinary generation 0's.
+  Heap H(testConfig());
+  H.openScope();
+  Root Outer(H, H.makeVector(1, Value::falseV()));
+  H.openScope();
+  Root Inner(H, H.cons(Value::fixnum(7), Value::nil()));
+  H.vectorSet(Outer, 0, Inner);
+  H.closeScope();
+  EXPECT_EQ(H.scopeDepthOf(Inner.get()), 1u);
+  EXPECT_EQ(objectField(Outer.get(), 0).bits(), Inner.get().bits());
+  H.verifyHeap();
+  H.closeScope();
+  EXPECT_EQ(H.scopeDepthOf(Inner.get()), 0u);
+  EXPECT_EQ(pairCar(Inner.get()).asFixnum(), 7);
   H.verifyHeap();
 }
 
@@ -333,228 +352,6 @@ TEST(ScopedGenerationTest, NestedGuardianChurnUnderStress) {
   EXPECT_EQ(Delivered, 24u)
       << "every inner-scope doomed object is delivered exactly once";
   H.verifyHeap();
-}
-
-//===----------------------------------------------------------------------===//
-// Wholesale scope donation (DESIGN.md §13): a donation scope allocates
-// its nursery in the exchange arena, so a self-contained scope changes
-// owner at close by retagging — zero evacuation, zero copies.
-//===----------------------------------------------------------------------===//
-
-HeapConfig donationConfig(Arena &X) {
-  HeapConfig C;
-  C.ArenaBytes = 64u * 1024 * 1024;
-  C.AutoCollect = false;
-  C.Exchange = &X;
-  return C;
-}
-
-TEST(ScopeDonationTest, SelfContainedScopeClosesByHandover) {
-  Arena X(16u * 1024 * 1024);
-  Heap Sender(donationConfig(X));
-  Heap Receiver(donationConfig(X));
-
-  Sender.openDonationScope();
-  // Build the whole message inside the scope, unrooted (AutoCollect is
-  // off, so nothing collects it out from under us).
-  Value L = Value::nil();
-  for (int I = 99; I >= 0; --I)
-    L = Sender.cons(Value::fixnum(I), L);
-  Value Vec = Sender.makeVector(3, Value::falseV());
-  Sender.vectorSet(Vec, 0, L);
-  Sender.vectorSet(Vec, 1, Sender.makeString("wholesale"));
-  Value Msg = Sender.cons(L, Vec);
-
-  // The scope's nursery is already donation-tagged exchange storage;
-  // the close changes its owner, not the segment count.
-  const uint64_t InFlightBefore = donatedSegmentsInUse(X);
-  EXPECT_GT(InFlightBefore, 0u);
-  DonatedGraph G = Sender.tryCloseScopeDonating(Msg);
-  ASSERT_FALSE(G.empty()) << "self-contained scope must hand over";
-  EXPECT_EQ(Sender.scopeDepth(), 0u) << "the handover IS the close";
-  EXPECT_EQ(Sender.scopesDonatedWholesale(), 1u);
-  EXPECT_GT(G.segmentCount(), 0u);
-  EXPECT_EQ(G.Bytes, Sender.lastScopeClose().BytesInScope)
-      << "close stats report the donated bytes, not an evacuation";
-  EXPECT_EQ(donatedSegmentsInUse(X), InFlightBefore)
-      << "zero-copy close: the same segments change hands";
-  EXPECT_EQ(donatedSegmentsInUse(X), G.segmentCount());
-  Sender.verifyHeap();
-
-  // Adoption retags the same segments tenured; no per-object copy.
-  const size_t ReceiverSegsBefore = Receiver.segmentsInUse();
-  Root Adopted(Receiver, Receiver.adoptDonatedGraph(G));
-  EXPECT_TRUE(G.empty());
-  EXPECT_EQ(Receiver.segmentsInUse(), ReceiverSegsBefore)
-      << "zero-copy: nothing lands in the receiver's private arena";
-  ASSERT_TRUE(Adopted.get().isPair());
-  Value P = pairCar(Adopted.get());
-  for (int I = 0; I != 100; ++I) {
-    ASSERT_TRUE(P.isPair());
-    EXPECT_EQ(pairCar(P).asFixnum(), I);
-    P = pairCdr(P);
-  }
-  EXPECT_TRUE(P.isNil());
-  Value RVec = pairCdr(Adopted.get());
-  EXPECT_EQ(objectField(RVec, 0).bits(), pairCar(Adopted.get()).bits())
-      << "internal sharing survives the handover by identity";
-  EXPECT_EQ(Receiver.generationOf(Adopted.get()),
-            Receiver.oldestGeneration());
-  Receiver.collectFull();
-  Receiver.verifyHeap();
-}
-
-TEST(ScopeDonationTest, InnerCloseGraduatesIntoTheDonationScope) {
-  // An ordinary scope closed inside an open donation scope evacuates into
-  // the donation scope's exchange-arena contexts: its survivors are
-  // donation-tagged storage at the donation scope's depth, so the outer
-  // scope can still hand over wholesale.
-  Arena X(16u * 1024 * 1024);
-  Heap Sender(donationConfig(X));
-  Heap Receiver(donationConfig(X));
-
-  Sender.openDonationScope();
-  // Unrooted (AutoCollect is off): a root into the donation scope would
-  // veto the handover.
-  Value Msg = Sender.makeVector(2, Value::falseV());
-  Sender.openScope();
-  Value L = Value::nil();
-  for (int I = 49; I >= 0; --I) {
-    L = Sender.cons(Value::fixnum(I), L);
-    Sender.cons(Value::fixnum(-I), Value::nil()); // Dies with the scope.
-  }
-  Sender.vectorSet(Msg, 0, L); // Donation scope -> inner scope: an escape.
-  Sender.vectorSet(Msg, 1, Sender.makeString("graduated"));
-  Sender.closeScope();
-
-  EXPECT_EQ(Sender.scopeDepth(), 1u);
-  EXPECT_EQ(Sender.lastScopeClose().ObjectsEvacuated, 51u)
-      << "the list and the string graduate; the garbage pairs die";
-  auto ExpectDonationScopeStorage = [&](Value V) {
-    EXPECT_EQ(Sender.scopeDepthOf(V), 1u);
-    EXPECT_NE(X.findInfo(V.heapAddress()), nullptr)
-        << "survivor outside the exchange arena";
-    EXPECT_NE(Sender.segInfo(V.heapAddress()).Flags &
-                  SegmentInfo::FlagDonated,
-              0)
-        << "survivor segment not donation-tagged";
-  };
-  ExpectDonationScopeStorage(objectField(Msg, 1));
-  size_t Checked = 0;
-  for (Value P = objectField(Msg, 0); P.isPair(); P = pairCdr(P)) {
-    EXPECT_EQ(pairCar(P).asFixnum(), static_cast<int64_t>(Checked));
-    ExpectDonationScopeStorage(P);
-    ++Checked;
-  }
-  EXPECT_EQ(Checked, 50u);
-  Sender.verifyHeap();
-
-  DonatedGraph G = Sender.tryCloseScopeDonating(Msg);
-  ASSERT_FALSE(G.empty()) << "graduates keep the scope self-contained";
-  EXPECT_EQ(Sender.scopeDepth(), 0u);
-  EXPECT_EQ(Sender.scopesDonatedWholesale(), 1u);
-  Sender.verifyHeap();
-
-  Root Adopted(Receiver, Receiver.adoptDonatedGraph(G));
-  Value P = objectField(Adopted.get(), 0);
-  for (int I = 0; I != 50; ++I) {
-    ASSERT_TRUE(P.isPair());
-    EXPECT_EQ(pairCar(P).asFixnum(), I);
-    P = pairCdr(P);
-  }
-  EXPECT_TRUE(P.isNil());
-  Value Str = objectField(Adopted.get(), 1);
-  EXPECT_EQ(std::string(stringData(Str), objectLength(Str)), "graduated");
-  Receiver.collectFull();
-  Receiver.verifyHeap();
-}
-
-TEST(ScopeDonationTest, EscapeVetoesWholesaleClose) {
-  Arena X(16u * 1024 * 1024);
-  Heap H(donationConfig(X));
-  Root Keep(H, H.cons(Value::falseV(), Value::nil()));
-
-  H.openDonationScope();
-  Value Inner = H.cons(Value::fixnum(1), Value::nil());
-  H.setCar(Keep.get(), Inner); // Escape: outside container sees in.
-  DonatedGraph G = H.tryCloseScopeDonating(Inner);
-  EXPECT_TRUE(G.empty());
-  EXPECT_EQ(H.scopeDepth(), 1u)
-      << "a failed handover leaves the scope open for the fallback";
-  EXPECT_EQ(H.scopesDonatedWholesale(), 0u);
-
-  // The fallback is the ordinary evacuating close + copy-out donation.
-  H.closeScope();
-  EXPECT_EQ(H.scopeDepthOf(pairCar(Keep.get())), 0u);
-  DonatedGraph G2 = H.donateGraph(pairCar(Keep.get()));
-  EXPECT_FALSE(G2.empty());
-  EXPECT_EQ(H.graphsDonated(), 1u);
-  H.verifyHeap();
-}
-
-TEST(ScopeDonationTest, RootReachingInVetoesWholesaleClose) {
-  Arena X(16u * 1024 * 1024);
-  Heap H(donationConfig(X));
-  H.openDonationScope();
-  Root Pin(H, H.cons(Value::fixnum(7), Value::nil()));
-  Value Msg = Pin.get();
-  DonatedGraph G = H.tryCloseScopeDonating(Msg);
-  EXPECT_TRUE(G.empty()) << "a live root into the scope blocks handover";
-  EXPECT_EQ(H.scopeDepth(), 1u);
-
-  // Dropping the root lifts the veto; the same scope then hands over.
-  Pin = Value::nil();
-  DonatedGraph G2 = H.tryCloseScopeDonating(Msg);
-  ASSERT_FALSE(G2.empty());
-  EXPECT_EQ(H.scopeDepth(), 0u);
-  H.verifyHeap();
-}
-
-TEST(ScopeDonationTest, OutboundEdgeVetoesWholesaleClose) {
-  Arena X(16u * 1024 * 1024);
-  Heap H(donationConfig(X));
-  Root Old(H, H.cons(Value::fixnum(9), Value::nil()));
-  H.openDonationScope();
-  // The cdr points out of the scope into the private heap: the
-  // self-containment scan must refuse (that edge cannot be retagged).
-  Value Msg = H.cons(Value::fixnum(1), Old.get());
-  DonatedGraph G = H.tryCloseScopeDonating(Msg);
-  EXPECT_TRUE(G.empty());
-  EXPECT_EQ(H.scopeDepth(), 1u);
-  // Rooted only now: a root into the scope would veto the handover by
-  // itself, and this test is about the outbound edge.
-  Root Inner(H, Msg);
-  H.closeScope();
-  EXPECT_EQ(pairCar(pairCdr(Inner.get())).asFixnum(), 9)
-      << "fallback close still graduates the survivor intact";
-  H.verifyHeap();
-}
-
-TEST(ScopeDonationTest, WholesaleCloseReintersSymbolsByName) {
-  Arena X(16u * 1024 * 1024);
-  Heap Sender(donationConfig(X));
-  Heap Receiver(donationConfig(X));
-
-  Sender.openDonationScope();
-  Value Sym = Sender.intern("wholesale-route");
-  Value Msg = Sender.cons(Sym, Value::nil());
-  DonatedGraph G = Sender.tryCloseScopeDonating(Msg);
-  ASSERT_FALSE(G.empty());
-  ASSERT_EQ(G.Fixups.size(), 1u)
-      << "symbols travel by name, not by storage identity";
-
-  // The sender's intern entry left with the scope: re-interning mints a
-  // fresh symbol, exactly as under a weak symbol table.
-  EXPECT_NE(Sender.intern("wholesale-route").bits(), Sym.bits());
-
-  Root Adopted(Receiver, Receiver.adoptDonatedGraph(G));
-  Value RSym = pairCar(Adopted.get());
-  ASSERT_TRUE(RSym.isHeapPointer());
-  EXPECT_EQ(Receiver.symbolName(RSym), "wholesale-route");
-  EXPECT_EQ(RSym.bits(), Receiver.intern("wholesale-route").bits())
-      << "the fixup resolves to the receiver's interned symbol";
-  Receiver.collectFull();
-  Receiver.verifyHeap();
 }
 
 } // namespace

@@ -166,4 +166,27 @@ TEST_F(VerifierDeathTest, WeakCarDanglingDetected) {
       "weak car");
 }
 
+TEST_F(VerifierDeathTest, ScopeSegmentInExchangeArenaDetected) {
+  // Every scope lives in the private arena: a scope-tagged segment in the
+  // exchange arena is damage, even one carrying the donation flag.
+  ASSERT_DEATH(
+      {
+        Arena X(16u * 1024 * 1024);
+        HeapConfig C = testConfig();
+        C.Exchange = &X;
+        Heap H(C);
+        H.openScope();
+        const uint32_t Seg =
+            X.allocateRun(1, SpaceKind::Pair, /*Generation=*/0,
+                          /*ScopeDepth=*/1, SegmentInfo::FlagDonated);
+        // rootcheck:allow(segment-base) — plants a cell by hand.
+        uintptr_t *Cell = X.segmentBase(Seg);
+        Cell[0] = Value::fixnum(1).bits();
+        Cell[1] = Value::nil().bits();
+        Root R(H, Value::pair(reinterpret_cast<PairCell *>(Cell)));
+        H.verifyHeap();
+      },
+      "scope segment in the exchange arena");
+}
+
 } // namespace
