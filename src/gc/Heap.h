@@ -391,6 +391,8 @@ public:
   /// Live heap bytes (words in use across all contexts).
   size_t liveBytes() const;
   size_t segmentsInUse() const { return Segments.segmentsInUse(); }
+  /// The heap's private arena.
+  const Arena &arena() const { return Segments; }
 
   /// Per-generation occupancy snapshot.
   struct GenerationUsage {
