@@ -177,11 +177,17 @@ run_suite() {
       exit 1
     fi
   fi
-  # Executor interleavings: batch claim and retire race the submitters,
-  # and which interleavings one pass hits depends on timing.
+  # Executor and port-table interleavings: batch claim and retire race
+  # the submitters, opens publish ports while other threads write and
+  # close earlier ones, and which interleavings one pass hits depends
+  # on timing.
   if [ "$name" = tsan ]; then
     echo "==> [$name] executor repeat"
     "$dir/tests/runtime/runtime_tests" --gtest_filter='ExecutorTest.*' \
+      --gtest_repeat=20 >/dev/null
+    echo "==> [$name] port table repeat"
+    "$dir/tests/io/io_tests" \
+      --gtest_filter='PortTableTest.*:GuardedPortsTest.*' \
       --gtest_repeat=20 >/dev/null
   fi
   # Summarizer key-derivation fixture (also runs inside CTest).

@@ -61,16 +61,13 @@ public:
   /// was proven inaccessible. Returns the number closed.
   size_t closeDroppedPorts() {
     return PortGuardian.drain([this](Value Handle) {
-      intptr_t Id = portIdOf(Handle);
-      if (!Ports.isOpen(Id))
-        return; // Explicitly closed before being dropped: fine.
       // (if (output-port? p)
       //     (begin (flush-output-port p) (close-output-port p))
       //     (close-input-port p))
-      if (Ports.kindOf(Id) == PortKind::Output)
-        Ports.flush(Id);
-      Ports.close(Id);
-      ++DroppedClosed;
+      // in one call: close flushes an output port first, and a port
+      // closed explicitly before it was dropped stays closed.
+      if (Ports.close(portIdOf(Handle)))
+        ++DroppedClosed;
     });
   }
 

@@ -13,7 +13,10 @@
 /// waiter's core has gone idle. It is glibc's adaptive mutex where the
 /// C library has one and a plain mutex otherwise. It meets the standard
 /// Lockable requirements, so std::lock_guard and std::unique_lock take
-/// it.
+/// it. The port table stripes its ports over 64 of these, each on its
+/// own cache line, so a mutator writing one port and the finalization
+/// executor closing another rarely meet on one; when they do, the
+/// loser spins through the other's short call instead of sleeping.
 ///
 //===----------------------------------------------------------------------===//
 

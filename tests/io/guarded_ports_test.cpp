@@ -50,17 +50,104 @@ TEST(PortTableTest, BufferingDelaysWrites) {
   Ports.flush(Out);
   EXPECT_EQ(FS.sizeOf("buf.txt"), 3u);
   Ports.writeString(Out, "def");
-  Ports.close(Out); // Close flushes.
-  EXPECT_EQ(FS.sizeOf("buf.txt"), 6u);
+  Ports.close(Out);
+  EXPECT_EQ(FS.sizeOf("buf.txt"), 6u) << "close did not flush the buffer";
 }
 
 TEST(PortTableTest, CloseIsIdempotent) {
   MemoryFileSystem FS;
   PortTable Ports(FS);
   intptr_t Out = Ports.openOutput("x");
-  Ports.close(Out);
-  Ports.close(Out);
+  EXPECT_TRUE(Ports.close(Out));
+  EXPECT_FALSE(Ports.close(Out));
   EXPECT_EQ(Ports.totalClosed(), 1u);
+}
+
+// Ports live in chunks of 1,024, 2,048, 4,096, ... ports. One thread
+// opens ports past three chunk boundaries (ids 1024, 3072 and 7168)
+// while another reads each back as soon as the table counts it open,
+// writes to it and closes it: every id finds its own port, including
+// those opened while its chunk was new.
+TEST(PortTableTest, OpensAcrossChunkBoundariesWhileAnotherThreadCloses) {
+  constexpr intptr_t N = 8000;
+  MemoryFileSystem FS;
+  PortTable Ports(FS);
+  std::thread Closer([&] {
+    for (intptr_t Id = 0; Id != N; ++Id) {
+      while (Ports.totalOpened() <= static_cast<uint64_t>(Id))
+        std::this_thread::yield();
+      ASSERT_EQ(Ports.pathOf(Id), "c" + std::to_string(Id))
+          << "port " << Id << " reads back another port";
+      ASSERT_EQ(Ports.kindOf(Id), PortKind::Output);
+      ASSERT_TRUE(Ports.isOpen(Id));
+      Ports.writeChar(Id, 'x');
+      EXPECT_TRUE(Ports.close(Id));
+    }
+  });
+  for (intptr_t I = 0; I != N; ++I)
+    EXPECT_EQ(Ports.openOutput("c" + std::to_string(I)), I);
+  Closer.join();
+  EXPECT_EQ(Ports.totalOpened(), static_cast<uint64_t>(N));
+  EXPECT_EQ(Ports.totalClosed(), static_cast<uint64_t>(N));
+  EXPECT_EQ(Ports.openPortCount(), 0u);
+  for (intptr_t I = 0; I != N; ++I)
+    ASSERT_EQ(FS.sizeOf("c" + std::to_string(I)), 1u) << "port " << I;
+}
+
+// Ports 64 ids apart share a stripe lock. Two writers fill ports of
+// every stripe, each its own, while a third thread closes other ports
+// of the same stripes, whose bytes are still buffered. Every byte lands
+// in its file and every port closes once.
+TEST(PortTableTest, WritersAndCloserOnSharedStripes) {
+  constexpr intptr_t N = 64 * 6;
+  constexpr unsigned Chars = 100;
+  MemoryFileSystem FS;
+  PortTable Ports(FS, /*BufferSize=*/8);
+  for (intptr_t I = 0; I != N; ++I) {
+    const intptr_t Id = Ports.openOutput("s" + std::to_string(I));
+    if (Id / 64 % 3 == 2)
+      Ports.writeString(Id, "12345");
+  }
+  std::atomic<bool> Go{false};
+  auto Writer = [&](intptr_t Owner) {
+    while (!Go.load(std::memory_order_acquire))
+      std::this_thread::yield();
+    for (unsigned K = 0; K != Chars; ++K) {
+      for (intptr_t Id = 0; Id != N; ++Id)
+        if (Id / 64 % 3 == Owner)
+          Ports.writeChar(Id, static_cast<char>('a' + K % 26));
+    }
+    for (intptr_t Id = 0; Id != N; ++Id) {
+      if (Id / 64 % 3 == Owner) {
+        EXPECT_TRUE(Ports.close(Id));
+      }
+    }
+  };
+  std::thread A(Writer, 0), B(Writer, 1);
+  std::thread Closer([&] {
+    while (!Go.load(std::memory_order_acquire))
+      std::this_thread::yield();
+    for (intptr_t Id = 0; Id != N; ++Id) {
+      if (Id / 64 % 3 == 2) {
+        EXPECT_TRUE(Ports.close(Id));
+      }
+    }
+  });
+  Go.store(true, std::memory_order_release);
+  A.join();
+  B.join();
+  Closer.join();
+  EXPECT_EQ(Ports.totalOpened(), static_cast<uint64_t>(N));
+  EXPECT_EQ(Ports.totalClosed(), Ports.totalOpened());
+  EXPECT_EQ(Ports.openPortCount(), 0u);
+  std::string Written;
+  for (unsigned K = 0; K != Chars; ++K)
+    Written.push_back(static_cast<char>('a' + K % 26));
+  for (intptr_t I = 0; I != N; ++I) {
+    std::string Contents;
+    ASSERT_TRUE(FS.read("s" + std::to_string(I), Contents));
+    EXPECT_EQ(Contents, I / 64 % 3 == 2 ? "12345" : Written) << "port " << I;
+  }
 }
 
 // The shard runtime's shape: the mutator opens and writes ports while

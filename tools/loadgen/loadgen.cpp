@@ -468,11 +468,7 @@ int main(int Argc, char **Argv) {
                                           const FinalizationTicket &T) {
           if (Inject.shouldFail(T))
             return false;
-          if (Env.Ports.isOpen(T.Payload)) {
-            if (Env.Ports.kindOf(T.Payload) == PortKind::Output)
-              Env.Ports.flush(T.Payload);
-            Env.Ports.close(T.Payload);
-          }
+          Env.Ports.close(T.Payload); // Flushes; false if closed already.
           return true;
         });
     Env.ExtQueue = RT.executor().registerQueue(
