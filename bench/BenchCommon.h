@@ -63,8 +63,8 @@ public:
                                           uint64_t N) {
       State.counters[Key] = C(N);
     });
-    // Barrier-elision effectiveness: read from the heap's monotonic
-    // counters, not GcTotals — stores after the last collection would
+    // Store-barrier traffic: read from the heap's monotonic counters,
+    // not GcTotals — stores after the last collection would
     // otherwise be invisible (manual-collect benches may never GC).
     State.counters["gc_barriers_executed"] = C(H.barriersExecuted());
     State.counters["gc_barriers_elided"] = C(H.barriersElided());

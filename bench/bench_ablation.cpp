@@ -11,10 +11,8 @@
 //    guardians force extra pend-final rounds; cost per round;
 //  * the weak-pair second pass -- scales with weak pairs copied this
 //    cycle plus mutated old weak pairs, not with all weak pairs.
-//  * compile-time barrier elision -- the initializing-store fast path
-//    against the full barrier on the store shape the compiler proves,
-//    and an environment-frame-heavy VM workload with the elision pass
-//    toggled via HeapConfig::ElideBarriers.
+//  * environment-frame stores -- a VM workload whose mutator store mix
+//    is dominated by frame-slot fills, every one through the barrier.
 //  * the finalization executor hand-off -- a burst of tickets from one
 //    submitter to the background worker, per ticket and per burst.
 //
@@ -85,36 +83,6 @@ void BM_StoreImmediate(benchmark::State &State) {
 }
 BENCHMARK(BM_StoreImmediate);
 
-//===--- Compile-time barrier elision ----------------------------------------===//
-
-// The initializing-store fast path against the full barrier, on the
-// exact store shape BarrierAnalysis proves: a vector allocated on this
-// path and filled before the next safepoint. The fills never allocate,
-// so the Initializing claim holds even under automatic collection.
-void BM_StoreInitializing(benchmark::State &State) {
-  const bool Elide = State.range(0) != 0;
-  HeapConfig C = benchConfig();
-  C.AutoCollect = true; // The frames are garbage; let minor GCs reclaim.
-  Heap H(C);
-  Root V(H, H.cons(Value::fixnum(1), Value::nil()));
-  constexpr size_t Slots = 64;
-  for (auto _ : State) {
-    Value Frame = H.makeVector(Slots, Value::nil());
-    if (Elide)
-      for (size_t I = 0; I != Slots; ++I)
-        H.vectorSetInitializing(Frame, I, V.get());
-    else
-      for (size_t I = 0; I != Slots; ++I)
-        H.vectorSet(Frame, I, V.get());
-    benchmark::DoNotOptimize(Frame);
-  }
-  State.SetItemsProcessed(State.iterations() *
-                          static_cast<int64_t>(Slots));
-  State.counters["elided_path"] =
-      benchmark::Counter(Elide ? 1.0 : 0.0);
-}
-BENCHMARK(BM_StoreInitializing)->Arg(0)->Arg(1);
-
 //===--- Allocation-profiler overhead ---------------------------------------===//
 
 // The allocation fast path with the sampled site profiler off (Arg 0)
@@ -141,11 +109,10 @@ void BM_AllocYoung(benchmark::State &State) {
 BENCHMARK(BM_AllocYoung)->Arg(0)->Arg(1);
 
 // An environment-frame-heavy VM workload: every loop iteration enters a
-// letrec scope (enter-scope-undef + initializing local-sets) and closes
-// over it, so frame-slot stores dominate the mutator's store mix. Arg 0
-// runs with the elision pass disabled (every frame store pays the full
-// barrier), Arg 1 with it enabled; gc_barriers_executed and
-// gc_barriers_elided land in the bench JSON via GcPauseRecorder.
+// letrec scope (enter-scope-undef + local-sets) and closes over it, so
+// frame-slot stores dominate the mutator's store mix; each pays the
+// write barrier, and gc_barriers_executed lands in the bench JSON via
+// GcPauseRecorder.
 const char *EnvChurnProgram =
     "(define (churn n)"
     "  (let loop ([i 0] [acc 0])"
@@ -158,7 +125,6 @@ const char *EnvChurnProgram =
 void BM_VmEnvFrameChurn(benchmark::State &State) {
   HeapConfig C = benchConfig();
   C.AutoCollect = true;
-  C.ElideBarriers = State.range(0) != 0;
   Heap H(C);
   GcPauseRecorder Recorder(H);
   Interpreter I(H);
@@ -167,15 +133,8 @@ void BM_VmEnvFrameChurn(benchmark::State &State) {
   for (auto _ : State)
     benchmark::DoNotOptimize(VM.evalString("(churn 20000)"));
   Recorder.addGcCounters(State);
-  const double Executed = static_cast<double>(H.barriersExecuted());
-  const double Elided = static_cast<double>(H.barriersElided());
-  State.counters["elided_store_fraction"] = benchmark::Counter(
-      Executed + Elided == 0.0 ? 0.0 : Elided / (Executed + Elided));
 }
-BENCHMARK(BM_VmEnvFrameChurn)
-    ->Arg(0)
-    ->Arg(1)
-    ->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_VmEnvFrameChurn)->Unit(benchmark::kMillisecond);
 
 //===--- Guardian fixpoint loop ---------------------------------------------===//
 

@@ -55,17 +55,15 @@ run_suite() {
   # shrunk reproducer trace prominently at the end of the gate).
   echo "==> [$name] gcfuzz smoke"
   "$dir/tools/gcfuzz/gcfuzz" --seed-corpus --out "$dir"
-  # Elision differential: the same corpus with the compile-time
-  # write-barrier elision forced off (the default corpus runs with it
-  # on), then random whole Scheme programs executed under both settings
-  # of the toggle and compared output-for-output.
-  echo "==> [$name] elision differential"
-  "$dir/tools/gcfuzz/gcfuzz" --seed-corpus --elide off --out "$dir"
+  # Engine differential: random whole Scheme programs executed on the
+  # tree-walking interpreter and on the bytecode VM, each on a fresh
+  # heap, and compared output-for-output.
+  echo "==> [$name] engine differential"
   "$dir/tools/gcfuzz/gcfuzz" --vm-diff 30 --out "$dir"
   # Scoped corpus: the trace alphabet gains request-scope open/close/
   # alloc ops and every closeScope is cross-checked against the
-  # scope-aware shadow model; then the vm-diff matrix with half the
-  # forms inside (call-in-new-scope ...) — elision × scoping.
+  # scope-aware shadow model; then the engine differential with half
+  # the forms inside (call-in-new-scope ...).
   echo "==> [$name] scoped corpus"
   "$dir/tools/gcfuzz/gcfuzz" --seed-corpus --scoped on --out "$dir"
   "$dir/tools/gcfuzz/gcfuzz" --vm-diff 30 --scoped on --out "$dir"
@@ -89,15 +87,14 @@ run_suite() {
     echo "[$name] scope-leak canary was NOT caught" >&2
     exit 1
   fi
-  # Canary: with a deliberately unsound elision injected, the gate must
-  # FAIL — either the store-time verifier aborts or the reachability
-  # oracle reports a divergence. A zero exit means the elision safety
-  # net has lost its teeth.
-  echo "==> [$name] unsound-elision canary"
+  # Canary: with one remembered-set entry deliberately dropped at a
+  # minor collection, the reachability oracle must report a divergence.
+  # A zero exit means the remembered-set invariant is unchecked.
+  echo "==> [$name] drop-remembered canary"
   if "$dir/tools/gcfuzz/gcfuzz" --traces 40 --config paper \
-       --fault unsound-elision --no-shrink --out "$dir" \
+       --fault drop-remembered --no-shrink --out "$dir" \
        >/dev/null 2>&1; then
-    echo "[$name] unsound-elision canary was NOT caught" >&2
+    echo "[$name] drop-remembered canary was NOT caught" >&2
     exit 1
   fi
   # Canary: donated segments deliberately leaked on drop must unbalance

@@ -235,6 +235,12 @@ private:
   void forwardRoots();
   void processRememberedSets(unsigned G);
   void forwardRememberedObject(Value Container);
+  /// The injected faults that lose one remembered-set or escape-set
+  /// record (GcFaultInjection::DropRememberedEntry, ::LeakScopeEscape):
+  /// clears \p Container's strong fields that point into from-space to
+  /// #f instead of forwarding them, so the object it kept alive dies
+  /// while no pointer is left dangling.
+  void dropFromSpaceFields(Value Container);
   bool pointsBelowGeneration(Value Container, unsigned Generation) const;
   void processGuardians(unsigned G);
   /// One fixpoint round's deliveries: forwards each H.FinalList agent in

@@ -142,7 +142,7 @@ struct GcPhaseBreakdown {
   X(SegmentsFreed,            Sum, "segments_freed",         Y, N, , )                 \
   X(DurationNanos,            Sum, "",                       Y, N, , CloseNanos)       \
   /* Mutator stores since the last collection through the write barrier, and        */ \
-  /* proved barrier-free (elision pass or heap fast path); not tconc delivery.      */ \
+  /* heap stores of an immediate made without one (guardianRetrieve's cell clear).  */ \
   X(BarriersExecuted,         Sum, "",                       N, N, , )                 \
   X(BarriersElided,           Sum, "",                       N, N, , )                 \
   /* Kept until the benchmark drops gc.collect.workers and                          */ \

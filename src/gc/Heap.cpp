@@ -434,21 +434,6 @@ void Heap::setCdr(Value Pair, Value V) {
 void Heap::vectorSet(Value Vector, size_t Index, Value V) {
   GENGC_ASSERT(isVector(Vector), "vectorSet on non-vector");
   GENGC_ASSERT(Index < objectLength(Vector), "vectorSet index out of range");
-  if (Cfg.InjectedFault == GcFaultInjection::UnsoundElision &&
-      !UnsoundElisionFired && V.isHeapPointer()) {
-    // Deliberately mis-classify the first store that genuinely needs a
-    // remembered-set entry as "initializing" and skip its barrier. The
-    // dynamic verifier (VerifyElision) must abort here; without it, the
-    // missing old-to-young entry must be caught by verifyHeap / the
-    // fuzz oracle at the next collection.
-    const SegmentInfo &CInfo = segInfo(Vector.heapAddress());
-    if (CInfo.Generation != 0 &&
-        segInfo(V.heapAddress()).Generation < CInfo.Generation) {
-      UnsoundElisionFired = true;
-      vectorSetElided(Vector, Index, V, StoreElision::Initializing);
-      return;
-    }
-  }
   writeBarrier(Vector, V, /*WeakField=*/false);
   objectFieldSetRaw(Vector, Index, V);
 }
@@ -471,76 +456,6 @@ void Heap::objectFieldSet(Value Object, size_t Index, Value V) {
                "objectFieldSet on pointerless object");
   writeBarrier(Object, V, /*WeakField=*/false);
   objectFieldSetRaw(Object, Index, V);
-}
-
-//===----------------------------------------------------------------------===//
-// Elided (unbarriered) mutation.
-//===----------------------------------------------------------------------===//
-
-void Heap::elidedStore(Value Container, Value V, StoreElision Claim) {
-  checkOwner("elided store");
-  ++BarriersElidedTotal;
-  if (!Cfg.VerifyElision)
-    return;
-  // The soundness verifier: re-establish the claim dynamically. These
-  // are exactly the preconditions under which writeBarrier could never
-  // have inserted a remembered-set entry.
-  switch (Claim) {
-  case StoreElision::Initializing: {
-    const SegmentInfo &CInfo = segInfo(Container.heapAddress());
-    if (CInfo.Generation != 0)
-      fatalError(__FILE__, __LINE__,
-                 "unsound barrier elision: store classified 'initializing' "
-                 "but the target is no longer in generation 0 (a safepoint "
-                 "intervened between allocation and store)");
-    // With request scopes, "freshly allocated" additionally means "in
-    // the innermost scope": a container from outside the current scope
-    // could receive an in-scope pointer, which needs the escape-set
-    // barrier. An Initializing claim therefore also expires at any
-    // openScope/closeScope between the allocation and the store.
-    if (CInfo.ScopeDepth != scopeDepth())
-      fatalError(__FILE__, __LINE__,
-                 "unsound barrier elision: store classified 'initializing' "
-                 "but the target was not allocated in the current "
-                 "(innermost) request scope — a scope transition "
-                 "intervened between allocation and store");
-    return;
-  }
-  case StoreElision::Immediate:
-    if (V.isHeapPointer())
-      fatalError(__FILE__, __LINE__,
-                 "unsound barrier elision: store classified 'immediate' but "
-                 "the stored value is a heap pointer");
-    return;
-  }
-}
-
-void Heap::setCarElided(Value Pair, Value V, StoreElision Claim) {
-  GENGC_ASSERT(Pair.isPair(), "setCarElided on non-pair");
-  elidedStore(Pair, V, Claim);
-  pairSetCarRaw(Pair, V);
-}
-
-void Heap::setCdrElided(Value Pair, Value V, StoreElision Claim) {
-  GENGC_ASSERT(Pair.isPair(), "setCdrElided on non-pair");
-  elidedStore(Pair, V, Claim);
-  pairSetCdrRaw(Pair, V);
-}
-
-void Heap::vectorSetElided(Value Vector, size_t Index, Value V,
-                           StoreElision Claim) {
-  GENGC_ASSERT(isVector(Vector), "vectorSetElided on non-vector");
-  GENGC_ASSERT(Index < objectLength(Vector),
-               "vectorSetElided index out of range");
-  elidedStore(Vector, V, Claim);
-  objectFieldSetRaw(Vector, Index, V);
-}
-
-void Heap::recordSetElided(Value Record, size_t Index, Value V,
-                           StoreElision Claim) {
-  GENGC_ASSERT(isRecord(Record), "recordSetElided on non-record");
-  elidedStore(Record, V, Claim);
-  objectFieldSetRaw(Record, Index, V);
 }
 
 //===----------------------------------------------------------------------===//
@@ -650,14 +565,10 @@ Value Heap::guardianRetrieve(Value Tconc) {
   // Clear the vacated cell: it is sometimes in an older generation than
   // the objects it points to, and retaining the pointers "may result in
   // unnecessary storage retention". #f is an immediate, so these two
-  // stores can never create an old-to-young edge — elide their barriers.
-  if (Cfg.ElideBarriers) {
-    setCarElided(X, Value::falseV(), StoreElision::Immediate);
-    setCdrElided(X, Value::falseV(), StoreElision::Immediate);
-  } else {
-    setCar(X, Value::falseV());
-    setCdr(X, Value::falseV());
-  }
+  // stores can never create an old-to-young edge and need no barrier.
+  pairSetCarRaw(X, Value::falseV());
+  pairSetCdrRaw(X, Value::falseV());
+  BarriersElidedTotal += 2;
   return Y;
 }
 

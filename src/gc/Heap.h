@@ -55,21 +55,6 @@ struct DonatedGraph;
 struct HeapCensus;
 struct ScopedGeneration;
 
-/// Why an unbarriered store is sound — the claim a caller makes when it
-/// uses one of the Heap::*Elided fast paths. The claim is established
-/// statically (scheme/BarrierAnalysis.h, or a heap/VM-internal
-/// invariant) and, with HeapConfig::VerifyElision, dynamically
-/// re-checked at every elided store.
-enum class StoreElision : uint8_t {
-  /// The container was allocated on this path with no intervening
-  /// safepoint, so it is still in generation 0 and no store into it can
-  /// create an old-to-young edge.
-  Initializing,
-  /// The stored value is a non-pointer immediate; no edge is created
-  /// regardless of the container's generation.
-  Immediate,
-};
-
 /// Maximum supported generation count.
 constexpr unsigned MaxGenerations = 8;
 
@@ -142,37 +127,12 @@ public:
   void recordSet(Value Record, size_t Index, Value V);
   void objectFieldSet(Value Object, size_t Index, Value V);
 
-  //===------------------------------------------------------------------===//
-  // Elided (unbarriered) mutation. The compile-time barrier-elision fast
-  // paths: each skips writeBarrier entirely on the strength of the
-  // StoreElision claim, which HeapConfig::VerifyElision dynamically
-  // re-checks (aborting with an "unsound barrier elision" diagnostic on
-  // violation). Callers must hold a claim that is true at the store —
-  // an Initializing claim expires at the next safepoint, because any
-  // allocation can promote the fresh container out of generation 0.
-  //===------------------------------------------------------------------===//
-
-  void setCarElided(Value Pair, Value V, StoreElision Claim);
-  void setCdrElided(Value Pair, Value V, StoreElision Claim);
-  void vectorSetElided(Value Vector, size_t Index, Value V,
-                       StoreElision Claim);
-  void recordSetElided(Value Record, size_t Index, Value V,
-                       StoreElision Claim);
-
-  /// The VM frame-construction fast path: fills of a vector allocated
-  /// on this path with no intervening safepoint.
-  void vectorSetInitializing(Value Vector, size_t Index, Value V) {
-    vectorSetElided(Vector, Index, V, StoreElision::Initializing);
-  }
-  void recordSetInitializing(Value Record, size_t Index, Value V) {
-    recordSetElided(Record, Index, V, StoreElision::Initializing);
-  }
-
   /// Monotonic mutator store-tax counters: stores that took the full
-  /// writeBarrier path vs stores a *Elided path proved barrier-free.
-  /// The collector's own stores (guardian tconc delivery) count in
-  /// neither. Per-collection window deltas land in
-  /// GcStats::BarriersExecuted / BarriersElided.
+  /// writeBarrier path vs stores the heap makes without one because the
+  /// value is an immediate (guardianRetrieve clearing the vacated tconc
+  /// cell, two per retrieved object). The collector's own stores
+  /// (guardian tconc delivery) count in neither. Per-collection window
+  /// deltas land in GcStats::BarriersExecuted / BarriersElided.
   uint64_t barriersExecuted() const { return BarriersExecutedTotal; }
   uint64_t barriersElided() const { return BarriersElidedTotal; }
 
@@ -570,11 +530,6 @@ private:
   /// generation.
   std::vector<SymbolEntry *> &symbolListFor(Value Sym);
 
-  /// Bookkeeping shared by every *Elided store: counts the elision and,
-  /// under HeapConfig::VerifyElision, re-checks \p Claim against the
-  /// actual container generation / value tag, aborting on violation.
-  void elidedStore(Value Container, Value V, StoreElision Claim);
-
   /// Out-of-line cold tail of segInfo() for exchange-arena addresses.
   /// Asserts containment.
   const SegmentInfo &exchangeInfo(uintptr_t Address) const;
@@ -638,6 +593,8 @@ private:
   ScopeCloseHook CloseScopeHook;
   /// GcFaultInjection::LeakScopeEscape fires once per heap.
   bool ScopeLeakFired = false;
+  /// GcFaultInjection::DropRememberedEntry fires once per heap.
+  bool RememberedDropFired = false;
 
   /// register-for-finalization entries, one list per generation.
   std::vector<FinalizeEntry> FinalizeLists[MaxGenerations];
@@ -682,8 +639,6 @@ private:
   uint64_t BarriersElidedTotal = 0;
   uint64_t BarriersExecutedAtGc = 0;
   uint64_t BarriersElidedAtGc = 0;
-  /// GcFaultInjection::UnsoundElision fires once per heap.
-  bool UnsoundElisionFired = false;
 
   size_t BytesSinceGc = 0;
   /// Cumulative mutator allocation (totalBytesAllocated()).

@@ -43,7 +43,7 @@ constexpr uintptr_t FromSpacePoisonPattern = 0xDEADBEEFDEADBEEFull;
 
 /// Test-only fault injection (HeapConfig::InjectedFault), used by the
 /// model-differential fuzzer (src/testing/, tools/gcfuzz/) to prove the
-/// oracle actually catches collector bugs. Both faults are memory-safe
+/// oracle actually catches collector bugs. Every fault is memory-safe
 /// by construction — they corrupt the *semantics* (liveness and
 /// weak-pointer answers), never the heap structure — so the fuzzer
 /// reports a clean divergence instead of crashing.
@@ -56,13 +56,13 @@ enum class GcFaultInjection : uint8_t {
   /// fixWeakCar breaks weak cars whose target was copied (i.e. is
   /// live), inverting the paper's update-vs-break rule.
   BreakLiveWeakCar,
-  /// The first vectorSet that genuinely needs a remembered-set entry
-  /// (old container, younger pointer value) is deliberately
-  /// mis-classified as an initializing store and skips the write
-  /// barrier. With HeapConfig::VerifyElision the dynamic soundness
-  /// verifier aborts at the store; without it, the missing old-to-young
-  /// remembered entry is caught by Heap::verifyHeap / the fuzz oracle.
-  UnsoundElision,
+  /// The first collection that scans a remembered set drops one entry:
+  /// the first remembered container has its younger-generation strong
+  /// fields cleared to #f instead of being scanned, exactly as if the
+  /// write barrier had missed the old-to-young store. The object the
+  /// container kept alive dies while the shadow model keeps it — the
+  /// oracle's canary for the paper's remembered-set invariant.
+  DropRememberedEntry,
   /// The first closeScope drops one recorded escape: the first container
   /// in the closing scope's escape set has its into-scope strong fields
   /// cleared to #f instead of being scanned, exactly as if the write
@@ -158,22 +158,6 @@ struct HeapConfig {
   /// Deliberate collector bug for fuzzer validation (see GcFaultInjection
   /// above). Always None outside tools/gcfuzz and the fuzz tests.
   GcFaultInjection InjectedFault = GcFaultInjection::None;
-
-  /// Master switch for compile-time write-barrier elision. When on, the
-  /// bytecode compiler runs BarrierAnalysis and rewrites provably
-  /// initializing / provably immediate stores to unbarriered forms, and
-  /// the VM and heap internals use the Heap::*Initializing fast paths
-  /// for frame construction. When off, every store takes the full
-  /// writeBarrier path (the elision-differential baseline).
-  bool ElideBarriers = true;
-
-  /// Dynamic soundness verifier for elided stores: every unbarriered
-  /// store re-checks its claimed precondition (Initializing: the target
-  /// is still in generation 0; Immediate: the value is a non-pointer)
-  /// and aborts with a diagnostic on violation. Defaults on in
-  /// GENGC_STRESS builds; a runtime flag (rather than a compile-time
-  /// one) so Release-build tests can exercise the verifier too.
-  bool VerifyElision = GENGC_STRESS_DEFAULT != 0;
 
   /// Fill evacuated from-space segments with FromSpacePoisonPattern at
   /// the end of every collection. Any surviving stale pointer then reads

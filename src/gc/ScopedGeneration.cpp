@@ -157,23 +157,7 @@ void Collector::scopeForwardEscapeRoots(ScopedGeneration &Scope) {
       // dies), never a wild pointer.
       LeakOne = false;
       H.ScopeLeakFired = true;
-      auto ClearIfFromSpace = [&](uintptr_t &FieldBits) {
-        Value F = Value::fromBits(FieldBits);
-        if (F.isHeapPointer() &&
-            H.segInfo(F.heapAddress()).isFromSpace())
-          FieldBits = Value::falseV().bits();
-      };
-      if (C.isPair()) {
-        PairCell *Cell = C.pairCell();
-        if (H.segInfo(C.heapAddress()).Space != SpaceKind::WeakPair)
-          ClearIfFromSpace(Cell->Car);
-        ClearIfFromSpace(Cell->Cdr);
-      } else {
-        uintptr_t *Header = C.objectHeader();
-        const size_t Fields = objectPointerFieldCount(*Header);
-        for (size_t I = 0; I != Fields; ++I)
-          ClearIfFromSpace(Header[1 + I]);
-      }
+      dropFromSpaceFields(C);
       continue;
     }
     forwardRememberedObject(C);

@@ -44,18 +44,15 @@ enum class Op : uint32_t {
   /// current environment. Operands: depth, index.
   LocalRef,
   /// Pop and store into the local at (depth, index); pushes void.
-  /// Operands: depth, index, elide (a StoreFlag: how the store's write
-  /// barrier may be skipped; written by BarrierAnalysis, StoreFlagBarrier
-  /// as emitted).
+  /// Operands: depth, index.
   LocalSet,
   /// Push the global bound to the symbol constants[k]; error if
   /// unbound. Operands: k.
   GlobalRef,
-  /// Pop and define the global constants[k]; pushes void. Operands: k,
-  /// elide (StoreFlag).
+  /// Pop and define the global constants[k]; pushes void. Operands: k.
   GlobalDef,
   /// Pop and set! the global constants[k]; error if unbound; pushes
-  /// void. Operands: k, elide (StoreFlag).
+  /// void. Operands: k.
   GlobalSet,
   /// Push a VM closure over code unit u capturing the current
   /// environment. Operands: u.
@@ -96,24 +93,7 @@ enum class Op : uint32_t {
   ExitScope,
 };
 
-/// Values of the elide operand carried by the store opcodes (LocalSet,
-/// GlobalDef, GlobalSet). The compiler always emits StoreFlagBarrier;
-/// BarrierAnalysis (scheme/BarrierAnalysis.h) upgrades provable stores
-/// after codegen. The VM maps StoreFlagInit/StoreFlagImm to the Heap's
-/// unbarriered *Elided paths (StoreElision::Initializing/::Immediate).
-enum StoreFlag : uint32_t {
-  /// Unproven: take the full writeBarrier path.
-  StoreFlagBarrier = 0,
-  /// The target frame was allocated on every path to this store with no
-  /// intervening safepoint — it is still in generation 0.
-  StoreFlagInit = 1,
-  /// The stored value is provably a non-pointer immediate.
-  StoreFlagImm = 2,
-};
-
-/// Operand words following each opcode word (shared by the
-/// disassembler and BarrierAnalysis so the stream is decoded in exactly
-/// one place).
+/// Operand words following each opcode word.
 constexpr unsigned opOperandCount(Op O) {
   switch (O) {
   case Op::Const:
@@ -125,13 +105,13 @@ constexpr unsigned opOperandCount(Op O) {
   case Op::JumpIfFalse:
   case Op::EnterScope:
   case Op::EnterScopeUndef:
-    return 1;
-  case Op::LocalRef:
   case Op::GlobalDef:
   case Op::GlobalSet:
+    return 1;
+  case Op::LocalRef:
+  case Op::LocalSet:
   case Op::Bind:
     return 2;
-  case Op::LocalSet:
   case Op::ArityJump:
     return 3;
   case Op::PushNil:

@@ -9,7 +9,6 @@
 
 #include "core/ListOps.h"
 #include "gc/NoGcScope.h"
-#include "scheme/BarrierAnalysis.h"
 #include "scheme/Printer.h"
 
 using namespace gengc;
@@ -253,7 +252,7 @@ void Compiler::compileDefine(UnitBuilder &B, Value Rest) {
     popFrame();
     size_t Unit = finishUnit(UB);
     emit(B, Op::MakeClosure, static_cast<uint32_t>(Unit));
-    emit(B, Op::GlobalDef, addConstant(B, Name), StoreFlagBarrier);
+    emit(B, Op::GlobalDef, addConstant(B, Name));
     return;
   }
   if (!isSymbol(Target)) {
@@ -261,7 +260,7 @@ void Compiler::compileDefine(UnitBuilder &B, Value Rest) {
     return;
   }
   compileExpr(B, pairCar(pairCdr(Rest)), /*Tail=*/false);
-  emit(B, Op::GlobalDef, addConstant(B, Target), StoreFlagBarrier);
+  emit(B, Op::GlobalDef, addConstant(B, Target));
 }
 
 void Compiler::compileSet(UnitBuilder &B, Value Rest) {
@@ -273,9 +272,9 @@ void Compiler::compileSet(UnitBuilder &B, Value Rest) {
   compileExpr(B, pairCar(pairCdr(Rest)), /*Tail=*/false);
   uint32_t Depth, Index;
   if (resolveLexical(Name, Depth, Index))
-    emit(B, Op::LocalSet, Depth, Index, StoreFlagBarrier);
+    emit(B, Op::LocalSet, Depth, Index);
   else
-    emit(B, Op::GlobalSet, addConstant(B, Name), StoreFlagBarrier);
+    emit(B, Op::GlobalSet, addConstant(B, Name));
 }
 
 size_t Compiler::compileProcedureUnit(Value Clauses,
@@ -328,7 +327,7 @@ void Compiler::compileLet(UnitBuilder &B, Value Rest, bool Tail) {
     size_t Unit = finishUnit(UB);
 
     emit(B, Op::MakeClosure, static_cast<uint32_t>(Unit));
-    emit(B, Op::LocalSet, 0, 0, StoreFlagBarrier);
+    emit(B, Op::LocalSet, 0, 0);
     emit(B, Op::Pop); // LocalSet pushes void.
     // Initial application: (loop init...).
     emit(B, Op::LocalRef, 0, 0);
@@ -382,7 +381,7 @@ void Compiler::compileLetStarOrRec(UnitBuilder &B, Value Rest, bool Tail,
   uint32_t Index = 0;
   for (Value Bd = Bindings; Bd.isPair(); Bd = pairCdr(Bd)) {
     compileExpr(B, pairCar(pairCdr(pairCar(Bd))), /*Tail=*/false);
-    emit(B, Op::LocalSet, 0, Index++, StoreFlagBarrier);
+    emit(B, Op::LocalSet, 0, Index++);
     emit(B, Op::Pop);
   }
   (void)IsRec;
@@ -488,10 +487,7 @@ size_t Compiler::finishUnit(UnitBuilder &B) {
   // No allocation here: the unit's constants stay in their RootVector
   // until freezeConstantPools runs after the whole source walk, so
   // finishing a nested unit cannot move the bare Values the enclosing
-  // walk still holds. The elision pass is likewise pure C++, so it is
-  // safe inside the walk's NoGcScope.
-  if (H.config().ElideBarriers)
-    runBarrierElision(B.Code, *B.Constants);
+  // walk still holds.
   CodeUnit Unit;
   Unit.Code = std::move(B.Code);
   Unit.Name = std::move(B.Name);
@@ -504,15 +500,8 @@ void Compiler::freezeConstantPools() {
   for (auto &Pending : PendingPools) {
     RootVector &Constants = *Pending.second;
     Root Pool(H, H.makeVector(Constants.size(), Value::nil()));
-    for (size_t K = 0; K != Constants.size(); ++K) {
-      // The pool was allocated just above with no intervening
-      // safepoint (vectorSet never polls), so the fills are
-      // initializing stores.
-      if (H.config().ElideBarriers)
-        H.vectorSetInitializing(Pool, K, Constants[K]);
-      else
-        H.vectorSet(Pool, K, Constants[K]);
-    }
+    for (size_t K = 0; K != Constants.size(); ++K)
+      H.vectorSet(Pool, K, Constants[K]);
     Program.setUnitConstants(Pending.first, Program.addConstantPool(Pool));
   }
   PendingPools.clear();

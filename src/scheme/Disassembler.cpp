@@ -15,63 +15,60 @@ namespace {
 struct OpInfo {
   const char *Name;
   bool FirstOperandIsConstant;
-  /// The trailing operand is a StoreFlag (the store opcodes): render it
-  /// as a barrier-elision annotation instead of a raw number.
-  bool LastOperandIsElideFlag;
 };
 
 OpInfo infoFor(Op O) {
   switch (O) {
   case Op::Const:
-    return {"const", true, false};
+    return {"const", true};
   case Op::PushNil:
-    return {"push-nil", false, false};
+    return {"push-nil", false};
   case Op::PushTrue:
-    return {"push-true", false, false};
+    return {"push-true", false};
   case Op::PushFalse:
-    return {"push-false", false, false};
+    return {"push-false", false};
   case Op::PushVoid:
-    return {"push-void", false, false};
+    return {"push-void", false};
   case Op::LocalRef:
-    return {"local-ref", false, false};
+    return {"local-ref", false};
   case Op::LocalSet:
-    return {"local-set", false, true};
+    return {"local-set", false};
   case Op::GlobalRef:
-    return {"global-ref", true, false};
+    return {"global-ref", true};
   case Op::GlobalDef:
-    return {"global-def", true, true};
+    return {"global-def", true};
   case Op::GlobalSet:
-    return {"global-set", true, true};
+    return {"global-set", true};
   case Op::MakeClosure:
-    return {"make-closure", false, false};
+    return {"make-closure", false};
   case Op::Call:
-    return {"call", false, false};
+    return {"call", false};
   case Op::TailCall:
-    return {"tail-call", false, false};
+    return {"tail-call", false};
   case Op::Return:
-    return {"return", false, false};
+    return {"return", false};
   case Op::Jump:
-    return {"jump", false, false};
+    return {"jump", false};
   case Op::JumpIfFalse:
-    return {"jump-if-false", false, false};
+    return {"jump-if-false", false};
   case Op::Pop:
-    return {"pop", false, false};
+    return {"pop", false};
   case Op::Dup:
-    return {"dup", false, false};
+    return {"dup", false};
   case Op::ArityJump:
-    return {"arity-jump", false, false};
+    return {"arity-jump", false};
   case Op::Bind:
-    return {"bind", false, false};
+    return {"bind", false};
   case Op::ArityFail:
-    return {"arity-fail", false, false};
+    return {"arity-fail", false};
   case Op::EnterScope:
-    return {"enter-scope", false, false};
+    return {"enter-scope", false};
   case Op::EnterScopeUndef:
-    return {"enter-scope-undef", false, false};
+    return {"enter-scope-undef", false};
   case Op::ExitScope:
-    return {"exit-scope", false, false};
+    return {"exit-scope", false};
   }
-  return {"??", false, false};
+  return {"??", false};
 }
 
 } // namespace
@@ -87,16 +84,6 @@ std::string gengc::disassemble(const CompiledProgram &Program,
     Out += std::to_string(PC) + ": " + Info.Name;
     ++PC;
     for (unsigned K = 0; K != Operands; ++K) {
-      if (Info.LastOperandIsElideFlag && K == Operands - 1) {
-        // BarrierAnalysis's verdict for this store; unannotated stores
-        // take the full write barrier.
-        if (Unit.Code[PC] == StoreFlagInit)
-          Out += " [init]";
-        else if (Unit.Code[PC] == StoreFlagImm)
-          Out += " [imm]";
-        ++PC;
-        continue;
-      }
       Out += " " + std::to_string(Unit.Code[PC]);
       if (K == 0 && Info.FirstOperandIsConstant) {
         Heap &H = const_cast<CompiledProgram &>(Program).heap();

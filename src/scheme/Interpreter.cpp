@@ -75,33 +75,23 @@ Value Interpreter::lookupVariable(Value Symbol, Value Env) {
   return signalError("unbound variable: " + H.symbolName(Symbol));
 }
 
-bool Interpreter::setVariable(Value Symbol, Value Env, Value V,
-                              bool VIsImmediate) {
+bool Interpreter::setVariable(Value Symbol, Value Env, Value V) {
   for (Value E = Env; isRecord(E); E = objectField(E, EnvParent)) {
     Value Entry = listAssq(Symbol, objectField(E, EnvBindings));
     if (Entry.isPair()) {
-      // An immediate value can never create an old-to-young edge, so a
-      // compile-time immediate claim elides the binding-pair barrier.
-      if (VIsImmediate)
-        H.setCdrElided(Entry, V, StoreElision::Immediate);
-      else
-        H.setCdr(Entry, V);
+      H.setCdr(Entry, V);
       return true;
     }
   }
   return false;
 }
 
-void Interpreter::defineVariable(Value Env, Value Symbol, Value V,
-                                 bool VIsImmediate) {
+void Interpreter::defineVariable(Value Env, Value Symbol, Value V) {
   Root REnv(H, Env), RSymbol(H, Symbol), RV(H, V);
   // Redefinition mutates in place, as a REPL expects.
   Value Entry = listAssq(RSymbol, objectField(REnv.get(), EnvBindings));
   if (Entry.isPair()) {
-    if (VIsImmediate)
-      H.setCdrElided(Entry, RV, StoreElision::Immediate);
-    else
-      H.setCdr(Entry, RV);
+    H.setCdr(Entry, RV);
     return;
   }
   Root NewEntry(H, H.cons(RSymbol, RV));
@@ -116,9 +106,8 @@ void Interpreter::defineGlobal(std::string_view Name, Value V) {
   defineVariable(GlobalEnv, Sym, RV);
 }
 
-void Interpreter::defineGlobalSymbol(Value Symbol, Value V,
-                                     bool VIsImmediate) {
-  defineVariable(GlobalEnv, Symbol, V, VIsImmediate);
+void Interpreter::defineGlobalSymbol(Value Symbol, Value V) {
+  defineVariable(GlobalEnv, Symbol, V);
 }
 
 Value Interpreter::lookupGlobalSymbol(Value Symbol) {
@@ -128,9 +117,8 @@ Value Interpreter::lookupGlobalSymbol(Value Symbol) {
   return Value::unbound();
 }
 
-bool Interpreter::setGlobalSymbol(Value Symbol, Value V,
-                                  bool VIsImmediate) {
-  return setVariable(Symbol, GlobalEnv, V, VIsImmediate);
+bool Interpreter::setGlobalSymbol(Value Symbol, Value V) {
+  return setVariable(Symbol, GlobalEnv, V);
 }
 
 //===----------------------------------------------------------------------===//

@@ -84,15 +84,13 @@ public:
   void defineGlobal(std::string_view Name, Value V);
   /// Binds \p Symbol in the global environment (used by the bytecode
   /// VM, which shares the interpreter's globals and primitives).
-  /// \p VIsImmediate is BarrierAnalysis's claim that \p V is a
-  /// non-pointer immediate, letting the binding store skip its barrier.
-  void defineGlobalSymbol(Value Symbol, Value V, bool VIsImmediate = false);
+  void defineGlobalSymbol(Value Symbol, Value V);
   /// Looks up \p Symbol in the global environment; Value::unbound() if
   /// absent (no error is signalled).
   Value lookupGlobalSymbol(Value Symbol);
   /// set!s \p Symbol in the global environment; returns false if
-  /// unbound. \p VIsImmediate as for defineGlobalSymbol.
-  bool setGlobalSymbol(Value Symbol, Value V, bool VIsImmediate = false);
+  /// unbound.
+  bool setGlobalSymbol(Value Symbol, Value V);
   /// Registers a primitive procedure.
   void definePrimitive(std::string_view Name, intptr_t MinArgs,
                        intptr_t MaxArgs, PrimitiveFn Fn);
@@ -127,10 +125,8 @@ private:
   //===--- Environments ---------------------------------------------------===//
   Value makeEnvironment(Value Parent);
   Value lookupVariable(Value Symbol, Value Env);
-  bool setVariable(Value Symbol, Value Env, Value V,
-                   bool VIsImmediate = false);
-  void defineVariable(Value Env, Value Symbol, Value V,
-                      bool VIsImmediate = false);
+  bool setVariable(Value Symbol, Value Env, Value V);
+  void defineVariable(Value Env, Value Symbol, Value V);
 
   //===--- Application ----------------------------------------------------===//
   /// Selects the clause of \p Clauses matching \p ArgCount, or unbound.

@@ -220,7 +220,8 @@ void Interpreter::installPrimitives() {
     Add("total-gc-nanos", Fix(Tot.DurationNanos));
     // Process-lifetime barrier counts (not windowed to a collection):
     // executed = stores that ran the write-barrier filter; elided =
-    // stores that skipped it on a compiler or runtime soundness proof.
+    // stores the heap itself makes without one because the value is an
+    // immediate (guardianRetrieve clearing the vacated tconc cell).
     Add("barriers-executed", Fix(BarriersExecuted));
     Add("barriers-elided", Fix(BarriersElided));
     Add("last-generation", Fix(Last.CollectedGeneration));

@@ -15,8 +15,7 @@ using namespace gengc;
 
 VirtualMachine::VirtualMachine(Interpreter &I)
     : I(I), H(I.heap()), Program(H), VmClosureTag(H, H.intern("vm-closure")),
-      ValueStack(H), EnvStack(H), ElideFrames(H.config().ElideBarriers),
-      Profiling(H.allocProfiler().enabled()) {
+      ValueStack(H), EnvStack(H), Profiling(H.allocProfiler().enabled()) {
   // Let tree-walked code apply VM closures (e.g. the prelude's `map`
   // mapping a compiled procedure).
   I.setExternalApplyHook(
@@ -159,20 +158,12 @@ Value VirtualMachine::execute(size_t BaseFrame) {
     case Op::LocalSet: {
       uint32_t Depth = U.Code[F.PC++];
       uint32_t Index = U.Code[F.PC++];
-      uint32_t Elide = U.Code[F.PC++];
       Value V = ValueStack.back();
       ValueStack.pop_back();
       Value Env = currentEnv();
       for (uint32_t D = 0; D != Depth; ++D)
         Env = envParent(Env);
-      // BarrierAnalysis proved the claim; the heap re-checks it under
-      // HeapConfig::VerifyElision.
-      if (Elide == StoreFlagInit)
-        H.vectorSetElided(Env, 1 + Index, V, StoreElision::Initializing);
-      else if (Elide == StoreFlagImm)
-        H.vectorSetElided(Env, 1 + Index, V, StoreElision::Immediate);
-      else
-        H.vectorSet(Env, 1 + Index, V);
+      H.vectorSet(Env, 1 + Index, V);
       ValueStack.push_back(Value::voidV());
       break;
     }
@@ -186,21 +177,19 @@ Value VirtualMachine::execute(size_t BaseFrame) {
     }
     case Op::GlobalDef: {
       Value Sym = Program.constantOf(U, U.Code[F.PC++]);
-      uint32_t Elide = U.Code[F.PC++];
       Value V = ValueStack.back();
       ValueStack.pop_back();
       // Name anonymous VM closures for better diagnostics? The record
       // has no name slot; skip.
-      I.defineGlobalSymbol(Sym, V, Elide == StoreFlagImm);
+      I.defineGlobalSymbol(Sym, V);
       ValueStack.push_back(Value::voidV());
       break;
     }
     case Op::GlobalSet: {
       Value Sym = Program.constantOf(U, U.Code[F.PC++]);
-      uint32_t Elide = U.Code[F.PC++];
       Value V = ValueStack.back();
       ValueStack.pop_back();
-      if (!I.setGlobalSymbol(Sym, V, Elide == StoreFlagImm))
+      if (!I.setGlobalSymbol(Sym, V))
         return signalError("set!: unbound variable: " +
                            H.symbolName(Sym));
       ValueStack.push_back(Value::voidV());
@@ -211,15 +200,8 @@ Value VirtualMachine::execute(size_t BaseFrame) {
       uint32_t Unit = U.Code[F.PC++];
       Root Env(H, currentEnv());
       Root Closure(H, H.makeRecord(VmClosureTag, 3, Value::nil()));
-      // The record was allocated just above with no intervening
-      // safepoint (recordSet never polls): initializing stores.
-      if (ElideFrames) {
-        H.recordSetInitializing(Closure, 1, Value::fixnum(Unit));
-        H.recordSetInitializing(Closure, 2, Env);
-      } else {
-        H.recordSet(Closure, 1, Value::fixnum(Unit));
-        H.recordSet(Closure, 2, Env);
-      }
+      H.recordSet(Closure, 1, Value::fixnum(Unit));
+      H.recordSet(Closure, 2, Env);
       ValueStack.push_back(Closure.get());
       break;
     }
@@ -315,20 +297,9 @@ Value VirtualMachine::execute(size_t BaseFrame) {
       const size_t ArgBase = F.ProcBase + 1;
       const size_t Slots = NFixed + (HasRest ? 1 : 0);
       Root NewEnv(H, H.makeVector(1 + Slots, Value::unbound()));
-      // The frame vector is freshly allocated and the parent/fixed-arg
-      // fills cannot safepoint: initializing stores. The rest-arg store
-      // must stay barriered — the cons loop between the frame's
-      // allocation and that store is a safepoint that can promote the
-      // frame out of generation 0 (under GENGC_STRESS it always does).
-      if (ElideFrames) {
-        H.vectorSetInitializing(NewEnv, 0, currentEnv());
-        for (uint32_t K = 0; K != NFixed; ++K)
-          H.vectorSetInitializing(NewEnv, 1 + K, ValueStack[ArgBase + K]);
-      } else {
-        H.vectorSet(NewEnv, 0, currentEnv());
-        for (uint32_t K = 0; K != NFixed; ++K)
-          H.vectorSet(NewEnv, 1 + K, ValueStack[ArgBase + K]);
-      }
+      H.vectorSet(NewEnv, 0, currentEnv());
+      for (uint32_t K = 0; K != NFixed; ++K)
+        H.vectorSet(NewEnv, 1 + K, ValueStack[ArgBase + K]);
       if (HasRest) {
         Root Rest(H, Value::nil());
         for (uint32_t K = F.ArgCount; K != NFixed; --K)
@@ -346,16 +317,9 @@ Value VirtualMachine::execute(size_t BaseFrame) {
       uint32_t N = U.Code[F.PC++];
       Root NewEnv(H, H.makeVector(1 + N, Value::unbound()));
       const size_t Base = ValueStack.size() - N;
-      // Fresh frame, no safepoint before the fills: initializing.
-      if (ElideFrames) {
-        H.vectorSetInitializing(NewEnv, 0, currentEnv());
-        for (uint32_t K = 0; K != N; ++K)
-          H.vectorSetInitializing(NewEnv, 1 + K, ValueStack[Base + K]);
-      } else {
-        H.vectorSet(NewEnv, 0, currentEnv());
-        for (uint32_t K = 0; K != N; ++K)
-          H.vectorSet(NewEnv, 1 + K, ValueStack[Base + K]);
-      }
+      H.vectorSet(NewEnv, 0, currentEnv());
+      for (uint32_t K = 0; K != N; ++K)
+        H.vectorSet(NewEnv, 1 + K, ValueStack[Base + K]);
       ValueStack.truncate(Base);
       setCurrentEnv(NewEnv.get());
       break;
@@ -363,10 +327,7 @@ Value VirtualMachine::execute(size_t BaseFrame) {
     case Op::EnterScopeUndef: {
       uint32_t N = U.Code[F.PC++];
       Root NewEnv(H, H.makeVector(1 + N, Value::unbound()));
-      if (ElideFrames)
-        H.vectorSetInitializing(NewEnv, 0, currentEnv());
-      else
-        H.vectorSet(NewEnv, 0, currentEnv());
+      H.vectorSet(NewEnv, 0, currentEnv());
       setCurrentEnv(NewEnv.get());
       break;
     }
@@ -387,14 +348,8 @@ Value VirtualMachine::evalForm(Value Form) {
   // Wrap the entry unit in a closure over the empty environment. The
   // unit's Bind(0,0) prologue gives it a root frame.
   Root Entry(H, H.makeRecord(VmClosureTag, 3, Value::nil()));
-  if (ElideFrames) {
-    H.recordSetInitializing(Entry, 1,
-                            Value::fixnum(static_cast<intptr_t>(Unit)));
-    H.recordSetInitializing(Entry, 2, Value::nil());
-  } else {
-    H.recordSet(Entry, 1, Value::fixnum(static_cast<intptr_t>(Unit)));
-    H.recordSet(Entry, 2, Value::nil());
-  }
+  H.recordSet(Entry, 1, Value::fixnum(static_cast<intptr_t>(Unit)));
+  H.recordSet(Entry, 2, Value::nil());
   RootVector NoArgs(H);
   return applyClosure(Entry, NoArgs);
 }

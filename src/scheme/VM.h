@@ -97,11 +97,6 @@ private:
   RootVector EnvStack; ///< One environment slot per frame.
   std::vector<VmFrame> Frames;
 
-  /// HeapConfig::ElideBarriers, cached: frame construction (Bind,
-  /// EnterScope, MakeClosure) uses the heap's initializing-store fast
-  /// paths when on.
-  bool ElideFrames;
-
   /// AllocProfiler::enabled(), cached at construction (it is fixed for
   /// the heap's lifetime): the disabled cost of site attribution is
   /// one predictable branch per dispatched instruction.

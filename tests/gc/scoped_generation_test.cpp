@@ -126,6 +126,30 @@ TEST(ScopedGenerationTest, EscapeViaOldStoreGraduates) {
   H.verifyHeap();
 }
 
+// The same escape from a generation-0 container outside the scope. The
+// barrier tests for open scopes before its young-container early-out,
+// because a young container can hold the only outside reference into a
+// scope just as an old one can.
+TEST(ScopedGenerationTest, EscapeViaYoungStoreGraduates) {
+  Heap H(testConfig());
+  Root Young(H, H.cons(Value::falseV(), Value::nil()));
+  ASSERT_EQ(H.generationOf(Young.get()), 0u);
+  H.openScope();
+  {
+    Root Inner(H, H.cons(Value::fixnum(42), Value::fixnum(43)));
+    H.setCar(Young.get(), Inner.get()); // young -> scope: escape recorded.
+  }
+  H.closeScope();
+  EXPECT_GE(H.lastScopeClose().ObjectsEvacuated, 1u)
+      << "the young container's escape was not recorded";
+  Value Esc = pairCar(Young.get());
+  ASSERT_TRUE(Esc.isPair());
+  EXPECT_EQ(H.scopeDepthOf(Esc), 0u);
+  EXPECT_EQ(pairCar(Esc).asFixnum(), 42);
+  EXPECT_EQ(pairCdr(Esc).asFixnum(), 43);
+  H.verifyHeap();
+}
+
 TEST(ScopedGenerationTest, UnreachableScopeObjectsDieUntraced) {
   Heap H(testConfig());
   H.openScope();

@@ -14,6 +14,7 @@
 
 #include "gc/Heap.h"
 #include "gc/Roots.h"
+#include "gc/Tconc.h"
 #include "gc/telemetry/Census.h"
 #include "gc/telemetry/TraceExport.h"
 
@@ -558,10 +559,16 @@ TEST(GcTotalsTest, AccumulateCoversEveryField) {
 }
 
 TEST(GcTotalsTest, BarrierCountersWindowPerCollection) {
+  // The heap's own barrier-free stores: guardianRetrieve clears the
+  // vacated tconc cell with two immediate stores per retrieved element
+  // (and swings the header's car through the barrier).
   Heap H(testConfig());
   Root P(H, H.cons(Value::nil(), Value::nil()));
+  Root Tconc(H, tconcMake(H));
+  tconcAppend(H, Tconc.get(), Value::fixnum(10));
+  tconcAppend(H, Tconc.get(), Value::fixnum(11));
   H.setCar(P.get(), Value::fixnum(1)); // Barriered.
-  H.setCarElided(P.get(), Value::falseV(), StoreElision::Immediate);
+  EXPECT_EQ(tconcRetrieve(H, Tconc.get()), Value::fixnum(10));
   const uint64_t Exec = H.barriersExecuted();
   const uint64_t Elided = H.barriersElided();
   EXPECT_GE(Exec, 1u);
@@ -574,16 +581,15 @@ TEST(GcTotalsTest, BarrierCountersWindowPerCollection) {
 
   // Second window contains only the stores made in between.
   H.setCar(P.get(), Value::fixnum(2));
-  H.setCar(P.get(), Value::fixnum(3));
-  H.setCarElided(P.get(), Value::falseV(), StoreElision::Immediate);
+  EXPECT_EQ(tconcRetrieve(H, Tconc.get()), Value::fixnum(11));
   H.collectMinor();
   EXPECT_EQ(H.lastStats().BarriersExecuted, 2u);
-  EXPECT_EQ(H.lastStats().BarriersElided, 1u);
+  EXPECT_EQ(H.lastStats().BarriersElided, 2u);
 
   // Totals carry the sum of the windows; the heap-level counters are
   // monotonic and include post-collection stores too.
   EXPECT_EQ(H.totals().BarriersExecuted, Exec + 2);
-  EXPECT_EQ(H.totals().BarriersElided, Elided + 1);
+  EXPECT_EQ(H.totals().BarriersElided, Elided + 2);
   H.setCar(P.get(), Value::fixnum(4));
   EXPECT_EQ(H.barriersExecuted(), Exec + 3);
 }

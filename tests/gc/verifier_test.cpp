@@ -86,55 +86,6 @@ TEST_F(VerifierDeathTest, ForwardMarkerLeakDetected) {
       "forward marker");
 }
 
-//===----------------------------------------------------------------------===//
-// The dynamic elision verifier: every elided store carries a claim
-// (initializing / immediate) that VerifyElision re-checks at the store
-// itself. A false claim must abort immediately — not corrupt the
-// remembered set and fail some arbitrary collections later.
-//===----------------------------------------------------------------------===//
-
-HeapConfig verifyingConfig() {
-  HeapConfig C = testConfig();
-  C.VerifyElision = true;
-  return C;
-}
-
-TEST_F(VerifierDeathTest, SoundElidedStoresPass) {
-  Heap H(verifyingConfig());
-  // Initializing: the vector was just allocated, no safepoint since.
-  Root V(H, H.makeVector(4, Value::nil()));
-  Root Young(H, H.cons(Value::fixnum(1), Value::nil()));
-  H.vectorSetInitializing(V.get(), 0, Young.get());
-  // Immediate: #f is not a heap pointer, the container's age is moot.
-  H.collectFull();
-  H.setCarElided(Young.get(), Value::falseV(), StoreElision::Immediate);
-  H.verifyHeap();
-  EXPECT_GE(H.barriersElided(), 2u);
-}
-
-TEST_F(VerifierDeathTest, UnsoundInitializingClaimAborts) {
-  ASSERT_DEATH(
-      {
-        Heap H(verifyingConfig());
-        Root V(H, H.makeVector(4, Value::nil()));
-        H.collectMinor(); // A safepoint: V is no longer generation 0.
-        Root Young(H, H.cons(Value::fixnum(1), Value::nil()));
-        H.vectorSetInitializing(V.get(), 0, Young.get());
-      },
-      "no longer in generation 0");
-}
-
-TEST_F(VerifierDeathTest, UnsoundImmediateClaimAborts) {
-  ASSERT_DEATH(
-      {
-        Heap H(verifyingConfig());
-        Root P(H, H.cons(Value::nil(), Value::nil()));
-        Root Young(H, H.cons(Value::fixnum(1), Value::nil()));
-        H.setCarElided(P.get(), Young.get(), StoreElision::Immediate);
-      },
-      "value is a heap pointer");
-}
-
 TEST_F(VerifierDeathTest, CorruptHeaderDetected) {
   ASSERT_DEATH(
       {

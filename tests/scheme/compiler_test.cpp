@@ -131,107 +131,24 @@ TEST_F(CompilerTest, LetCompilesToScopes) {
   EXPECT_NE(DRec.find("enter-scope-undef 1"), std::string::npos);
 }
 
-//===--------------------------------------------------------------------===//
-// Barrier elision (scheme/BarrierAnalysis.h). The pass runs inside
-// finishUnit, so its verdicts are visible in the disassembly.
-//===--------------------------------------------------------------------===//
-
-TEST_F(CompilerTest, ElisionGoldenLetrec) {
-  // Golden text with an elided and a non-elided store in the same unit:
-  // the constant init of `a` hits a frame that is provably fresh
-  // (EnterScopeUndef allocated it; Const cannot safepoint), while the
-  // init of `b` follows a call — a safepoint that can promote the frame
-  // — so its store keeps the full barrier (no annotation).
+TEST_F(CompilerTest, GoldenLetrec) {
+  // Golden text for a letrec: a fresh frame of unbound slots, each init
+  // stored into its slot (a constant, then a call's result), then the
+  // body's reference.
   EXPECT_EQ(compileAndDisassemble("(letrec ([a 1] [b (f)]) b)"),
             ";; unit 'top-level'\n"
             "0: bind 0 0\n"
             "3: enter-scope-undef 2\n"
             "5: const 0 {1}\n"
-            "7: local-set 0 0 [init]\n"
-            "11: pop\n"
-            "12: global-ref 1 {f}\n"
-            "14: call 0\n"
-            "16: local-set 0 1\n"
-            "20: pop\n"
-            "21: local-ref 0 1\n"
-            "24: exit-scope\n"
-            "25: return\n");
-}
-
-TEST_F(CompilerTest, ElisionSetLocalAfterBindIsInitializing) {
-  // Bind without a rest parameter leaves the frame fresh, so even a
-  // heap-valued store into it is initializing.
-  std::string D = compileAndDisassemble("(lambda (x) (set! x (quote s)) x)", 1);
-  EXPECT_NE(D.find("local-set 0 0 [init]"), std::string::npos) << D;
-}
-
-TEST_F(CompilerTest, ElisionRestParameterKillsFreshness) {
-  // The rest list is consed after the frame vector: Bind with a rest
-  // parameter is not fresh, and 's is a heap constant — full barrier.
-  std::string D =
-      compileAndDisassemble("(lambda (x . r) (set! x (quote s)) x)", 1);
-  EXPECT_NE(D.find("local-set 0 0\n"), std::string::npos) << D;
-  // An immediate store still elides by value even in a stale frame.
-  std::string DImm =
-      compileAndDisassemble("(lambda (x . r) (set! x 42) x)", 1);
-  EXPECT_NE(DImm.find("local-set 0 0 [imm]"), std::string::npos) << DImm;
-}
-
-TEST_F(CompilerTest, ElisionCallKillsFreshnessButImmediateSurvives) {
-  std::string D =
-      compileAndDisassemble("(lambda (x) (f) (set! x 42) x)", 1);
-  EXPECT_NE(D.find("local-set 0 0 [imm]"), std::string::npos) << D;
-}
-
-TEST_F(CompilerTest, ElisionOuterFrameStoreUsesValueClass) {
-  // Depth-1 stores can never be initializing (creating the inner frame
-  // was itself an allocation); classification falls back to the value.
-  std::string DImm =
-      compileAndDisassemble("(lambda (x) (lambda (y) (set! x 5) y))", 2);
-  EXPECT_NE(DImm.find("local-set 1 0 [imm]"), std::string::npos) << DImm;
-  std::string DBar = compileAndDisassemble(
-      "(lambda (x) (lambda (y) (set! x (quote s)) y))", 2);
-  EXPECT_NE(DBar.find("local-set 1 0\n"), std::string::npos) << DBar;
-}
-
-TEST_F(CompilerTest, ElisionControlFlowJoinMeets) {
-  // One branch calls, the other does not: at the join the frame is only
-  // fresh on one path, so the store after the if cannot be initializing
-  // — but its constant-immediate operand still elides by value.
-  std::string D = compileAndDisassemble(
-      "(lambda (x p) (if p (f) 0) (set! x 1) x)", 1);
-  EXPECT_NE(D.find("local-set 0 0 [imm]"), std::string::npos) << D;
-  // Neither branch safepoints: freshness survives the join.
-  std::string DFresh = compileAndDisassemble(
-      "(lambda (x p) (if p 1 2) (set! x (quote s)) x)", 1);
-  EXPECT_NE(DFresh.find("local-set 0 0 [init]"), std::string::npos)
-      << DFresh;
-}
-
-TEST_F(CompilerTest, ElisionGlobalStoresOfImmediates) {
-  std::string DDef = compileAndDisassemble("(define forty-two 42)");
-  EXPECT_NE(DDef.find("[imm]"), std::string::npos) << DDef;
-  std::string DSet = compileAndDisassemble("(set! forty-two 43)");
-  EXPECT_NE(DSet.find("[imm]"), std::string::npos) << DSet;
-  // A heap-valued global store keeps its barrier.
-  std::string DHeap = compileAndDisassemble("(set! forty-two (quote s))");
-  EXPECT_EQ(DHeap.find("[imm]"), std::string::npos) << DHeap;
-  EXPECT_EQ(DHeap.find("[init]"), std::string::npos) << DHeap;
-}
-
-TEST_F(CompilerTest, ElisionDisabledLeavesEveryBarrier) {
-  HeapConfig Off = testConfig();
-  Off.ElideBarriers = false;
-  Heap H2(Off);
-  Interpreter I2(H2);
-  CompiledProgram P2(H2);
-  Root Form(H2, readDatum(H2, "(letrec ([a 1]) (set! a 2) a)"));
-  Compiler C(I2, P2);
-  size_t Entry = C.compileTopLevel(Form);
-  ASSERT_FALSE(C.hadError()) << C.error();
-  std::string D = disassemble(P2, P2.unit(Entry));
-  EXPECT_EQ(D.find("[init]"), std::string::npos) << D;
-  EXPECT_EQ(D.find("[imm]"), std::string::npos) << D;
+            "7: local-set 0 0\n"
+            "10: pop\n"
+            "11: global-ref 1 {f}\n"
+            "13: call 0\n"
+            "15: local-set 0 1\n"
+            "18: pop\n"
+            "19: local-ref 0 1\n"
+            "22: exit-scope\n"
+            "23: return\n");
 }
 
 TEST_F(CompilerTest, CompileErrors) {

@@ -252,6 +252,7 @@ TEST_P(DifferentialTest, InterpreterAndVmAgree) {
     Value V = I.evalString(Src);
     ASSERT_FALSE(I.hadError()) << "interp: " << I.errorMessage();
     InterpResult = writeToString(H, V);
+    H.collectFull();
     H.verifyHeap();
   }
   {
@@ -261,34 +262,10 @@ TEST_P(DifferentialTest, InterpreterAndVmAgree) {
     Value V = VM.evalString(Src);
     ASSERT_FALSE(VM.hadError()) << "vm: " << VM.errorMessage();
     VmResult = writeToString(H, V);
-    H.verifyHeap();
-  }
-  EXPECT_EQ(InterpResult, VmResult) << "engines disagree on: " << Src;
-}
-
-// The elision differential: the same corpus, VM vs VM, with the
-// barrier-elision pass on (and dynamically verified) vs off. Elision
-// only changes which stores pay the write-barrier tax, so results must
-// be bit-for-bit identical and both heaps must verify.
-TEST_P(DifferentialTest, ElisionOnAndOffAgree) {
-  const char *Src = GetParam();
-  std::string Results[2];
-  for (int Pass = 0; Pass != 2; ++Pass) {
-    HeapConfig Cfg = testConfig();
-    Cfg.ElideBarriers = Pass == 0;
-    Cfg.VerifyElision = true; // Abort at any unsound claim, not later.
-    Heap H(Cfg);
-    Interpreter I(H);
-    VirtualMachine VM(I);
-    Value V = VM.evalString(Src);
-    ASSERT_FALSE(VM.hadError())
-        << (Pass == 0 ? "elide-on: " : "elide-off: ") << VM.errorMessage();
-    Results[Pass] = writeToString(H, V);
     H.collectFull();
     H.verifyHeap();
   }
-  EXPECT_EQ(Results[0], Results[1])
-      << "barrier elision changed behavior of: " << Src;
+  EXPECT_EQ(InterpResult, VmResult) << "engines disagree on: " << Src;
 }
 
 const char *Corpus[] = {

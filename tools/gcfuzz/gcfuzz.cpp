@@ -15,8 +15,6 @@
 //   gcfuzz --trace-replay FILE           replay a saved trace
 //   gcfuzz --fault drop-resurrection     inject a liveness bug (must be
 //                                        caught; exercises the oracle)
-//   gcfuzz --elide on|off                force barrier elision on/off for
-//                                        the trace heaps
 //   gcfuzz --scoped on                   extend the trace alphabet with
 //                                        scope-open / scope-close /
 //                                        alloc-in-scope (request-scoped
@@ -33,8 +31,9 @@
 //                                        after each donation op and
 //                                        collection
 //   gcfuzz --vm-diff N                   N random Scheme programs, each
-//                                        run elide-on vs elide-off in
-//                                        lockstep; outputs must agree
+//                                        run on the tree-walking
+//                                        interpreter and on the bytecode
+//                                        VM; outputs must agree
 //
 //===----------------------------------------------------------------------===//
 
@@ -66,7 +65,6 @@ struct Options {
   std::string ReplayFile;
   std::string OutDir = ".";
   bool NoShrink = false;
-  std::string Elide; ///< "", "on", or "off": override ElideBarriers.
   bool Scoped = false; ///< Scoped trace alphabet / scoped vm-diff programs.
   bool Donation = false; ///< Donation trace alphabet (implies scoped ops).
   uint64_t VmDiff = 0; ///< Number of vm-diff programs (0 = off).
@@ -77,10 +75,9 @@ void usage() {
       stderr,
       "usage: gcfuzz [--seed N] [--traces N] [--ops K]\n"
       "              [--config NAME|all] [--fault none|drop-resurrection|"
-      "break-weak|unsound-elision|leak-scope-escape|"
+      "break-weak|drop-remembered|leak-scope-escape|"
       "leak-donated-segment]\n"
-      "              [--elide on|off] [--scoped on|off] [--donation "
-      "on|off]\n"
+      "              [--scoped on|off] [--donation on|off]\n"
       "              [--vm-diff N] [--seed-corpus]\n"
       "              [--trace-replay FILE] [--out DIR] [--no-shrink]\n"
       "configs (--config):");
@@ -102,8 +99,8 @@ bool applyFault(const std::string &Name, HeapConfig &Cfg) {
     Cfg.InjectedFault = GcFaultInjection::BreakLiveWeakCar;
     return true;
   }
-  if (Name == "unsound-elision") {
-    Cfg.InjectedFault = GcFaultInjection::UnsoundElision;
+  if (Name == "drop-remembered") {
+    Cfg.InjectedFault = GcFaultInjection::DropRememberedEntry;
     return true;
   }
   if (Name == "leak-scope-escape") {
@@ -187,13 +184,14 @@ int runSeeds(const std::vector<FuzzConfig> &Configs, uint64_t FirstSeed,
 
 //===----------------------------------------------------------------------===//
 // VM differential mode: random type-safe Scheme programs executed twice
-// — barrier elision on vs off — on otherwise identical fresh heaps. The
-// elision pass only changes which stores take the write-barrier path,
-// so any observable difference (printed results, errors, a verifier or
-// heap-verify abort) is an elision soundness bug. Programs lean on the
-// constructs the dataflow pass actually classifies: letrec inits,
-// set! of locals at several depths, named-let loops allocating frames
-// and pairs, global define/set!, and vector mutation.
+// — on the tree-walking Interpreter and on the bytecode VirtualMachine —
+// each on a fresh heap. The two engines share the collector and the
+// primitives but not a line of evaluation code, so any observable
+// difference (printed results, an error on either side, a heap-verify
+// abort) is a bug in one engine or in how it keeps the heap. Programs
+// lean on the stores both engines make: letrec inits, set! of locals at
+// several depths, named-let loops allocating frames and pairs, global
+// define/set!, and vector mutation.
 //===----------------------------------------------------------------------===//
 
 /// xorshift64* — deterministic across platforms, seeded per program.
@@ -231,8 +229,8 @@ public:
         // Scoped mode: run half the expression forms inside a request
         // scope. The result escapes through the primitive's return
         // value (and, when the body mutates a global, through the
-        // barriered global store), so elision × scoping must still
-        // print identical values. The draw is guarded so unscoped
+        // barriered global store), so both engines must still print
+        // identical values. The draw is guarded so unscoped
         // programs keep their historical byte-identical RNG stream.
         if (Scoped && R.below(2))
           E = "(call-in-new-scope (lambda () " + E + "))";
@@ -288,7 +286,7 @@ private:
       NumVars.pop_back();
       return "(let ([" + V + " " + Init + "]) " + Body + ")";
     }
-    case 5: { // letrec + set!: LocalSet both elided and barriered.
+    case 5: { // letrec + set!: an init store, then a later one.
       std::string V = fresh();
       std::string Init = num(Depth - 1);
       NumVars.push_back(V);
@@ -362,7 +360,7 @@ private:
              any(Depth - 1) + ")]) (set-car! " + P + " " + Stored +
              ") " + P + ")";
     }
-    case 4: { // Named-let cons loop: the elision showcase workload.
+    case 4: { // Named-let cons loop: a fresh frame and pair per step.
       std::string Lp = "lp" + std::to_string(NextVar++);
       std::string I = fresh(), Acc = fresh();
       return "(let " + Lp + " ([" + I + " " +
@@ -394,42 +392,47 @@ private:
   }
 };
 
-struct VmRun {
-  bool Ok = true;
-  std::string Output; ///< One printed result (or error) per form.
-  uint64_t BarriersExecuted = 0;
-  uint64_t BarriersElided = 0;
-};
+/// Evaluates \p Forms in order on \p Engine (the Interpreter or the
+/// VirtualMachine share this surface), one printed result or error per
+/// form; sets \p HadError if any form signalled one.
+template <typename EngineT>
+std::string evalForms(EngineT &Engine, Heap &H,
+                      const std::vector<std::string> &Forms, bool &HadError) {
+  std::string Output;
+  for (const std::string &F : Forms) {
+    Value V = Engine.evalString(F);
+    if (Engine.hadError()) {
+      Output += "error: " + Engine.errorMessage() + "\n";
+      Engine.clearError();
+      HadError = true;
+    } else {
+      Output += writeToString(H, V) + "\n";
+    }
+  }
+  return Output;
+}
 
-VmRun runVmProgram(const std::vector<std::string> &Forms, bool Elide) {
+/// Runs one program on a fresh heap with the chosen engine, then
+/// collects everything and verifies the heap.
+std::string runProgram(const std::vector<std::string> &Forms, bool OnVm,
+                       bool &HadError) {
   HeapConfig Cfg;
   Cfg.ArenaBytes = 64u * 1024 * 1024;
-  Cfg.ElideBarriers = Elide;
-  // Always verify: an unsound claim must abort here, in the fuzzer,
-  // not survive into a divergence report that is hard to attribute.
-  Cfg.VerifyElision = true;
   Heap H(Cfg);
   Interpreter I(H);
-  VirtualMachine VM(I);
-  VmRun R;
-  for (const std::string &F : Forms) {
-    Value V = VM.evalString(F);
-    if (VM.hadError()) {
-      R.Output += "error: " + VM.errorMessage() + "\n";
-      VM.clearError();
-    } else {
-      R.Output += writeToString(H, V) + "\n";
-    }
+  std::string Output;
+  if (OnVm) {
+    VirtualMachine VM(I);
+    Output = evalForms(VM, H, Forms, HadError);
+  } else {
+    Output = evalForms(I, H, Forms, HadError);
   }
   H.collectFull();
   H.verifyHeap();
-  R.BarriersExecuted = H.barriersExecuted();
-  R.BarriersElided = H.barriersElided();
-  return R;
+  return Output;
 }
 
 int runVmDiff(const Options &Opt) {
-  uint64_t ElidedTotal = 0, ExecutedTotal = 0;
   const uint64_t First = Opt.SeedGiven ? Opt.Seed : 1;
   for (uint64_t Seed = First; Seed != First + Opt.VmDiff; ++Seed) {
     ProgramGen Gen(Seed, Opt.Scoped);
@@ -437,57 +440,36 @@ int runVmDiff(const Options &Opt) {
     if (std::getenv("GCFUZZ_VM_DUMP"))
       for (const std::string &F : Forms)
         std::fprintf(stderr, "%s\n", F.c_str());
-    VmRun On = runVmProgram(Forms, /*Elide=*/true);
-    VmRun Off = runVmProgram(Forms, /*Elide=*/false);
-    if (On.Output != Off.Output) {
+    bool HadError = false;
+    const std::string Interp = runProgram(Forms, /*OnVm=*/false, HadError);
+    const std::string Vm = runProgram(Forms, /*OnVm=*/true, HadError);
+    if (Interp != Vm || HadError) {
       std::fprintf(stderr,
-                   "gcfuzz: VM DIVERGENCE (seed %llu): elision changed "
-                   "program behavior\n",
-                   static_cast<unsigned long long>(Seed));
+                   "gcfuzz: VM DIVERGENCE (seed %llu): %s\n",
+                   static_cast<unsigned long long>(Seed),
+                   Interp != Vm ? "the interpreter and the VM disagree"
+                                : "a generated program signalled an error");
       const std::string Path = Opt.OutDir + "/gcfuzz-vmdiff-seed" +
                                std::to_string(Seed) + ".scm";
       std::ofstream OS(Path);
       for (const std::string &F : Forms)
         OS << F << "\n";
-      OS << ";; elide-on:\n";
-      std::istringstream OnS(On.Output), OffS(Off.Output);
-      std::string Line;
-      while (std::getline(OnS, Line))
-        OS << ";;   " << Line << "\n";
-      OS << ";; elide-off:\n";
-      while (std::getline(OffS, Line))
-        OS << ";;   " << Line << "\n";
+      auto Annotate = [&](const char *Engine, const std::string &Output) {
+        OS << ";; " << Engine << ":\n";
+        std::istringstream IS(Output);
+        std::string Line;
+        while (std::getline(IS, Line))
+          OS << ";;   " << Line << "\n";
+      };
+      Annotate("interpreter", Interp);
+      Annotate("vm", Vm);
       std::fprintf(stderr, "gcfuzz: wrote %s\n", Path.c_str());
       return 1;
     }
-    if (Off.BarriersElided > On.BarriersElided) {
-      // ElideBarriers=off must not elide more than the on-run does; if
-      // it does, some elision site ignores the config toggle.
-      std::fprintf(stderr,
-                   "gcfuzz: seed %llu: elide-off run elided more stores "
-                   "(%llu) than elide-on (%llu)\n",
-                   static_cast<unsigned long long>(Seed),
-                   static_cast<unsigned long long>(Off.BarriersElided),
-                   static_cast<unsigned long long>(On.BarriersElided));
-      return 1;
-    }
-    ElidedTotal += On.BarriersElided;
-    ExecutedTotal += On.BarriersExecuted;
   }
-  if (ElidedTotal == 0) {
-    std::fprintf(stderr,
-                 "gcfuzz: vm-diff ran but elided zero barriers — the "
-                 "elision pass is not reaching the generated programs\n");
-    return 1;
-  }
-  std::printf("gcfuzz: vm-diff OK — %llu programs, identical output; "
-              "elide-on runs: %llu barriers executed, %llu elided "
-              "(%.1f%% of dynamic stores)\n",
-              static_cast<unsigned long long>(Opt.VmDiff),
-              static_cast<unsigned long long>(ExecutedTotal),
-              static_cast<unsigned long long>(ElidedTotal),
-              100.0 * static_cast<double>(ElidedTotal) /
-                  static_cast<double>(ElidedTotal + ExecutedTotal));
+  std::printf("gcfuzz: vm-diff OK — %llu programs, identical output on "
+              "the interpreter and the VM\n",
+              static_cast<unsigned long long>(Opt.VmDiff));
   return 0;
 }
 
@@ -555,12 +537,6 @@ int main(int Argc, char **Argv) {
       Opt.OutDir = next();
     } else if (A == "--no-shrink") {
       Opt.NoShrink = true;
-    } else if (A == "--elide") {
-      Opt.Elide = next();
-      if (Opt.Elide != "on" && Opt.Elide != "off") {
-        std::fprintf(stderr, "gcfuzz: --elide takes on|off\n");
-        return 2;
-      }
     } else if (A == "--scoped") {
       const std::string V = next();
       if (V != "on" && V != "off") {
@@ -597,8 +573,6 @@ int main(int Argc, char **Argv) {
                    Opt.Fault.c_str());
       return 2;
     }
-    if (!Opt.Elide.empty())
-      C.Config.ElideBarriers = Opt.Elide == "on";
   }
 
   if (!Opt.ReplayFile.empty())

@@ -1,8 +1,8 @@
 //===- fixtures/barrier_bypass.cpp - barrier-bypass rule catalogue -------===//
 //
 // Self-test fixture: raw slot writes outside the GC/heap/object
-// internals must be flagged; barriered and verified-elided stores, and
-// reasoned suppressions, must not. (The fixture lives outside
+// internals must be flagged; barriered stores and reasoned
+// suppressions must not. (The fixture lives outside
 // src/gc/, so the directory exemption does not apply here.)
 //
 //===----------------------------------------------------------------------===//
@@ -27,13 +27,6 @@ void barrieredStoresAreFine(Heap &H, Value P, Value Vec, Value V) {
   H.setCar(P, V);
   H.setCdr(P, V);
   H.vectorSet(Vec, 0, V);
-}
-
-void verifiedElisionsAreFine(Heap &H, Value P, Value Vec, Value V) {
-  // The elided variants carry a soundness claim the heap re-checks
-  // under HeapConfig::VerifyElision; they are not bypasses.
-  H.vectorSetInitializing(Vec, 0, V);
-  H.setCarElided(P, Value::falseV(), StoreElision::Immediate);
 }
 
 void notActuallyAStore(PairCell *Cell, Value V) {

@@ -30,9 +30,7 @@ Rules
     generational write barrier, so an old-to-young pointer stored this
     way is invisible to minor collections and the target is freed while
     still reachable. Mutator code must go through the ``Heap`` mutation
-    API (``setCar``/``vectorSet``/...) or its verified elided variants
-    (``vectorSetInitializing``/``setCarElided``/...), which route the
-    soundness claim through ``HeapConfig::VerifyElision``.
+    API (``setCar``/``vectorSet``/...).
 
 ``unique-unreachable``
     Two ``GENGC_UNREACHABLE`` sites share a message string. Messages
@@ -341,7 +339,7 @@ BARRIER_BYPASS_RE = re.compile(
 
 # Directories whose job is to implement the barrier and the object
 # layout: the collector writes forward markers and copies cells, the
-# heap implements the barriered/elided mutators on top of the raw ones,
+# heap implements the barriered mutators on top of the raw ones,
 # and the arena substrate owns segment memory outright.
 BARRIER_INTERNAL_PREFIXES = ("src/gc/", "src/heap/", "src/object/")
 
@@ -361,9 +359,8 @@ def check_barrier_bypass(path: str, rel: str,
             "raw slot write skips the generational write barrier; an "
             "old-to-young pointer stored here never reaches the "
             "remembered set. Use the Heap mutation API (setCar, "
-            "vectorSet, ...) or, when the store is provably initializing "
-            "or immediate, its elided variants — or annotate a "
-            "collector-internal use with rootcheck:allow(barrier-bypass)",
+            "vectorSet, ...), or annotate a collector-internal use with "
+            "rootcheck:allow(barrier-bypass)",
         ))
     return diags
 
